@@ -269,6 +269,15 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
     return DensityGrid(origin=grid.origin, step=step, masses=np.diff(new_cum))
 
 
+def _aligned(x: np.ndarray) -> np.ndarray:
+    """Copy of the float array ``x`` that starts on a 64-byte boundary."""
+    buf = np.empty(x.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start : start + x.size]
+    out[...] = x
+    return out
+
+
 def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:
     """Distribution grid of the balance ``B = G - D`` (independent inputs).
 
@@ -302,7 +311,10 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:
 
     h = min(gen.step, dem.step)
     gen, dem = resample(gen, h), resample(dem, h)
-    corr = np.convolve(gen.masses, dem.masses[::-1])
+    # np.convolve's dot-product kernel runs up to ~1.4x slower on some
+    # 64-byte misalignments of its operands; aligned copies keep its speed
+    # from depending on where the heap placed the masses.
+    corr = np.convolve(_aligned(gen.masses), _aligned(dem.masses)[::-1])
     # Each (i, j) product mass is a width-2h triangle centered on a cell
     # edge of the output grid: half goes to the cell on each side.
     masses = 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))

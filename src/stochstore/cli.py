@@ -8,8 +8,9 @@
 ``--scenario`` accepts either a path to a scenario file or the name of a
 bundled fixture (``fig2_battery``, ``day24_lognormal``).
 
-Exit codes: 0 success; 1 validation gate failure; 2 configuration error;
-3 scenario error; 4 numeric truncation budget exceeded.
+Exit codes: 0 success; 1 validation gate failure; 2 configuration error
+(including an ``--n`` over the sample budget); 3 scenario error; 4 numeric
+truncation budget exceeded.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ COMMANDS = ("simulate", "analyze", "sweep", "validate")
 # Below this sample size the 3-sigma intervals are too wide to be a
 # meaningful gate; validate still runs but flags the result.
 VALIDATE_CAVEAT_N = 10_000
+
+# Bytes of float64 samples one run may hold in a single array: simulate's
+# (n, horizon) ensemble matrix, the n draws of each validate/sweep estimate.
+# A larger --n is refused before anything is sampled.
+MAX_SAMPLE_BYTES = 2**30
 
 
 class ConfigError(ValueError):
@@ -211,6 +217,15 @@ def _check_window(storage, value: float, flag: str) -> float:
     return value
 
 
+def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
+    size = 8 * config.n * values_per_sample
+    if size > MAX_SAMPLE_BYTES:
+        raise ConfigError(
+            f"--n {config.n} needs {size:.3g} bytes of samples "
+            f"({values_per_sample} value(s) each); the limit is {MAX_SAMPLE_BYTES} bytes"
+        )
+
+
 def _balance_grid(step_spec, cells: int):
     return difference_density(
         discretize(step_spec.generation, cells),
@@ -222,6 +237,7 @@ def _balance_grid(step_spec, cells: int):
 
 
 def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
+    _check_sample_budget(config, scenario.horizon)
     traj = simulate_trajectory(scenario, config.seed, 0)
     stats = simulate_ensemble(scenario, config.n, config.seed)
 
@@ -308,6 +324,7 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
 
 
 def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
+    _check_sample_budget(config, 1)
     step_spec = scenario.steps[0]
     if not isinstance(step_spec.generation, Deterministic) or not isinstance(
         step_spec.demand, Weibull
@@ -371,6 +388,7 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
 
 
 def _run_validate(config: RunConfig, scenario: Scenario) -> int:
+    _check_sample_budget(config, 1)
     storage = scenario.storage
     s_init = storage.s_init
     # Frequency 0/1 gives a zero-width interval; a true probability may

@@ -5,6 +5,13 @@ one time step) and exposes the same small interface: seeded sampling,
 cumulative probability, density where one exists, quantiles, and the first
 two moments.  Sampling goes through ``numpy.random.Generator`` so that
 callers control reproducibility explicitly.
+
+The continuous families sample in two parts: ``primitive`` names the
+``Generator`` method they draw from and ``transform`` maps those draws to
+values elementwise, in place.  One call for ``k`` draws yields the same
+stream as ``k`` calls for one draw each, so a caller may take the draws of
+several consecutive quantities that share a primitive in a single call and
+apply each quantity's ``transform`` afterwards.
 """
 
 from __future__ import annotations
@@ -42,12 +49,19 @@ def _check_probability(p: float) -> float:
 class Distribution:
     """Common interface for the supported per-step quantities."""
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """Draw a single value using ``rng``."""
-        return float(self.sample_n(rng, 1)[0])
+    #: ``numpy.random.Generator`` method whose draws ``transform`` maps to
+    #: values; ``None`` for a family that overrides ``sample_n`` instead.
+    primitive: str | None = None
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values as a float array of shape ``(n,)``."""
+        return self.transform(getattr(rng, self.primitive)(self._check_n(n)))
+
+    def transform(self, draws: np.ndarray) -> np.ndarray:
+        """Map draws of ``primitive`` to values of this quantity, elementwise.
+
+        Works in place: ``draws`` is overwritten with the values and returned.
+        """
         raise NotImplementedError
 
     def cdf(self, x: float) -> float:
@@ -126,10 +140,16 @@ class Weibull(Distribution):
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "shape", shape)
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    primitive = "random"
+
+    def transform(self, draws: np.ndarray) -> np.ndarray:
         # Inverse-transform: x = scale * (-log(1 - U))**(1/shape).
-        u = rng.random(self._check_n(n))
-        return self.scale * np.power(-np.log1p(-u), 1.0 / self.shape)
+        np.negative(draws, out=draws)
+        np.log1p(draws, out=draws)
+        np.negative(draws, out=draws)
+        np.power(draws, 1.0 / self.shape, out=draws)
+        draws *= self.scale
+        return draws
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
@@ -173,8 +193,12 @@ class LogNormal(Distribution):
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.exp(self.mu + self.sigma * rng.standard_normal(self._check_n(n)))
+    primitive = "standard_normal"
+
+    def transform(self, draws: np.ndarray) -> np.ndarray:
+        draws *= self.sigma
+        draws += self.mu
+        return np.exp(draws, out=draws)
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:

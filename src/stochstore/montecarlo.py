@@ -99,41 +99,103 @@ class EnsembleStats:
     deficit_freq: np.ndarray
 
 
+# Trajectories drawn and evolved together by ``simulate_ensemble``.  Its
+# working arrays are a few (horizon, ENSEMBLE_CHUNK) blocks next to the two
+# (n, horizon) result matrices.
+ENSEMBLE_CHUNK = 256
+
+
+def _draw_plan(scenario: Scenario):
+    """How one trajectory takes its draws, in contract order.
+
+    Returns ``(quantities, rows, runs)``.  ``quantities`` lists generation
+    then demand, step by step.  ``rows[k]`` is the row of the raw-draw block
+    that holds quantity ``k``'s draws, or ``None`` for a Deterministic
+    quantity, which draws nothing.  Each run ``(draw, start, stop)`` fills
+    rows ``start:stop`` with one call ``draw(rng, stop - start)``: the draws
+    of consecutive quantities sharing a primitive form one run; an Empirical
+    draw is a run of its own.
+    """
+    quantities = [q for spec in scenario.steps for q in (spec.generation, spec.demand)]
+    rows, runs = [], []
+    last = None
+    for q in quantities:
+        if isinstance(q, Deterministic):
+            rows.append(None)
+            continue
+        row = runs[-1][2] if runs else 0
+        rows.append(row)
+        if q.primitive is not None and q.primitive == last:
+            runs[-1][2] += 1
+        elif q.primitive is not None:
+            runs.append([getattr(np.random.Generator, q.primitive), row, row + 1])
+        else:
+            runs.append([q.sample_n, row, row + 1])
+        last = q.primitive
+    return quantities, rows, runs
+
+
+def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Generation and demand of trajectories ``indices``, as ``(horizon, m)`` arrays."""
+    quantities, rows, runs = plan
+    m = len(indices)
+    raw = np.empty((runs[-1][2] if runs else 0, m))
+    for j, i in enumerate(indices):
+        rng = np.random.default_rng((seed, i))
+        for draw, start, stop in runs:
+            raw[start:stop, j] = draw(rng, stop - start)
+    values = np.empty((len(quantities), m))
+    for k, (q, row) in enumerate(zip(quantities, rows)):
+        if row is None:
+            values[k] = q.value
+        elif q.primitive is None:
+            values[k] = raw[row]
+        else:
+            values[k] = q.transform(raw[row])
+    return values[0::2], values[1::2]
+
+
 def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajectory:
     """Simulate trajectory ``index`` of the ensemble seeded with ``seed``."""
-    rng = np.random.default_rng((seed, index))
-    horizon = scenario.horizon
-    g = np.empty(horizon)
-    d = np.empty(horizon)
-    for t, spec in enumerate(scenario.steps):
-        g[t] = spec.generation.sample(rng)
-        d[t] = spec.demand.sample(rng)
+    g, d = _draw(_draw_plan(scenario), seed, [index])
+    g, d = g[:, 0], d[:, 0]
     return evolve(scenario.storage, g - d, generation=g, demand=d)
 
 
 def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
-    """Aggregate ``n`` independent trajectories of the scenario."""
+    """Aggregate ``n`` independent trajectories of the scenario.
+
+    Trajectories are drawn and evolved ``ENSEMBLE_CHUNK`` at a time; each
+    equals ``simulate_trajectory(scenario, seed, i)`` exactly.
+    """
     n = int(n)
     if n < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n}")
     horizon = scenario.horizon
+    plan = _draw_plan(scenario)
     states = np.empty((n, horizon))
     balances = np.empty((n, horizon))
     spill_counts = np.zeros(horizon)
     deficit_counts = np.zeros(horizon)
-    for i in range(n):
-        traj = simulate_trajectory(scenario, seed, i)
-        states[i] = traj.storage
-        balances[i] = traj.balance
-        spill_counts += traj.spill > 0.0
-        deficit_counts += traj.deficit > 0.0
+    for start in range(0, n, ENSEMBLE_CHUNK):
+        stop = min(start + ENSEMBLE_CHUNK, n)
+        g, d = _draw(plan, seed, range(start, stop))
+        traj = evolve(scenario.storage, g - d, generation=g, demand=d)
+        states[start:stop] = traj.storage.T
+        balances[start:stop] = traj.balance.T
+        spill_counts += np.count_nonzero(traj.spill > 0.0, axis=1)
+        deficit_counts += np.count_nonzero(traj.deficit > 0.0, axis=1)
+    # Means over the full matrices keep numpy's summation order, so the
+    # statistics match aggregating the trajectories one by one bit for bit.
+    b_mean = balances.mean(axis=0)
+    del balances
     return EnsembleStats(
         n_trajectories=n,
         seed=int(seed),
         quantile_levels=QUANTILE_LEVELS,
         s_mean=states.mean(axis=0),
         s_quantiles=np.quantile(states, QUANTILE_LEVELS, axis=0),
-        b_mean=balances.mean(axis=0),
+        b_mean=b_mean,
         spill_freq=spill_counts / n,
         deficit_freq=deficit_counts / n,
     )

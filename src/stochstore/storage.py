@@ -68,7 +68,8 @@ def step(s_prev: float, balance: float, spec: StorageSpec) -> StepResult:
     """Advance the storage state by one step.
 
     ``s_prev`` must already lie in the storage window and ``balance`` must
-    be finite; both are checked.
+    be finite; both are checked.  This is the scalar reference that
+    :func:`evolve` reproduces on whole arrays of paths.
     """
     s_prev = float(s_prev)
     balance = float(balance)
@@ -88,10 +89,12 @@ def step(s_prev: float, balance: float, spec: StorageSpec) -> StepResult:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One realized path: per-step balances, states, and ledger terms.
+    """Realized paths: per-step balances, states, and ledger terms.
 
     ``storage[t]`` is the state after step ``t`` (0-based), starting from
-    ``s_init`` before any step.  ``generation``/``demand`` are kept when the
+    ``s_init`` before any step.  Arrays are ``(horizon,)`` for one path or
+    ``(horizon, n)`` for ``n`` paths, so ``storage[t]`` is then the ``(n,)``
+    states after step ``t``.  ``generation``/``demand`` are kept when the
     balances were formed from an explicit pair.
     """
 
@@ -104,7 +107,7 @@ class Trajectory:
     demand: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return self.balance.size
+        return self.balance.shape[0]
 
 
 def evolve(
@@ -113,14 +116,17 @@ def evolve(
     generation: np.ndarray | None = None,
     demand: np.ndarray | None = None,
 ) -> Trajectory:
-    """Run the recursion over a whole balance sequence from ``spec.s_init``.
+    """Run the recursion over whole balance sequences from ``spec.s_init``.
 
-    When ``generation`` and ``demand`` are supplied they must reproduce
-    ``balances`` exactly as ``generation - demand``.
+    ``balances`` is ``(horizon,)`` for one path or ``(horizon, n)`` for
+    ``n`` paths, which advance together one step at a time.  Every path
+    follows :func:`step` exactly.  When ``generation`` and ``demand`` are
+    supplied they must reproduce ``balances`` exactly as
+    ``generation - demand``.
     """
     b = np.asarray(balances, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("balances must be a nonempty 1-d array")
+    if b.ndim not in (1, 2) or b.size == 0:
+        raise ValueError("balances must be a nonempty (horizon,) or (horizon, n) array")
     if not np.all(np.isfinite(b)):
         raise ValueError("balances must all be finite")
     if (generation is None) != (demand is None):
@@ -135,17 +141,23 @@ def evolve(
     else:
         g = d = None
 
-    n = b.size
-    states = np.empty(n, dtype=float)
-    spills = np.zeros(n, dtype=float)
-    deficits = np.zeros(n, dtype=float)
-    s = spec.s_init
-    for t in range(n):
-        result = step(s, b[t], spec)
-        s = result.s_next
+    states = np.empty_like(b)
+    spills = np.empty_like(b)
+    deficits = np.empty_like(b)
+    s = np.full(b.shape[1:], spec.s_init)
+    for t in range(b.shape[0]):
+        # The selections reproduce step()'s min/max exactly, signed zeros included.
+        raw = s + b[t]
+        over = raw > spec.s_max
+        under = spec.s_min > raw
+        spills[t] = np.where(over, raw - spec.s_max, 0.0)
+        deficits[t] = np.where(under, spec.s_min - raw, 0.0)
+        s = np.where(over, spec.s_max, np.where(under, spec.s_min, raw))
         states[t] = s
-        spills[t] = result.spill
-        deficits[t] = result.deficit
+    if not np.all((states >= spec.s_min) & (states <= spec.s_max)):
+        raise ValueError(
+            f"a state left the storage window [{spec.s_min}, {spec.s_max}]"
+        )
     return Trajectory(
         s_init=spec.s_init,
         balance=b,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
@@ -348,6 +349,31 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
     for argv in cases:
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, scenario, n",
+    [
+        ("simulate", "fig2_battery", 10**12),
+        ("validate", "fig2_battery", 10**12),
+        ("sweep", "fig2_battery", 10**12),
+        # simulate holds n x horizon values: just over the budget at 24 steps
+        ("simulate", "day24_lognormal", cli.MAX_SAMPLE_BYTES // (8 * 24) + 1),
+    ],
+)
+def test_exit_2_refuses_oversized_n_before_sampling(tmp_path, capsys, command, scenario, n):
+    out = tmp_path / "x.csv"
+    argv = [command, "--scenario", scenario, "--n", str(n), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert peak < 2**20  # nothing sample-sized was allocated
+    assert not out.exists()
 
 
 def test_exit_3_on_scenario_errors(tmp_path, capsys):

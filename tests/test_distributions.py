@@ -77,12 +77,27 @@ def test_seeded_samples_pass_kolmogorov_smirnov():
     assert scipy.stats.kstest(ln, scipy.stats.lognorm(s=1.0, scale=1.0).cdf).pvalue > 1e-4
 
 
-def test_sampling_is_reproducible_and_scalar_matches_batch():
-    dist = Weibull(scale=2.0, shape=5.0)
-    a = dist.sample_n(np.random.default_rng(7), 10)
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Deterministic(1.5),
+        Weibull(scale=2.0, shape=5.0),
+        LogNormal(mu=0.0, sigma=1.0),
+        Empirical((0.5, 1.0, 2.5, 4.0, 7.0)),
+    ],
+    ids=["deterministic", "weibull", "lognormal", "empirical"],
+)
+def test_sampling_is_reproducible_and_scalar_matches_batch(dist):
+    batch_rng = np.random.default_rng(7)
+    a = dist.sample_n(batch_rng, 10)
     b = dist.sample_n(np.random.default_rng(7), 10)
     np.testing.assert_array_equal(a, b)
-    assert dist.sample(np.random.default_rng(7)) == a[0]
+    # k single draws equal one batch of k and leave the generator in the
+    # same state: the prefix property batched trajectory sampling relies on.
+    rng = np.random.default_rng(7)
+    singles = np.concatenate([dist.sample_n(rng, 1) for _ in range(10)])
+    np.testing.assert_array_equal(singles, a)
+    assert rng.bit_generator.state == batch_rng.bit_generator.state
 
 
 @given(

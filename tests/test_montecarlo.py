@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import stochstore.montecarlo as montecarlo
 from stochstore import (
     Deterministic,
     ProbabilityEstimate,
@@ -14,6 +15,7 @@ from stochstore import (
     parse_scenario,
     simulate_ensemble,
     simulate_trajectory,
+    step,
     sweep_battery_levels,
     weibull_closed_form,
 )
@@ -39,6 +41,66 @@ def _flat_scenario_json(horizon=4, gen=1.0, dem=1.0):
             "horizon": horizon,
             "steps": [step] * horizon,
         }
+    )
+
+
+def _mixed_scenario_json():
+    # All four families; draws switch primitive (uniform -> normal), two
+    # Empirical draws follow each other, Weibull shapes 2 and 0.5 hit the
+    # special exponents 0.5 and 2, and a one-sample Empirical draws nothing.
+    import json
+
+    weibull = lambda scale, shape: {"kind": "weibull", "scale": scale, "shape": shape}
+    lognormal = lambda mu, sigma: {"kind": "lognormal", "mu": mu, "sigma": sigma}
+    empirical = lambda *xs: {"kind": "empirical", "samples": list(xs)}
+    deterministic = lambda v: {"kind": "deterministic", "value": v}
+    pairs = [
+        (weibull(2.0, 5.0), lognormal(0.0, 0.5)),
+        (empirical(1.0, 3.0, 2.5), empirical(0.5, 4.0, 1.0, 2.0)),
+        (deterministic(1.5), weibull(1.2, 2.0)),
+        (lognormal(0.2, 0.8), deterministic(0.8)),
+        (lognormal(0.1, 0.4), lognormal(-0.1, 0.6)),
+        (weibull(1.0, 0.5), empirical(2.0)),
+        (empirical(0.0, 6.0), weibull(3.0, 1.5)),
+    ]
+    return json.dumps(
+        {
+            "name": "mixed",
+            "energy_unit": "kWh",
+            "storage": {"s_min": 0.5, "s_max": 4.0, "s_init": 2.0},
+            "horizon": len(pairs),
+            "steps": [{"generation": g, "demand": d} for g, d in pairs],
+        }
+    )
+
+
+def _contract_trajectory(scenario, seed, index):
+    """Trajectory ``index`` built straight from the seed contract.
+
+    One ``sample_n(rng, 1)`` per quantity, generation then demand in step
+    order, from ``default_rng((seed, index))``; then the scalar ``step``.
+    """
+    rng = np.random.default_rng((seed, index))
+    g, d = [], []
+    for spec in scenario.steps:
+        g.append(spec.generation.sample_n(rng, 1)[0])
+        d.append(spec.demand.sample_n(rng, 1)[0])
+    s = scenario.storage.s_init
+    storage, spill, deficit = [], [], []
+    for gt, dt in zip(g, d):
+        r = step(s, gt - dt, scenario.storage)
+        s = r.s_next
+        storage.append(r.s_next)
+        spill.append(r.spill)
+        deficit.append(r.deficit)
+    g, d = np.array(g), np.array(d)
+    return dict(
+        generation=g,
+        demand=d,
+        balance=g - d,
+        storage=np.array(storage),
+        spill=np.array(spill),
+        deficit=np.array(deficit),
     )
 
 
@@ -164,6 +226,32 @@ def test_trajectory_is_reproducible_and_indexed(day24_scenario):
     assert np.array_equal(t_a.storage, t_b.storage)
     assert np.array_equal(t_a.generation, t_b.generation)
     assert not np.array_equal(t_a.generation, t_c.generation)
+
+
+def test_trajectories_and_ensemble_follow_the_seed_contract():
+    scenario = parse_scenario(_mixed_scenario_json())
+    seed, n = 13, 600
+    assert n > getattr(montecarlo, "ENSEMBLE_CHUNK", 0)  # spans several chunks
+    expected = [_contract_trajectory(scenario, seed, i) for i in range(n)]
+    for i in (0, 1, 255, 256, n - 1):
+        traj = simulate_trajectory(scenario, seed, i)
+        for name, want in expected[i].items():
+            np.testing.assert_array_equal(getattr(traj, name), want, err_msg=f"{i} {name}")
+
+    stats = simulate_ensemble(scenario, n=n, seed=seed)
+    states = np.array([e["storage"] for e in expected])
+    assert 0 < np.count_nonzero([e["spill"] for e in expected])
+    assert 0 < np.count_nonzero([e["deficit"] for e in expected])
+    np.testing.assert_array_equal(stats.s_mean, states.mean(axis=0))
+    np.testing.assert_array_equal(
+        stats.s_quantiles, np.quantile(states, stats.quantile_levels, axis=0)
+    )
+    np.testing.assert_array_equal(
+        stats.b_mean, np.array([e["balance"] for e in expected]).mean(axis=0)
+    )
+    for freq, key in ((stats.spill_freq, "spill"), (stats.deficit_freq, "deficit")):
+        counts = np.count_nonzero(np.array([e[key] for e in expected]) > 0.0, axis=0)
+        np.testing.assert_array_equal(freq, counts / n)
 
 
 def test_trajectory_respects_storage_window(day24_scenario):

@@ -101,6 +101,32 @@ def test_evolve_matches_independent_scalar_recomputation():
         assert traj.deficit[t] == expected_deficit
 
 
+def test_evolve_batch_matches_scalar_step_per_path():
+    # Columns are independent paths; each must follow step() bit for bit,
+    # including exact ties with the window edges.
+    rng = np.random.default_rng(3)
+    spec = StorageSpec(0.0, 5.0, 2.0)
+    g = rng.exponential(3.0, size=(40, 64))
+    d = rng.exponential(3.0, size=(40, 64))
+    g[:, 0], d[:, 0] = [4.0, 0.0] * 20, [1.0, 5.0] * 20  # +3, -5: hits s_max, s_min exactly
+    g[5, 1:4], d[5, 1:4] = [1e300, 0.0, 1.0], [0.0, 1e300, 1.0]
+    balances = g - d
+    traj = evolve(spec, balances, generation=g, demand=d)
+    assert len(traj) == 40
+    assert traj.storage.shape == traj.spill.shape == traj.deficit.shape == (40, 64)
+    for j in range(64):
+        s = spec.s_init
+        for t in range(40):
+            r = step(s, balances[t, j], spec)
+            s = r.s_next
+            assert (traj.storage[t, j], traj.spill[t, j], traj.deficit[t, j]) == (
+                r.s_next,
+                r.spill,
+                r.deficit,
+            )
+        np.testing.assert_array_equal(evolve(spec, balances[:, j]).storage, traj.storage[:, j])
+
+
 def test_evolve_composes_across_a_split():
     rng = np.random.default_rng(7)
     balances = rng.normal(0.0, 3.0, size=200)
@@ -137,7 +163,11 @@ def test_evolve_rejects_bad_balance_sequences():
     with pytest.raises(ValueError):
         evolve(SPEC_0_5, np.array([1.0, math.nan]))
     with pytest.raises(ValueError):
-        evolve(SPEC_0_5, np.ones((2, 2)))
+        evolve(SPEC_0_5, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError):
+        evolve(SPEC_0_5, np.ones((0, 3)))
+    with pytest.raises(ValueError):
+        evolve(SPEC_0_5, np.array([[1.0, 2.0], [math.inf, 0.0]]))
 
 
 @pytest.mark.parametrize(
