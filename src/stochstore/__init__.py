@@ -27,7 +27,6 @@ from .distributions import (
     Distribution,
     Empirical,
     LogNormal,
-    UnsupportedOperationError,
     Weibull,
     lognormal_from_moments,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Weibull",
     "LogNormal",
     "Empirical",
-    "UnsupportedOperationError",
     "lognormal_from_moments",
     # storage
     "StorageSpec",

@@ -175,13 +175,7 @@ class BalanceQuery:
     storage: StorageSpec
 
     def __post_init__(self) -> None:
-        s_prev = float(self.s_prev)
-        if not self.storage.s_min <= s_prev <= self.storage.s_max:
-            raise ValueError(
-                f"s_prev={s_prev} lies outside the storage window "
-                f"[{self.storage.s_min}, {self.storage.s_max}]"
-            )
-        object.__setattr__(self, "s_prev", s_prev)
+        object.__setattr__(self, "s_prev", self.storage.check_level(self.s_prev))
 
     @property
     def lo(self) -> float:
@@ -385,12 +379,7 @@ def weibull_closed_form(
     g_next = float(g_next)
     if not (math.isfinite(g_next) and g_next >= 0.0):
         raise ValueError(f"g_next must be finite and >= 0, got {g_next!r}")
-    s_prev = float(s_prev)
-    if not storage.s_min <= s_prev <= storage.s_max:
-        raise ValueError(
-            f"s_prev={s_prev} lies outside the storage window "
-            f"[{storage.s_min}, {storage.s_max}]"
-        )
+    s_prev = storage.check_level(s_prev)
     if not isinstance(dem, Weibull):
         raise TypeError(f"demand must be a Weibull distribution, got {type(dem).__name__}")
 

@@ -9,8 +9,9 @@
 bundled fixture (``fig2_battery``, ``day24_lognormal``).
 
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
-(including an ``--n`` over the sample budget); 3 scenario error; 4 numeric
-truncation budget exceeded.
+(including an ``--n`` over the sample budget, a ``--grid-cells`` over
+``MAX_GRID_CELLS`` and an unreadable scenario or unwritable output path);
+3 scenario error; 4 numeric truncation budget exceeded.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     ScenarioInvariantError,
-    parse_scenario,
+    load_scenario,
     write_results,
 )
 
@@ -55,10 +56,6 @@ __all__ = [
     "RunConfig",
     "build_parser",
     "run_command",
-    "run_simulate",
-    "run_analyze",
-    "run_sweep",
-    "run_validate",
     "main",
     "entrypoint",
 ]
@@ -73,6 +70,10 @@ VALIDATE_CAVEAT_N = 10_000
 # (n, horizon) ensemble matrix, the n draws of each validate/sweep estimate.
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
+
+# Largest --grid-cells.  The direct convolution grows about quadratically:
+# analyze day24 --step 12 takes ~0.14 s at 2**14 cells and ~1.3 s at 2**16.
+MAX_GRID_CELLS = 2**16
 
 
 class ConfigError(ValueError):
@@ -103,8 +104,10 @@ class RunConfig:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
         if int(self.n) < 1:
             raise ConfigError(f"--n must be >= 1, got {self.n}")
-        if int(self.grid_cells) < 2:
-            raise ConfigError(f"--grid-cells must be >= 2, got {self.grid_cells}")
+        if not 2 <= int(self.grid_cells) <= MAX_GRID_CELLS:
+            raise ConfigError(
+                f"--grid-cells must lie in [2, {MAX_GRID_CELLS}], got {self.grid_cells}"
+            )
         if int(self.step) < 1:
             raise ConfigError(f"--step must be >= 1, got {self.step}")
         if self.format not in ("csv", "json"):
@@ -173,15 +176,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_scenario(config: RunConfig) -> Scenario:
-    path = Path(config.scenario_path)
-    if path.exists():
-        return parse_scenario(path.read_text(encoding="utf-8"))
+    """Load ``--scenario`` as a file path, else as the name of a bundled fixture."""
     name = config.scenario_path
-    if "/" not in name and "\\" not in name and not name.endswith(".json"):
+    path = Path(name)
+    if not path.exists() and "/" not in name and "\\" not in name and not name.endswith(".json"):
         bundled = resources.files(__package__) / "scenarios" / f"{name}.json"
         if bundled.is_file():
-            return parse_scenario(bundled.read_text(encoding="utf-8"))
-    raise ConfigError(f"scenario file not found: {config.scenario_path}")
+            path = bundled
+    return load_scenario(path)
 
 
 def _diag(message: str) -> None:
@@ -208,13 +210,24 @@ def _write_table(config: RunConfig, table: ResultTable, path: str | Path | None 
 
 
 def _check_window(storage, value: float, flag: str) -> float:
-    value = float(value)
-    if not storage.s_min <= value <= storage.s_max:
-        raise ConfigError(
-            f"{flag} {value:g} lies outside the storage window "
-            f"[{storage.s_min:g}, {storage.s_max:g}]"
-        )
-    return value
+    try:
+        return storage.check_level(value, flag)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _levels(config: RunConfig, storage, default_count: int) -> tuple[float, ...]:
+    """``--levels`` checked against the window, else evenly spaced levels across it."""
+    if config.levels is not None:
+        return tuple(_check_window(storage, v, "--levels entry") for v in config.levels)
+    return tuple(float(v) for v in np.linspace(storage.s_min, storage.s_max, default_count))
+
+
+def _has_closed_form(step_spec) -> bool:
+    """Deterministic generation against Weibull demand: the closed-form pairing."""
+    return isinstance(step_spec.generation, Deterministic) and isinstance(
+        step_spec.demand, Weibull
+    )
 
 
 def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
@@ -326,18 +339,13 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
 def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, 1)
     step_spec = scenario.steps[0]
-    if not isinstance(step_spec.generation, Deterministic) or not isinstance(
-        step_spec.demand, Weibull
-    ):
+    if not _has_closed_form(step_spec):
         raise ScenarioInvariantError(
             "scenario.steps[0]: sweep requires deterministic generation and "
             "weibull demand (the closed-form pairing)"
         )
     storage = scenario.storage
-    if config.levels is not None:
-        levels = tuple(_check_window(storage, v, "--levels entry") for v in config.levels)
-    else:
-        levels = tuple(float(v) for v in np.linspace(storage.s_min, storage.s_max, 51))
+    levels = _levels(config, storage, 51)
 
     rows = sweep_battery_levels(
         step_spec.generation.value, step_spec.demand, storage, levels, config.n, config.seed
@@ -391,6 +399,7 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, 1)
     storage = scenario.storage
     s_init = storage.s_init
+    levels = _levels(config, storage, 6)
     # Frequency 0/1 gives a zero-width interval; a true probability may
     # still be (tiny but) nonzero, so checks never use a tolerance below
     # the rule-of-three bound 3/n.
@@ -423,20 +432,13 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     # Battery-level sweep on the first step; closed form joins in when it
     # applies, checked against the same MC estimate as the grid.
     step_spec = scenario.steps[0]
-    if config.levels is not None:
-        levels = tuple(_check_window(storage, v, "--levels entry") for v in config.levels)
-    else:
-        levels = tuple(float(v) for v in np.linspace(storage.s_min, storage.s_max, 6))
-    has_closed_form = isinstance(step_spec.generation, Deterministic) and isinstance(
-        step_spec.demand, Weibull
-    )
     for level in levels:
         mc = estimate_self_sufficiency(
             step_spec.generation, step_spec.demand, storage, level, config.n, config.seed
         )
         grid_triple = self_sufficiency(first_grid, BalanceQuery(s_prev=level, storage=storage))
         add_checks(f"level[{level:g}] grid", grid_triple, mc)
-        if has_closed_form:
+        if _has_closed_form(step_spec):
             closed = weibull_closed_form(step_spec.generation.value, level, storage, step_spec.demand)
             add_checks(f"level[{level:g}] closed_form", closed, mc)
 
@@ -481,7 +483,7 @@ def run_command(config: RunConfig) -> int:
     try:
         scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # OSError: unreadable --scenario, unwritable --out
         _diag(f"config error: {e}")
         return 2
     except ScenarioError as e:
@@ -490,33 +492,6 @@ def run_command(config: RunConfig) -> int:
     except TruncationBudgetError as e:
         _diag(f"numeric budget exceeded: {e}")
         return 4
-
-
-def _run_as(command: str, config: RunConfig) -> int:
-    if config.command != command:
-        _diag(f"config error: expected a {command} config, got {config.command!r}")
-        return 2
-    return run_command(config)
-
-
-def run_simulate(config: RunConfig) -> int:
-    """Run the simulate command; returns the process exit code."""
-    return _run_as("simulate", config)
-
-
-def run_analyze(config: RunConfig) -> int:
-    """Run the analyze command; returns the process exit code."""
-    return _run_as("analyze", config)
-
-
-def run_sweep(config: RunConfig) -> int:
-    """Run the sweep command; returns the process exit code."""
-    return _run_as("sweep", config)
-
-
-def run_validate(config: RunConfig) -> int:
-    """Run the validate command; returns the process exit code."""
-    return _run_as("validate", config)
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,7 @@
 
 Every model describes a nonnegative scalar quantity (an energy amount for
 one time step) and exposes the same small interface: seeded sampling,
-cumulative probability, density where one exists, quantiles, and the first
-two moments.  Sampling goes through ``numpy.random.Generator`` so that
+cumulative probability, quantiles, and the first two moments.  Sampling goes through ``numpy.random.Generator`` so that
 callers control reproducibility explicitly.
 
 The continuous families sample in two parts: ``primitive`` names the
@@ -28,15 +27,10 @@ __all__ = [
     "Weibull",
     "LogNormal",
     "Empirical",
-    "UnsupportedOperationError",
     "lognormal_from_moments",
 ]
 
 _STD_NORMAL = NormalDist()
-
-
-class UnsupportedOperationError(TypeError):
-    """An operation that is undefined for this distribution family."""
 
 
 def _check_probability(p: float) -> float:
@@ -67,12 +61,6 @@ class Distribution:
     def cdf(self, x: float) -> float:
         """Probability that the quantity is <= ``x``."""
         raise NotImplementedError
-
-    def pdf(self, x: float) -> float:
-        """Density at ``x``; only continuous families provide one."""
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} has no probability density"
-        )
 
     def quantile(self, p: float) -> float:
         """Smallest ``x`` with ``cdf(x) >= p``."""
@@ -156,12 +144,6 @@ class Weibull(Distribution):
             return 0.0
         return -math.expm1(-((x / self.scale) ** self.shape))
 
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        z = x / self.scale
-        return (self.shape / self.scale) * z ** (self.shape - 1.0) * math.exp(-(z**self.shape))
-
     def quantile(self, p: float) -> float:
         p = _check_probability(p)
         if p == 1.0:
@@ -204,12 +186,6 @@ class LogNormal(Distribution):
         if x <= 0.0:
             return 0.0
         return _STD_NORMAL.cdf((math.log(x) - self.mu) / self.sigma)
-
-    def pdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        z = (math.log(x) - self.mu) / self.sigma
-        return math.exp(-0.5 * z * z) / (x * self.sigma * math.sqrt(2.0 * math.pi))
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)

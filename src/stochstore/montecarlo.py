@@ -43,7 +43,6 @@ class ProbabilityEstimate:
     """A frequency estimate with its 3-standard-error halfwidth."""
 
     p_hat: float
-    ci_halfwidth: float
     n: int
 
     def __post_init__(self) -> None:
@@ -51,17 +50,15 @@ class ProbabilityEstimate:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.p_hat <= 1.0:
             raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
-        expected = 3.0 * math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n)
-        if abs(self.ci_halfwidth - expected) > 1e-12:
-            raise ValueError(
-                f"ci_halfwidth {self.ci_halfwidth!r} does not match "
-                f"3*sqrt(p(1-p)/n) = {expected!r}"
-            )
+
+    @property
+    def ci_halfwidth(self) -> float:
+        p = self.p_hat
+        return 3.0 * math.sqrt(p * (1.0 - p) / self.n)
 
     @classmethod
     def from_count(cls, count: int, n: int) -> "ProbabilityEstimate":
-        p = count / n
-        return cls(p_hat=p, ci_halfwidth=3.0 * math.sqrt(p * (1.0 - p) / n), n=n)
+        return cls(p_hat=count / n, n=n)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ The two log-normal forms are mutually exclusive within one node; the
 moment form is converted via ``lognormal_from_moments`` at parse time.
 Units are never converted — the label is carried into reports as-is.
 
-Failures are classified: :class:`ScenarioSyntaxError` (not JSON),
+Failures are classified: :class:`ScenarioSyntaxError` (not UTF-8 JSON),
 :class:`ScenarioSchemaError` (wrong shape: missing/unknown/mistyped
 fields), :class:`ScenarioInvariantError` (well-formed but violating a
 domain rule).  Every message carries the offending field path.
@@ -130,13 +130,20 @@ def _check_keys(node: dict, path: str, required: set[str], optional: set[str] = 
 
 
 def _number(node: dict, path: str, key: str) -> float:
-    v = node[key]
+    return _finite(node[key], f"{path}.{key}")
+
+
+def _finite(v, where: str) -> float:
     # bool is an int subclass; reject it explicitly.
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioSchemaError(f"{path}.{key}: expected a number, got {type(v).__name__}")
+        raise ScenarioSchemaError(f"{where}: expected a number, got {type(v).__name__}")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
     if not math.isfinite(v):
-        raise ScenarioInvariantError(f"{path}.{key}: must be finite, got {v!r}")
-    return float(v)
+        raise ScenarioInvariantError(f"{where}: must be finite, got {v!r}")
+    return v
 
 
 def _text(node: dict, path: str, key: str) -> str:
@@ -177,15 +184,10 @@ def _parse_distribution(node, path: str) -> Distribution:
                 raise ScenarioSchemaError(
                     f"{path}.samples: expected an array, got {type(raw).__name__}"
                 )
-            values = []
-            for i, v in enumerate(raw):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ScenarioSchemaError(
-                        f"{path}.samples[{i}]: expected a number, got {type(v).__name__}"
-                    )
-                values.append(float(v))
-            return Empirical(samples=tuple(values))
-    except ValueError as e:
+            return Empirical(
+                samples=tuple(_finite(v, f"{path}.samples[{i}]") for i, v in enumerate(raw))
+            )
+    except (ValueError, OverflowError) as e:
         raise ScenarioInvariantError(f"{path}: {e}") from e
     raise ScenarioSchemaError(
         f"{path}.kind: unknown distribution kind {kind!r} "
@@ -195,9 +197,11 @@ def _parse_distribution(node, path: str) -> Distribution:
 
 def parse_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document."""
+    # ValueError: malformed JSON or an integer literal over Python's digit limit;
+    # RecursionError: arrays or objects nested too deep for the decoder.
     try:
         root = json.loads(document)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ScenarioSyntaxError(f"scenario: not valid JSON: {e}") from e
 
     root = _require_mapping(root, "scenario")
@@ -266,7 +270,11 @@ def parse_scenario(document: str) -> Scenario:
 def load_scenario(path) -> Scenario:
     """Read and parse a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            document = fh.read()
+        except UnicodeDecodeError as e:
+            raise ScenarioSyntaxError(f"scenario: not UTF-8 text: {e}") from e
+    return parse_scenario(document)
 
 
 def _distribution_to_node(dist: Distribution) -> dict:

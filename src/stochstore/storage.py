@@ -44,13 +44,18 @@ class StorageSpec:
             raise ValueError(f"storage requires s_min >= 0, got s_min={s_min}")
         if not s_max > s_min:
             raise ValueError(f"storage requires s_max > s_min, got s_min={s_min}, s_max={s_max}")
-        if not s_min <= s_init <= s_max:
-            raise ValueError(
-                f"s_init={s_init} lies outside the storage window [{s_min}, {s_max}]"
-            )
         object.__setattr__(self, "s_min", s_min)
         object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "s_init", s_init)
+        object.__setattr__(self, "s_init", self.check_level(s_init, "s_init"))
+
+    def check_level(self, value: float, name: str = "s_prev") -> float:
+        """Return ``value`` as a float; raise ``ValueError`` if it lies outside the window."""
+        value = float(value)
+        if not self.s_min <= value <= self.s_max:
+            raise ValueError(
+                f"{name}={value} lies outside the storage window [{self.s_min}, {self.s_max}]"
+            )
+        return value
 
     @property
     def capacity(self) -> float:
@@ -71,12 +76,8 @@ def step(s_prev: float, balance: float, spec: StorageSpec) -> StepResult:
     be finite; both are checked.  This is the scalar reference that
     :func:`evolve` reproduces on whole arrays of paths.
     """
-    s_prev = float(s_prev)
+    s_prev = spec.check_level(s_prev)
     balance = float(balance)
-    if not spec.s_min <= s_prev <= spec.s_max:
-        raise ValueError(
-            f"s_prev={s_prev} lies outside the storage window [{spec.s_min}, {spec.s_max}]"
-        )
     if not math.isfinite(balance):
         raise ValueError(f"balance must be finite, got {balance!r}")
 

@@ -29,7 +29,7 @@ from stochstore import (
     sweep_battery_levels,
     weibull_closed_form,
 )
-from stochstore.cli import RunConfig, run_simulate, run_validate
+from stochstore.cli import RunConfig, run_command
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -220,7 +220,7 @@ def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
         seed=0,
         output_path=str(tmp_path / "report.csv"),
     )
-    gate_code = run_validate(config)
+    gate_code = run_command(config)
     elapsed = time.perf_counter() - t0
     ok = a_ok and b_flat_then_strict and gate_code == 0 and elapsed < 30.0
     _report(
@@ -236,7 +236,7 @@ def test_criterion_7_day_scenario_reproduction(tmp_path, day24_scenario):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
-        code = run_simulate(
+        code = run_command(
             RunConfig(
                 command="simulate",
                 scenario_path="day24_lognormal",

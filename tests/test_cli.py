@@ -17,7 +17,7 @@ from stochstore import (
     discretize,
     self_sufficiency,
 )
-from stochstore.cli import ConfigError, RunConfig, main, run_analyze
+from stochstore.cli import ConfigError, RunConfig, main
 
 from conftest import read_fixture_text
 
@@ -345,10 +345,17 @@ def test_exit_2_on_config_errors(tmp_path, capsys):
         ["analyze", "--scenario", "fig2_battery", "--s-prev", "0"],  # missing --out
         ["sweep", "--scenario", "fig2_battery"],  # missing --out
         ["validate", "--scenario", "fig2_battery", "--n", "0"],
+        ["sweep", "--scenario", "fig2_battery", "--levels", "99", "--out", out],
+        ["validate", "--scenario", "fig2_battery", "--levels", "nan"],
+        ["analyze", "--scenario", "fig2_battery", "--s-prev", "0", "--out", out,
+         "--grid-cells", str(cli.MAX_GRID_CELLS + 1)],
     ]
     for argv in cases:
         assert main(argv) == 2, argv
         assert "config error" in capsys.readouterr().err
+    # The largest allowed grid still runs.
+    argv = ["analyze", "--scenario", "fig2_battery", "--s-prev", "0", "--out", out]
+    assert main(argv + ["--grid-cells", str(cli.MAX_GRID_CELLS)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -396,6 +403,58 @@ def test_exit_3_on_scenario_errors(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+FIG2_TEXT = read_fixture_text("fig2_battery")
+HUGE_INT = "1" + "0" * 400  # an integer literal beyond the float range
+
+
+@pytest.mark.parametrize(
+    "document, out_name, code, message",
+    [
+        pytest.param(None, "missing/o.csv", 2, "config error", id="out-in-missing-directory"),
+        pytest.param("", "o.csv", 2, "config error", id="scenario-is-a-directory"),
+        pytest.param(b"\xff\xfe{}", "o.csv", 3, "not UTF-8", id="not-utf8"),
+        pytest.param(
+            FIG2_TEXT.replace('"s_max": 5.0', '"s_max": ' + "1" * 4301),
+            "o.csv", 3, "not valid JSON", id="int-over-4300-digits",
+        ),
+        pytest.param("[" * 10**5 + "]" * 10**5, "o.csv", 3, "not valid JSON", id="nested-1e5-deep"),
+        pytest.param(
+            FIG2_TEXT.replace('"s_max": 5.0', '"s_max": ' + HUGE_INT),
+            "o.csv", 3, "scenario.storage.s_max: must be finite", id="401-digit-number",
+        ),
+        pytest.param(
+            FIG2_TEXT.replace(
+                '{"kind": "weibull", "scale": 2.0, "shape": 5.0}',
+                '{"kind": "empirical", "samples": [1.0, ' + HUGE_INT + "]}",
+            ),
+            "o.csv", 3, "demand.samples[1]: must be finite", id="401-digit-sample",
+        ),
+        pytest.param(
+            FIG2_TEXT.replace(
+                '{"kind": "weibull", "scale": 2.0, "shape": 5.0}',
+                '{"kind": "lognormal", "mean": 1e200, "variance": 1.0}',
+            ),
+            "o.csv", 3, "scenario error", id="lognormal-moments-overflow",
+        ),
+    ],
+)
+def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, out_name, code, message):
+    # None: the bundled fixture; "": a directory; otherwise a file with these contents.
+    if document is None:
+        scenario = "fig2_battery"
+    elif document == "":
+        scenario = str(tmp_path)
+    else:
+        path = tmp_path / "scenario.json"
+        path.write_bytes(document if isinstance(document, bytes) else document.encode("utf-8"))
+        scenario = str(path)
+    out = tmp_path / out_name
+    argv = ["analyze", "--scenario", scenario, "--s-prev", "0", "--out", str(out)]
+    assert main(argv) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_4_when_truncation_budget_is_exceeded(tmp_path, capsys, monkeypatch):
     real_discretize = discretize
     monkeypatch.setattr(
@@ -435,14 +494,6 @@ def test_run_config_validation():
             s_prev=0.0,
             format="yaml",
         )
-
-
-def test_typed_runner_rejects_mismatched_command(tmp_path, capsys):
-    config = RunConfig(
-        command="sweep", scenario_path="fig2_battery", output_path=str(tmp_path / "s.csv"), n=100
-    )
-    assert run_analyze(config) == 2
-    assert "config error" in capsys.readouterr().err
 
 
 def test_version_flag():

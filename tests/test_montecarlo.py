@@ -116,11 +116,11 @@ def test_probability_estimate_from_count():
     assert est.n == 1000
 
 
-def test_probability_estimate_rejects_mismatched_halfwidth():
+def test_probability_estimate_rejects_invalid_fields():
     with pytest.raises(ValueError):
-        ProbabilityEstimate(p_hat=0.25, ci_halfwidth=0.5, n=1000)
+        ProbabilityEstimate(p_hat=1.5, n=1000)
     with pytest.raises(ValueError):
-        ProbabilityEstimate(p_hat=1.5, ci_halfwidth=0.0, n=1000)
+        ProbabilityEstimate(p_hat=0.25, n=0)
     with pytest.raises(ValueError):
         ProbabilityEstimate.from_count(-1, 1000)
 
