@@ -11,7 +11,9 @@ from .balance import (
     DEFAULT_CELLS,
     DEFAULT_COVERAGE,
     MASS_TRUNCATION_BUDGET,
+    MAX_BALANCE_CELLS,
     BalanceQuery,
+    CellBudgetError,
     DensityGrid,
     ProbabilityTriple,
     TruncationBudgetError,
@@ -76,10 +78,12 @@ __all__ = [
     "DEFAULT_CELLS",
     "DEFAULT_COVERAGE",
     "MASS_TRUNCATION_BUDGET",
+    "MAX_BALANCE_CELLS",
     "DensityGrid",
     "BalanceQuery",
     "ProbabilityTriple",
     "TruncationBudgetError",
+    "CellBudgetError",
     "discretize",
     "resample",
     "difference_density",

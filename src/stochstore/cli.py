@@ -10,8 +10,9 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
-``MAX_GRID_CELLS`` and an unreadable scenario or unwritable output path);
-3 scenario error; 4 numeric truncation budget exceeded.
+``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS`` and an
+unreadable scenario or unwritable output path); 3 scenario error; 4 numeric
+truncation budget exceeded.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from . import __version__
 from .balance import (
     DEFAULT_CELLS,
     BalanceQuery,
+    CellBudgetError,
     TruncationBudgetError,
     difference_density,
     discretize,
@@ -71,8 +73,10 @@ VALIDATE_CAVEAT_N = 10_000
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
-# Largest --grid-cells.  The direct convolution grows about quadratically:
-# analyze day24 --step 12 takes ~0.14 s at 2**14 cells and ~1.3 s at 2**16.
+# Largest --grid-cells.  The grid route grows about linearly (FFT
+# correlation, one array cdf call per grid): analyze day24 --step 12 takes
+# ~0.03 s at 2**14 cells and ~0.08 s at 2**16.  The cap refuses sizes that
+# would exhaust memory (10**11 cells) before any array is allocated.
 MAX_GRID_CELLS = 2**16
 
 
@@ -145,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep": "closed-form vs Monte Carlo triple across battery levels",
         "validate": "gate: analytic values must sit inside MC confidence intervals",
     }
+    # Each command takes only the flags it reads, so an unused flag is an error.
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="bundled fixture name or scenario file path")
@@ -152,11 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count (default 100000)")
         p.add_argument("--out", help="output file path" + ("" if name == "validate" else " (required)"))
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-        p.add_argument("--grid-cells", type=int, default=DEFAULT_CELLS, help="density grid resolution")
-        p.add_argument("--s-prev", type=float, help="battery level before the step")
-        p.add_argument("--levels", type=_parse_levels_arg, help="comma-separated battery levels")
+        if name in ("analyze", "validate"):
+            p.add_argument("--grid-cells", type=int, default=DEFAULT_CELLS, help="density grid resolution")
         if name == "analyze":
+            p.add_argument("--s-prev", type=float, help="battery level before the step")
             p.add_argument("--step", type=int, default=1, help="1-based step to analyze (default 1)")
+        if name in ("sweep", "validate"):
+            p.add_argument("--levels", type=_parse_levels_arg, help="comma-separated battery levels")
     return parser
 
 
@@ -168,9 +175,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         n=args.n,
         output_path=args.out,
         format=args.format,
-        grid_cells=args.grid_cells,
-        s_prev=args.s_prev,
-        levels=args.levels,
+        grid_cells=getattr(args, "grid_cells", DEFAULT_CELLS),
+        s_prev=getattr(args, "s_prev", None),
+        levels=getattr(args, "levels", None),
         step=getattr(args, "step", 1),
     )
 
@@ -481,9 +488,13 @@ _HANDLERS = {
 def run_command(config: RunConfig) -> int:
     """Execute a configured run, mapping failures to the exit-code taxonomy."""
     try:
+        if config.output_path and not Path(config.output_path).parent.is_dir():
+            raise ConfigError(f"--out {config.output_path}: no such directory")
         scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
-    except (ConfigError, OSError) as e:  # OSError: unreadable --scenario, unwritable --out
+    # OSError: unreadable --scenario, unwritable --out; CellBudgetError: the
+    # inputs' grids refine to more cells than balance.MAX_BALANCE_CELLS.
+    except (ConfigError, CellBudgetError, OSError) as e:
         _diag(f"config error: {e}")
         return 2
     except ScenarioError as e:

@@ -3,7 +3,9 @@
 Every model describes a nonnegative scalar quantity (an energy amount for
 one time step) and exposes the same small interface: seeded sampling,
 cumulative probability, quantiles, and the first two moments.  Sampling goes through ``numpy.random.Generator`` so that
-callers control reproducibility explicitly.
+callers control reproducibility explicitly.  The continuous families'
+``cdf`` is elementwise: a float in gives a float out, an array in gives an
+array out, so a whole grid of cell edges is evaluated in one call.
 
 The continuous families sample in two parts: ``primitive`` names the
 ``Generator`` method they draw from and ``transform`` maps those draws to
@@ -31,6 +33,14 @@ __all__ = [
 ]
 
 _STD_NORMAL = NormalDist()
+_SQRT2 = math.sqrt(2.0)
+# numpy has no erf and scipy is not a runtime dependency.
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _elementwise(values: np.ndarray):
+    """A 0-d result as a float, any other as the array itself."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _check_probability(p: float) -> float:
@@ -139,10 +149,11 @@ class Weibull(Distribution):
         draws *= self.scale
         return draws
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return -math.expm1(-((x / self.scale) ** self.shape))
+    def cdf(self, x):
+        """``F(x)`` elementwise over a float or an array; 0 for ``x <= 0``."""
+        x = np.maximum(x, 0.0)
+        with np.errstate(over="ignore"):  # a power past the float range is inf: cdf 1
+            return _elementwise(-np.expm1(-((x / self.scale) ** self.shape)))
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)
@@ -182,10 +193,12 @@ class LogNormal(Distribution):
         draws += self.mu
         return np.exp(draws, out=draws)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return _STD_NORMAL.cdf((math.log(x) - self.mu) / self.sigma)
+    def cdf(self, x):
+        """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
+        x = np.maximum(x, 0.0)
+        with np.errstate(divide="ignore"):  # log(0) = -inf gives cdf 0
+            z = (np.log(x) - self.mu) / self.sigma
+        return _elementwise(0.5 * (1.0 + np.asarray(_erf(z / _SQRT2), dtype=float)))
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)

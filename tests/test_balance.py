@@ -9,8 +9,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochstore.balance as balance
 from stochstore import (
     BalanceQuery,
+    CellBudgetError,
     DensityGrid,
     Deterministic,
     Empirical,
@@ -21,10 +23,13 @@ from stochstore import (
     difference_density,
     discretize,
     interval_probability,
+    parse_scenario,
     resample,
     self_sufficiency,
     weibull_closed_form,
 )
+
+from conftest import read_fixture_text
 
 SPEC_0_5 = StorageSpec(s_min=0.0, s_max=5.0, s_init=0.0)
 FIG2_DEM = Weibull(scale=2.0, shape=5.0)
@@ -189,18 +194,81 @@ def test_difference_grid_geometry_and_mass():
     assert abs(b.mean() - (gen.mean() - dem.mean())) <= 2.0 * b.step
 
 
-@pytest.mark.parametrize("gen_cells, dem_cells", [(1000, 700), (700, 1000)])
-def test_difference_masses_are_the_plain_correlation_bit_for_bit(gen_cells, dem_cells):
-    # The masses are convolved from 64-byte-aligned copies; the result must
-    # equal convolving them where they lie, whichever operand is longer.
-    gen = discretize(LogNormal(mu=0.2, sigma=0.5), cells=gen_cells)
-    dem = discretize(FIG2_DEM, cells=dem_cells)
+def _direct_masses(gen, dem):
+    """Balance masses from the direct ``np.convolve`` correlation: the reference."""
+    if gen.is_atom or dem.is_atom:
+        return np.convolve(gen.masses, dem.masses[::-1])
     h = min(gen.step, dem.step)
     corr = np.convolve(resample(gen, h).masses, resample(dem, h).masses[::-1])
-    np.testing.assert_array_equal(
-        difference_density(gen, dem).masses,
-        0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0)),
-    )
+    return 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
+
+
+def _two_cells(origin, step, masses):
+    return DensityGrid(origin=origin, step=step, masses=np.array(masses))
+
+
+# The FFT correlation rounds differently from the direct sum, by about 1e-17
+# per cell; 1e-15 leaves room without hiding a misplaced product.
+CELL_TOL = 1e-15
+
+
+@pytest.mark.parametrize(
+    "make_grids",
+    [
+        pytest.param(
+            lambda: (_two_cells(0.0, 0.5, [0.3, 0.7]), _two_cells(1.0, 0.5, [0.6, 0.4])),
+            id="2-cells-same-step",
+        ),
+        pytest.param(
+            lambda: (_two_cells(0.0, 0.5, [0.3, 0.7]), _two_cells(1.0, 0.2, [0.6, 0.4])),
+            id="2-cells-refined",
+        ),
+        pytest.param(
+            lambda: (discretize(LogNormal(0.2, 0.5), 1000), discretize(FIG2_DEM, 700)),
+            id="1000-700",
+        ),
+        pytest.param(
+            lambda: (discretize(LogNormal(0.2, 0.5), 700), discretize(FIG2_DEM, 1000)),
+            id="700-1000",
+        ),
+    ],
+)
+def test_difference_masses_match_the_direct_correlation(make_grids):
+    gen, dem = make_grids()
+    masses = difference_density(gen, dem).masses
+    np.testing.assert_allclose(masses, _direct_masses(gen, dem), rtol=0.0, atol=CELL_TOL)
+
+
+FIXTURE_STEPS = [
+    pytest.param(scenario.storage, step_spec, id=f"{scenario.name}-step{t}")
+    for scenario in map(parse_scenario, map(read_fixture_text, ("fig2_battery", "day24_lognormal")))
+    for t, step_spec in enumerate(scenario.steps, start=1)
+]
+
+
+@pytest.mark.parametrize("storage, step_spec", FIXTURE_STEPS)
+def test_fixture_balances_match_the_direct_correlation(storage, step_spec):
+    gen, dem = discretize(step_spec.generation, 4096), discretize(step_spec.demand, 4096)
+    b = difference_density(gen, dem)
+    direct = DensityGrid(origin=b.origin, step=b.step, masses=_direct_masses(gen, dem))
+    np.testing.assert_allclose(b.masses, direct.masses, rtol=0.0, atol=CELL_TOL)
+    for s_prev in np.linspace(storage.s_min, storage.s_max, 6):
+        q = BalanceQuery(s_prev=float(s_prev), storage=storage)
+        fft, ref = self_sufficiency(b, q), self_sufficiency(direct, q)
+        assert fft.p_deficit == pytest.approx(ref.p_deficit, abs=1e-12)
+        assert fft.p_overflow == pytest.approx(ref.p_overflow, abs=1e-12)
+        assert fft.p_self == pytest.approx(ref.p_self, abs=1e-12)
+
+
+def test_cell_budget_bounds_the_refined_balance_grid(monkeypatch):
+    # Refining gen to dem's step gives 1.0 / 0.125 = 8 cells, so 10 in all.
+    gen = _two_cells(0.0, 0.5, [0.3, 0.7])
+    dem = _two_cells(1.0, 0.125, [0.6, 0.4])
+    monkeypatch.setattr(balance, "MAX_BALANCE_CELLS", 10)
+    assert difference_density(gen, dem).n_cells == 10
+    monkeypatch.setattr(balance, "MAX_BALANCE_CELLS", 9)
+    with pytest.raises(CellBudgetError, match="10 cells"):
+        difference_density(gen, dem)
 
 
 def test_difference_cdf_matches_quadrature_oracle():

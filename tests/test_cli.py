@@ -2,12 +2,14 @@
 
 import csv
 import json
+import time
 import tracemalloc
 
 import pytest
 
 import stochstore.cli as cli
 from stochstore import (
+    MAX_BALANCE_CELLS,
     BalanceQuery,
     Deterministic,
     ProbabilityTriple,
@@ -383,6 +385,50 @@ def test_exit_2_refuses_oversized_n_before_sampling(tmp_path, capsys, command, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "200000"],
+        ["analyze", "--s-prev", "0"],
+        ["sweep", "--n", "200000"],
+        ["validate", "--n", "200000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in (
+        "simulate_trajectory",
+        "simulate_ensemble",
+        "estimate_self_sufficiency",
+        "sweep_battery_levels",
+        "discretize",
+        "difference_density",
+    ):
+        monkeypatch.setattr(cli, name, must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*argv, "--scenario", "fig2_battery", "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--scenario", "fig2_battery", "--s-prev", "99"],
+        ["simulate", "--scenario", "fig2_battery", "--grid-cells", "8", "--out", "x.csv"],
+        ["analyze", "--scenario", "fig2_battery", "--s-prev", "0", "--levels", "1", "--out", "x.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_exit_3_on_scenario_errors(tmp_path, capsys):
     bad_window = tmp_path / "bad.json"
     doc = json.loads(read_fixture_text("fig2_battery"))
@@ -452,6 +498,29 @@ def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, 
     argv = ["analyze", "--scenario", scenario, "--s-prev", "0", "--out", str(out)]
     assert main(argv) == code
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+def test_exit_2_when_refinement_exceeds_the_cell_budget(tmp_path, capsys, command):
+    # A near-atom generation refines the Weibull demand grid to ~1.3e7 cells.
+    path = tmp_path / "narrow.json"
+    path.write_text(
+        FIG2_TEXT.replace(
+            '{"kind": "deterministic", "value": 2.0}',
+            '{"kind": "lognormal", "mu": 0.0, "sigma": 0.0001}',
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    if command == "analyze":
+        argv += ["--s-prev", "0"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error" in err and str(MAX_BALANCE_CELLS) in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Distribution models against independent scipy oracles and known moments."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -64,6 +65,41 @@ def test_lognormal_cdf_pdf_quantile_match_scipy(x):
     assert dist.cdf(x) == pytest.approx(ref.cdf(x), abs=1e-12)
     assert _cdf_slope(dist, x) == pytest.approx(ref.pdf(x), abs=1e-8)
     assert dist.quantile(ref.cdf(x)) == pytest.approx(x, rel=1e-9)
+
+
+def _weibull_cdf_reference(dist, x):
+    return 0.0 if x <= 0.0 else -math.expm1(-((x / dist.scale) ** dist.shape))
+
+
+def _lognormal_cdf_reference(dist, x):
+    return 0.0 if x <= 0.0 else NormalDist().cdf((math.log(x) - dist.mu) / dist.sigma)
+
+
+@pytest.mark.parametrize(
+    "dist, reference",
+    [
+        (Weibull(scale=2.0, shape=5.0), _weibull_cdf_reference),
+        (Weibull(scale=0.7, shape=0.6), _weibull_cdf_reference),
+        (LogNormal(mu=0.25, sigma=0.8), _lognormal_cdf_reference),
+        (LogNormal(mu=-1.3, sigma=0.15), _lognormal_cdf_reference),
+    ],
+    ids=["weibull-2-5", "weibull-0.7-0.6", "lognormal-0.25-0.8", "lognormal--1.3-0.15"],
+)
+def test_array_cdf_matches_the_scalar_formula(dist, reference):
+    interior = np.linspace(dist.quantile(1e-9), dist.quantile(1.0 - 1e-9), 4097)
+    x = np.concatenate(([-2.0, -0.0, 0.0, math.inf], interior))
+    values = dist.cdf(x)
+    assert isinstance(values, np.ndarray) and values.shape == x.shape
+    assert values[:3].tolist() == [0.0, 0.0, 0.0] and values[3] == 1.0
+    # One ulp at 1.0 (2.2e-16): numpy's log and power may round the last
+    # bit differently from math's.
+    expected = np.array([reference(dist, float(v)) for v in x])
+    np.testing.assert_allclose(values, expected, rtol=0.0, atol=2.3e-16)
+    # A float in gives a float out, the same value as the array element.
+    assert type(dist.cdf(1.5)) is float
+    assert dist.cdf(1.5) == dist.cdf(np.array([1.5]))[0]
+    # Far past the float range of the scalar formula's power.
+    assert dist.cdf(1e300) == 1.0
 
 
 def test_negative_arguments_have_zero_mass():
