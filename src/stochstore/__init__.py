@@ -38,6 +38,7 @@ from .montecarlo import (
     SelfSufficiencyEstimate,
     SweepRow,
     estimate_self_sufficiency,
+    estimate_steps,
     simulate_ensemble,
     simulate_trajectory,
     sweep_battery_levels,
@@ -98,6 +99,7 @@ __all__ = [
     "simulate_trajectory",
     "simulate_ensemble",
     "estimate_self_sufficiency",
+    "estimate_steps",
     "sweep_battery_levels",
     # scenarios and results
     "Scenario",

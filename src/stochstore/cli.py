@@ -39,7 +39,7 @@ from .balance import (
 from .distributions import Deterministic, Weibull
 from .montecarlo import (
     QUANTILE_LEVELS,
-    estimate_self_sufficiency,
+    estimate_steps,
     simulate_ensemble,
     simulate_trajectory,
     sweep_battery_levels,
@@ -69,7 +69,8 @@ COMMANDS = ("simulate", "analyze", "sweep", "validate")
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix, the n draws of each validate/sweep estimate.
+# (n, horizon) ensemble matrix, or one n-length raw draw array of validate and
+# sweep (they hold at most two at a time and form the balance in blocks).
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
@@ -424,30 +425,40 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
                 (source, quantity, float(analytic), est.p_hat, est.ci_halfwidth, within)
             )
 
-    # Every step, analytic grid vs MC, conditioned at the initial level.
-    first_grid = None
-    for t, step_spec in enumerate(scenario.steps, start=1):
-        b = _balance_grid(step_spec, config.grid_cells)
-        if first_grid is None:
-            first_grid = b
-        triple = self_sufficiency(b, BalanceQuery(s_prev=s_init, storage=storage))
-        mc = estimate_self_sufficiency(
-            step_spec.generation, step_spec.demand, storage, s_init, config.n, config.seed
-        )
-        add_checks(f"step[{t}] grid", triple, mc)
+    # Every grid triple comes before any sampling, so a grid over the cell
+    # budget exits 2 at once: each step at the initial level, and the first
+    # step at every level.
+    at_init = BalanceQuery(s_prev=s_init, storage=storage)
+    first_grid = _balance_grid(scenario.steps[0], config.grid_cells)
+    step_triples = [self_sufficiency(first_grid, at_init)] + [
+        self_sufficiency(_balance_grid(spec, config.grid_cells), at_init)
+        for spec in scenario.steps[1:]
+    ]
+    level_triples = [
+        self_sufficiency(first_grid, BalanceQuery(s_prev=level, storage=storage))
+        for level in levels
+    ]
+
+    # One Monte Carlo call: every step at the initial level, the first step
+    # also at every level, all from the same seed.
+    mc = estimate_steps(
+        [(spec.generation, spec.demand) for spec in scenario.steps],
+        storage,
+        [(s_init, *levels)] + [(s_init,)] * (scenario.horizon - 1),
+        config.n,
+        config.seed,
+    )
+    for t, (triple, estimates) in enumerate(zip(step_triples, mc), start=1):
+        add_checks(f"step[{t}] grid", triple, estimates[0])
 
     # Battery-level sweep on the first step; closed form joins in when it
     # applies, checked against the same MC estimate as the grid.
     step_spec = scenario.steps[0]
-    for level in levels:
-        mc = estimate_self_sufficiency(
-            step_spec.generation, step_spec.demand, storage, level, config.n, config.seed
-        )
-        grid_triple = self_sufficiency(first_grid, BalanceQuery(s_prev=level, storage=storage))
-        add_checks(f"level[{level:g}] grid", grid_triple, mc)
+    for level, grid_triple, estimate in zip(levels, level_triples, mc[0][1:]):
+        add_checks(f"level[{level:g}] grid", grid_triple, estimate)
         if _has_closed_form(step_spec):
             closed = weibull_closed_form(step_spec.generation.value, level, storage, step_spec.demand)
-            add_checks(f"level[{level:g}] closed_form", closed, mc)
+            add_checks(f"level[{level:g}] closed_form", closed, estimate)
 
     caveat = config.n < VALIDATE_CAVEAT_N
     failures = [c for c in checks if not c[5]]

@@ -8,7 +8,9 @@ confidence intervals (3 standard errors).
 Reproducibility contract: trajectory ``i`` of a run seeded with ``seed``
 draws from ``numpy.random.default_rng((seed, i))``, consuming generation
 then demand per step, in step order.  Results are therefore deterministic
-for a fixed (scenario, n, seed) under any execution order.
+for a fixed (scenario, n, seed) under any execution order.  A frequency
+estimate draws generation then demand from ``default_rng(seed)``;
+``estimate_steps`` shares one such draw among all estimates it would give.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "simulate_trajectory",
     "simulate_ensemble",
     "estimate_self_sufficiency",
+    "estimate_steps",
     "sweep_battery_levels",
 ]
 
@@ -102,6 +105,17 @@ class EnsembleStats:
 ENSEMBLE_CHUNK = 256
 
 
+def _raw_draw(q: Distribution):
+    """``draw(rng, size)`` for the raw draws of a quantity that draws.
+
+    The ``Generator`` method of its ``primitive`` (``transform`` makes the
+    values), else its ``sample_n`` (an Empirical draw is its value).
+    """
+    if q.primitive is not None:
+        return getattr(np.random.Generator, q.primitive)
+    return q.sample_n
+
+
 def _draw_plan(scenario: Scenario):
     """How one trajectory takes its draws, in contract order.
 
@@ -124,10 +138,8 @@ def _draw_plan(scenario: Scenario):
         rows.append(row)
         if q.primitive is not None and q.primitive == last:
             runs[-1][2] += 1
-        elif q.primitive is not None:
-            runs.append([getattr(np.random.Generator, q.primitive), row, row + 1])
         else:
-            runs.append([q.sample_n, row, row + 1])
+            runs.append([_raw_draw(q), row, row + 1])
         last = q.primitive
     return quantities, rows, runs
 
@@ -208,20 +220,92 @@ def estimate_self_sufficiency(
 ) -> SelfSufficiencyEstimate:
     """Estimate the step-probability triple at level ``s_prev`` by sampling.
 
-    Counts ``n`` draws of ``B = G - D`` against the window
+    Counts ``n`` draws of ``B = G - D`` (generation drawn before demand,
+    from ``default_rng(seed)``) against the window
     ``(s_min - s_prev, s_max - s_prev]`` with the same boundary
     convention as the grid path (deficit closed, overflow open).  Any
     ``n >= 1`` is accepted; the confidence intervals are meaningful from
     roughly ``n >= 10**3`` upward.
     """
-    query = BalanceQuery(s_prev=s_prev, storage=storage)
+    return estimate_steps([(gen, dem)], storage, [[s_prev]], n, seed)[0][0]
+
+
+def _draw_key(q: Distribution):
+    """What ``q``'s raw draws depend on besides the generator state.
+
+    ``None`` for a Deterministic quantity (it draws nothing), else its
+    primitive, else the quantity itself.
+    """
+    if isinstance(q, Deterministic):
+        return None
+    return q.primitive if q.primitive is not None else q
+
+
+def _values(q: Distribution, raw, part: slice, out: np.ndarray) -> None:
+    """Write ``q``'s values for ``raw[part]`` into ``out``, leaving ``raw`` as is.
+
+    ``raw`` is ``None`` for a Deterministic quantity.
+    """
+    if raw is None:
+        out.fill(q.value)
+        return
+    np.copyto(out, raw[part])
+    if q.primitive is not None:
+        q.transform(out)
+
+
+# Balance values formed and counted at a time by ``estimate_steps``.
+ESTIMATE_BLOCK = 8192
+
+
+def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
+    """Estimate the triple of each ``(gen, dem)`` pair at each of its levels.
+
+    ``levels[k]`` lists the levels of ``pairs[k]``; the result holds one
+    tuple per pair of one estimate per level, each bit for bit equal to
+    ``estimate_self_sufficiency(gen, dem, storage, level, n, seed)``.  That
+    estimate's raw draws depend only on ``(seed, n)`` and on each side's
+    ``_draw_key``, so pairs with the same keys share one sampling pass, and
+    each pair's balance is counted at all of its levels.  The balance is
+    formed ``ESTIMATE_BLOCK`` values at a time, so the raw draws of one key
+    pair (at most 2n values) are the only n-length arrays held.
+    """
+    pairs = [tuple(pair) for pair in pairs]
+    queries = [[BalanceQuery(s_prev=s, storage=storage) for s in lv] for lv in levels]
+    if len(queries) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} level lists, got {len(queries)}")
     n = int(n)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
-    n_deficit = int(np.count_nonzero(b <= query.lo))
-    n_overflow = int(np.count_nonzero(b > query.hi))
+    groups: dict = {}
+    for k, (gen, dem) in enumerate(pairs):
+        groups.setdefault((_draw_key(gen), _draw_key(dem)), []).append(k)
+    g_block, b_block = np.empty(min(n, ESTIMATE_BLOCK)), np.empty(min(n, ESTIMATE_BLOCK))
+    results = [()] * len(pairs)
+    for (key_g, key_d), members in groups.items():
+        gen, dem = pairs[members[0]]
+        rng = np.random.default_rng(seed)
+        raw_g = None if key_g is None else _raw_draw(gen)(rng, n)
+        raw_d = None if key_d is None else _raw_draw(dem)(rng, n)
+        for k in members:
+            gen, dem = pairs[k]
+            deficits = [0] * len(queries[k])
+            overflows = [0] * len(queries[k])
+            for start in range(0, n, ESTIMATE_BLOCK):
+                part = slice(start, min(start + ESTIMATE_BLOCK, n))
+                g, b = g_block[: part.stop - start], b_block[: part.stop - start]
+                _values(gen, raw_g, part, g)
+                _values(dem, raw_d, part, b)
+                np.subtract(g, b, out=b)
+                for j, query in enumerate(queries[k]):
+                    deficits[j] += int(np.count_nonzero(b <= query.lo))
+                    overflows[j] += int(np.count_nonzero(b > query.hi))
+            results[k] = tuple(_estimate(d, o, n) for d, o in zip(deficits, overflows))
+        del raw_g, raw_d
+    return tuple(results)
+
+
+def _estimate(n_deficit: int, n_overflow: int, n: int) -> SelfSufficiencyEstimate:
     return SelfSufficiencyEstimate(
         deficit=ProbabilityEstimate.from_count(n_deficit, n),
         overflow=ProbabilityEstimate.from_count(n_overflow, n),
@@ -246,18 +330,14 @@ def sweep_battery_levels(
 ) -> tuple[SweepRow, ...]:
     """Pair the closed-form triple with an MC estimate at each level.
 
-    Every level reuses the same ``seed`` (and Deterministic generation
-    consumes no random state), so all rows share one demand sample: a
-    single-level sweep reproduces ``estimate_self_sufficiency`` exactly,
-    and across levels the comparison uses common random numbers.
+    All rows count one demand sample drawn from ``seed`` (Deterministic
+    generation draws nothing): each row's estimate equals
+    ``estimate_self_sufficiency`` at its level, and across levels the
+    comparison uses common random numbers.
     """
     levels = [float(s) for s in levels]
     if not levels:
         raise ValueError("levels must be a nonempty sequence")
-    gen = Deterministic(gen_value)
-    rows = []
-    for level in levels:
-        analytic = weibull_closed_form(gen_value, level, storage, dem)
-        mc = estimate_self_sufficiency(gen, dem, storage, level, n, seed)
-        rows.append(SweepRow(level=level, analytic=analytic, mc=mc))
-    return tuple(rows)
+    analytic = [weibull_closed_form(gen_value, level, storage, dem) for level in levels]
+    (mc,) = estimate_steps([(Deterministic(gen_value), dem)], storage, [levels], n, seed)
+    return tuple(SweepRow(level=s, analytic=a, mc=m) for s, a, m in zip(levels, analytic, mc))

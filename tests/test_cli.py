@@ -34,6 +34,55 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+# Monte Carlo (deficit, overflow) counts of validate and sweep at n = 20000,
+# recorded with one separate draw per estimate; the shared draws must give
+# exactly count / n.
+PINNED_N = 20_000
+PINNED_VALIDATE_FIG2 = (
+    [(7442, 0)] * 3 + [(11, 0)] * 2 + [(0, 0)] * 4 + [(0, 599)] * 2 + [(0, 12558)] * 2
+)
+PINNED_VALIDATE_DAY24 = [
+    (58, 118), (59, 111), (60, 106), (61, 101), (64, 99), (66, 97), (66, 91), (68, 83),
+    (72, 78), (78, 77), (80, 76), (81, 73), (87, 73), (95, 70), (99, 68), (102, 65),
+    (108, 59), (112, 57), (122, 56), (132, 56), (139, 54), (147, 52), (161, 51), (170, 50),
+    (7519, 6), (647, 14), (121, 49), (28, 229), (6, 1460), (2, 12481),
+]
+PINNED_SWEEP_FIG2 = list(
+    zip(
+        [7442, 5596, 4016, 2622, 1644, 947, 492, 241, 105, 30, 11, 2, 1, 1] + [0] * 37,
+        [0] * 34
+        + [8, 22, 47, 107, 201, 358, 599, 969, 1512, 2191, 3072, 4158, 5453, 7006, 8794]
+        + [10692, 12558],
+    )
+)
+
+
+def _fractions(counts):
+    return [(a / PINNED_N, b / PINNED_N, (PINNED_N - a - b) / PINNED_N) for a, b in counts]
+
+
+@pytest.mark.parametrize(
+    "scenario, seed, counts",
+    [("fig2_battery", 0, PINNED_VALIDATE_FIG2), ("day24_lognormal", 3, PINNED_VALIDATE_DAY24)],
+    ids=["fig2", "day24"],
+)
+def test_validate_monte_carlo_column_is_pinned(tmp_path, scenario, seed, counts):
+    out = tmp_path / "v.json"
+    argv = ["validate", "--scenario", scenario, "--n", str(PINNED_N), "--seed", str(seed)]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    mc = json.loads(out.read_text(encoding="utf-8"))["columns"]["mc_p_hat"]
+    assert [tuple(mc[i : i + 3]) for i in range(0, len(mc), 3)] == _fractions(counts)
+
+
+def test_sweep_monte_carlo_columns_are_pinned(tmp_path):
+    out = tmp_path / "s.json"
+    argv = ["sweep", "--scenario", "fig2_battery", "--n", str(PINNED_N), "--seed", "0"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    columns = json.loads(out.read_text(encoding="utf-8"))["columns"]
+    mc = list(zip(columns["p_A_mc"], columns["p_B_mc"], columns["p_self_mc"]))
+    assert mc == _fractions(PINNED_SWEEP_FIG2)
+
+
 # --- analyze -------------------------------------------------------------------
 
 
@@ -402,7 +451,7 @@ def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys
     for name in (
         "simulate_trajectory",
         "simulate_ensemble",
-        "estimate_self_sufficiency",
+        "estimate_steps",
         "sweep_battery_levels",
         "discretize",
         "difference_density",
@@ -519,6 +568,30 @@ def test_exit_2_when_refinement_exceeds_the_cell_budget(tmp_path, capsys, comman
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "config error" in err and str(MAX_BALANCE_CELLS) in err
+    assert not out.exists()
+
+
+def test_validate_refuses_an_over_budget_grid_before_sampling(tmp_path, capsys, monkeypatch):
+    # Step 1 is fig2's; step 2's near-atom generation is over the cell budget.
+    doc = json.loads(FIG2_TEXT)
+    doc["horizon"] = 2
+    doc["steps"].append(
+        {
+            "generation": {"kind": "lognormal", "mu": 0.0, "sigma": 0.0001},
+            "demand": doc["steps"][0]["demand"],
+        }
+    )
+    path = tmp_path / "two_steps.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("sampling started before every grid was built")
+
+    monkeypatch.setattr(cli, "estimate_steps", must_not_run)
+    out = tmp_path / "o.csv"
+    assert main(["validate", "--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(MAX_BALANCE_CELLS) in err
     assert not out.exists()

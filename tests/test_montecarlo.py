@@ -1,6 +1,7 @@
 """Seeded Monte Carlo engine: determinism, statistics, and agreement with analytics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ import pytest
 import stochstore.montecarlo as montecarlo
 from stochstore import (
     Deterministic,
+    Empirical,
+    LogNormal,
     ProbabilityEstimate,
     StorageSpec,
     Weibull,
     estimate_self_sufficiency,
+    estimate_steps,
     parse_scenario,
     simulate_ensemble,
     simulate_trajectory,
@@ -205,6 +209,80 @@ def test_estimate_validates_inputs():
             n=0,
             seed=0,
         )
+
+
+# --- estimate_steps -------------------------------------------------------------
+
+
+SPEC_MIXED = StorageSpec(s_min=0.5, s_max=4.0, s_init=2.0)
+EMPIRICAL_A = Empirical((1.0, 3.0, 2.5))
+EMPIRICAL_B = Empirical((0.5, 4.0, 1.0, 2.0))
+SHARED_PAIRS = [
+    (LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)),
+    (LogNormal(0.3, 0.2), LogNormal(0.0, 1.0)),
+    (Weibull(2.0, 5.0), LogNormal(0.0, 0.5)),
+    (LogNormal(0.0, 0.5), Weibull(2.0, 5.0)),
+    (Deterministic(1.5), Weibull(1.2, 2.0)),
+    # Balance -1.5 lies on lo at level 2.0 (closed deficit), and balance
+    # 2.0 on hi (open overflow: self-sufficient).
+    (Deterministic(1.0), Deterministic(2.5)),
+    (Deterministic(3.0), Deterministic(1.0)),
+    (EMPIRICAL_A, Weibull(3.0, 1.5)),
+    (EMPIRICAL_B, Weibull(1.0, 0.5)),
+    (LogNormal(0.2, 0.8), EMPIRICAL_A),
+    (LogNormal(-0.2, 0.3), EMPIRICAL_B),
+]
+SHARED_LEVELS = [(0.5, 2.0, 4.0), (2.0,), (4.0, 0.5, 3.1)]
+
+
+def _contract_counts(gen, dem, storage, level, n, seed):
+    """Deficit and overflow counts straight from the estimate's seed contract."""
+    rng = np.random.default_rng(seed)
+    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
+    lo, hi = storage.s_min - level, storage.s_max - level
+    return int(np.count_nonzero(b <= lo)), int(np.count_nonzero(b > hi))
+
+
+def test_shared_estimates_equal_separate_estimates_bit_for_bit():
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    seed = 11
+    levels = [SHARED_LEVELS[k % len(SHARED_LEVELS)] for k in range(len(SHARED_PAIRS))]
+    shared = estimate_steps(SHARED_PAIRS, SPEC_MIXED, levels, n, seed)
+    assert len(shared) == len(SHARED_PAIRS)
+    for (gen, dem), pair_levels, estimates in zip(SHARED_PAIRS, levels, shared):
+        assert len(estimates) == len(pair_levels)
+        for level, est in zip(pair_levels, estimates):
+            solo = estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed)
+            n_deficit, n_overflow = _contract_counts(gen, dem, SPEC_MIXED, level, n, seed)
+            assert est.deficit.p_hat == solo.deficit.p_hat == n_deficit / n
+            assert est.overflow.p_hat == solo.overflow.p_hat == n_overflow / n
+            assert est.self_sufficient.p_hat == solo.self_sufficient.p_hat
+            assert est.n == solo.n == n
+    assert shared[5][1].deficit.p_hat == 1.0  # (1.0 - 2.5) at level 2.0
+    assert shared[6][0].self_sufficient.p_hat == 1.0  # (3.0 - 1.0) at level 2.0
+
+
+def test_shared_estimates_hold_one_draw_set_at_a_time():
+    n = 50_000
+    pairs = [(Empirical((float(k), k + 2.0)), Empirical((0.5 * k, 3.0))) for k in range(24)]
+    estimate_steps(pairs[:1], SPEC_MIXED, [(2.0,)], 100, 0)
+    tracemalloc.start()
+    try:
+        estimate_steps(pairs, SPEC_MIXED, [(2.0,)] * len(pairs), n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two raw draw arrays plus one draw's choice indices, as for a single
+    # estimate; a second draw set kept alive would add two more.
+    assert peak < 3.5 * 8 * n
+
+
+def test_shared_estimates_validate_inputs():
+    with pytest.raises(ValueError, match="level lists"):
+        estimate_steps(SHARED_PAIRS[:2], SPEC_MIXED, [(2.0,)], 100, 0)
+    with pytest.raises(ValueError, match="storage window"):
+        estimate_steps(SHARED_PAIRS[:1], SPEC_MIXED, [(0.0,)], 100, 0)
+    assert estimate_steps([], SPEC_MIXED, [], 100, 0) == ()
 
 
 # --- simulate_trajectory --------------------------------------------------------
