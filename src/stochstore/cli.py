@@ -69,8 +69,9 @@ COMMANDS = ("simulate", "analyze", "sweep", "validate")
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix, or one n-length raw draw array of validate and
-# sweep (they hold at most two at a time and form the balance in blocks).
+# (n, horizon) ensemble matrix, one of the n-length draw arrays of a sweep
+# estimate, or one n-length raw draw array of validate (it holds at most two
+# at a time and forms the balance in blocks).
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 

@@ -10,7 +10,7 @@ draws from ``numpy.random.default_rng((seed, i))``, consuming generation
 then demand per step, in step order.  Results are therefore deterministic
 for a fixed (scenario, n, seed) under any execution order.  A frequency
 estimate draws generation then demand from ``default_rng(seed)``;
-``estimate_steps`` shares one such draw among all estimates it would give.
+``estimate_steps`` gives many such estimates from one shared draw.
 """
 
 from __future__ import annotations
@@ -106,11 +106,15 @@ ENSEMBLE_CHUNK = 256
 
 
 def _raw_draw(q: Distribution):
-    """``draw(rng, size)`` for the raw draws of a quantity that draws.
+    """``draw(rng, size)`` giving ``q``'s raw draws, or ``None`` if it draws nothing.
 
-    The ``Generator`` method of its ``primitive`` (``transform`` makes the
-    values), else its ``sample_n`` (an Empirical draw is its value).
+    ``None`` for a Deterministic quantity, the ``Generator`` method of its
+    ``primitive`` (``transform`` makes the values), else its ``sample_n``
+    (an Empirical draw is its value).  Two quantities with equal draw
+    callables take the same raw draws from the same generator state.
     """
+    if isinstance(q, Deterministic):
+        return None
     if q.primitive is not None:
         return getattr(np.random.Generator, q.primitive)
     return q.sample_n
@@ -227,18 +231,15 @@ def estimate_self_sufficiency(
     ``n >= 1`` is accepted; the confidence intervals are meaningful from
     roughly ``n >= 10**3`` upward.
     """
-    return estimate_steps([(gen, dem)], storage, [[s_prev]], n, seed)[0][0]
-
-
-def _draw_key(q: Distribution):
-    """What ``q``'s raw draws depend on besides the generator state.
-
-    ``None`` for a Deterministic quantity (it draws nothing), else its
-    primitive, else the quantity itself.
-    """
-    if isinstance(q, Deterministic):
-        return None
-    return q.primitive if q.primitive is not None else q
+    query = BalanceQuery(s_prev=s_prev, storage=storage)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
+    n_deficit = int(np.count_nonzero(b <= query.lo))
+    n_overflow = int(np.count_nonzero(b > query.hi))
+    return _estimate(n_deficit, n_overflow, n)
 
 
 def _values(q: Distribution, raw, part: slice, out: np.ndarray) -> None:
@@ -265,10 +266,10 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     tuple per pair of one estimate per level, each bit for bit equal to
     ``estimate_self_sufficiency(gen, dem, storage, level, n, seed)``.  That
     estimate's raw draws depend only on ``(seed, n)`` and on each side's
-    ``_draw_key``, so pairs with the same keys share one sampling pass, and
-    each pair's balance is counted at all of its levels.  The balance is
-    formed ``ESTIMATE_BLOCK`` values at a time, so the raw draws of one key
-    pair (at most 2n values) are the only n-length arrays held.
+    ``_raw_draw``, so pairs with equal draw callables share one sampling
+    pass, and each pair's balance is counted at all of its levels.  The
+    balance is formed ``ESTIMATE_BLOCK`` values at a time, so the raw draws
+    of one draw set (at most 2n values) are the only n-length arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
     queries = [[BalanceQuery(s_prev=s, storage=storage) for s in lv] for lv in levels]
@@ -279,14 +280,13 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
         raise ValueError(f"sample count must be >= 1, got {n}")
     groups: dict = {}
     for k, (gen, dem) in enumerate(pairs):
-        groups.setdefault((_draw_key(gen), _draw_key(dem)), []).append(k)
+        groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(k)
     g_block, b_block = np.empty(min(n, ESTIMATE_BLOCK)), np.empty(min(n, ESTIMATE_BLOCK))
     results = [()] * len(pairs)
-    for (key_g, key_d), members in groups.items():
-        gen, dem = pairs[members[0]]
+    for (draw_g, draw_d), members in groups.items():
         rng = np.random.default_rng(seed)
-        raw_g = None if key_g is None else _raw_draw(gen)(rng, n)
-        raw_d = None if key_d is None else _raw_draw(dem)(rng, n)
+        raw_g = None if draw_g is None else draw_g(rng, n)
+        raw_d = None if draw_d is None else draw_d(rng, n)
         for k in members:
             gen, dem = pairs[k]
             deficits = [0] * len(queries[k])
@@ -330,14 +330,18 @@ def sweep_battery_levels(
 ) -> tuple[SweepRow, ...]:
     """Pair the closed-form triple with an MC estimate at each level.
 
-    All rows count one demand sample drawn from ``seed`` (Deterministic
-    generation draws nothing): each row's estimate equals
-    ``estimate_self_sufficiency`` at its level, and across levels the
-    comparison uses common random numbers.
+    Every level reuses the same ``seed`` (and Deterministic generation
+    consumes no random state), so all rows share one demand sample: a
+    single-level sweep reproduces ``estimate_self_sufficiency`` exactly,
+    and across levels the comparison uses common random numbers.
     """
     levels = [float(s) for s in levels]
     if not levels:
         raise ValueError("levels must be a nonempty sequence")
-    analytic = [weibull_closed_form(gen_value, level, storage, dem) for level in levels]
-    (mc,) = estimate_steps([(Deterministic(gen_value), dem)], storage, [levels], n, seed)
-    return tuple(SweepRow(level=s, analytic=a, mc=m) for s, a, m in zip(levels, analytic, mc))
+    gen = Deterministic(gen_value)
+    rows = []
+    for level in levels:
+        analytic = weibull_closed_form(gen_value, level, storage, dem)
+        mc = estimate_self_sufficiency(gen, dem, storage, level, n, seed)
+        rows.append(SweepRow(level=level, analytic=analytic, mc=mc))
+    return tuple(rows)
