@@ -34,8 +34,76 @@ __all__ = [
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
-# numpy has no erf and scipy is not a runtime dependency.
-_erf = np.frompyfunc(math.erf, 1, 1)
+
+# Rational Chebyshev approximations to erf and erfc from W. J. Cody, Math.
+# Comp. 23 (1969) 631-637, with the coefficients of his CALERF routine:
+# erf on |x| <= 0.46875, erfc on (0.46875, 4] and on (4, inf).  numpy has
+# no erf and scipy is not a runtime dependency.
+_ERF_SMALL = 0.46875
+_ERFC_MID = 4.0
+_ERFC_ZERO = 26.543  # erfc underflows to 0 from here on
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERFC_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERFC_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_ERFC_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERFC_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _rational(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
+    """Cody's nested ratio: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` close."""
+    xnum, xden = num[-1] * t, t.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        xnum += a
+        xnum *= t
+        xden += b
+        xden *= t
+    return (xnum + num[-2]) / (xden + den[-1])
+
+
+def _erfc(y: np.ndarray) -> np.ndarray:
+    """``erfc(y)`` for ``y > 0.46875``; NaN gives NaN."""
+    y = np.minimum(y, _ERFC_ZERO)  # keeps inf (inf - inf) out of the split below
+    out = np.empty_like(y)
+    mid = y <= _ERFC_MID
+    out[mid] = _rational(_ERFC_C, _ERFC_D, y[mid])
+    tail = ~mid
+    y_tail = y[tail]
+    inv_sq = 1.0 / (y_tail * y_tail)
+    out[tail] = (_INV_SQRT_PI - inv_sq * _rational(_ERFC_P, _ERFC_Q, inv_sq)) / y_tail
+    # exp(-y*y) in two factors: y cut to a multiple of 1/16 squares exactly.
+    y16 = np.trunc(y * 16.0) / 16.0
+    out *= np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16))
+    out[y == _ERFC_ZERO] = 0.0
+    return out
+
+
+def _normal_cdf(z) -> np.ndarray:
+    """Standard normal cdf elementwise; NaN gives NaN, ``±inf`` gives 1 or 0.
+
+    ``0.5 * (1 + erf(z / sqrt 2))`` near 0; elsewhere ``0.5 * erfc(|z| / sqrt 2)``
+    for ``z < 0`` and one minus that for ``z > 0``, so the lower tail keeps its
+    relative accuracy down to the underflow.
+    """
+    x = np.asarray(z, dtype=float) / _SQRT2
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small = y <= _ERF_SMALL
+    x_small = x[small]
+    out[small] = 0.5 * (1.0 + x_small * _rational(_ERF_A, _ERF_B, x_small * x_small))
+    large = ~small
+    half_erfc = 0.5 * _erfc(y[large])
+    out[large] = np.where(x[large] < 0.0, half_erfc, 1.0 - half_erfc)
+    return out
 
 
 def _elementwise(values: np.ndarray):
@@ -198,7 +266,7 @@ class LogNormal(Distribution):
         x = np.maximum(x, 0.0)
         with np.errstate(divide="ignore"):  # log(0) = -inf gives cdf 0
             z = (np.log(x) - self.mu) / self.sigma
-        return _elementwise(0.5 * (1.0 + np.asarray(_erf(z / _SQRT2), dtype=float)))
+        return _elementwise(_normal_cdf(z))
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)

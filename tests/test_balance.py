@@ -231,12 +231,40 @@ CELL_TOL = 1e-15
             lambda: (discretize(LogNormal(0.2, 0.5), 700), discretize(FIG2_DEM, 1000)),
             id="700-1000",
         ),
+        pytest.param(
+            # Refined to 901 + 901 cells: 1801 correlation terms padded to
+            # an FFT length of 1875 = 3 * 5**4.
+            lambda: (discretize(FIG2_DEM, 900), discretize(FIG2_DEM, 901)),
+            id="900-901-fft-1875",
+        ),
     ],
 )
 def test_difference_masses_match_the_direct_correlation(make_grids):
     gen, dem = make_grids()
     masses = difference_density(gen, dem).masses
     np.testing.assert_allclose(masses, _direct_masses(gen, dem), rtol=0.0, atol=CELL_TOL)
+
+
+def _smooth_numbers_up_to(limit):
+    """All 2**a * 3**b * 5**c <= limit, sorted."""
+    found = [1]
+    for prime in (2, 3, 5):
+        for value in list(found):
+            value *= prime
+            while value <= limit:
+                found.append(value)
+                value *= prime
+    return np.array(sorted(found))
+
+
+def test_fft_length_is_the_least_5_smooth_number_not_below_n():
+    n = np.arange(1, 2**17 + 1)
+    smooth = _smooth_numbers_up_to(2**18)
+    expected = smooth[np.searchsorted(smooth, n)]
+    got = np.array([balance._fft_length(int(k)) for k in n])
+    np.testing.assert_array_equal(got, expected)
+    powers_of_two = 2 ** np.ceil(np.log2(n)).astype(int)
+    assert np.all(got <= powers_of_two)
 
 
 FIXTURE_STEPS = [

@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stochstore.distributions as distributions
 from stochstore import (
     Deterministic,
     Empirical,
@@ -100,6 +101,37 @@ def test_array_cdf_matches_the_scalar_formula(dist, reference):
     assert dist.cdf(1.5) == dist.cdf(np.array([1.5]))[0]
     # Far past the float range of the scalar formula's power.
     assert dist.cdf(1e300) == 1.0
+
+
+def test_lognormal_cdf_edge_values():
+    dist = LogNormal(0.0, 1.0)
+    values = dist.cdf(np.array([math.nan, -1.0, -0.0, 0.0, math.inf]))
+    np.testing.assert_array_equal(values, [math.nan, 0.0, 0.0, 0.0, 1.0])
+    assert math.isnan(dist.cdf(math.nan))
+    assert type(dist.cdf(0.5)) is float
+
+
+def _normal_cdf_points():
+    """A fine grid over |z| <= 40 plus each region boundary and its neighbours.
+
+    The kernel switches approximation at |z| / sqrt 2 = 0.46875 and 4, and
+    erfc is 0 from |z| / sqrt 2 = 26.543 on.
+    """
+    edges = [s * t * math.sqrt(2.0) for t in (0.46875, 4.0, 26.543) for s in (1.0, -1.0)]
+    around = [[np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf)] for e in edges]
+    return np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), *around, [0.0, -0.0]])
+
+
+def test_normal_cdf_kernel_matches_erfc():
+    z = _normal_cdf_points()
+    values = distributions._normal_cdf(z)
+    reference = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    # One ulp at 1.0 (2.2e-16), as for the scalar formula.
+    np.testing.assert_allclose(values, reference, rtol=0.0, atol=2.3e-16)
+    # The lower tail is computed from erfc directly, so it keeps its relative
+    # accuracy down to the underflow (about 1e-15 measured).
+    lower = (z <= 0.0) & (reference > 1e-300)
+    np.testing.assert_allclose(values[lower], reference[lower], rtol=1e-14, atol=0.0)
 
 
 def test_negative_arguments_have_zero_mass():
