@@ -111,19 +111,13 @@ def test_lognormal_cdf_edge_values():
     assert type(dist.cdf(0.5)) is float
 
 
-def _normal_cdf_points():
-    """A fine grid over |z| <= 40 plus each region boundary and its neighbours.
-
-    The kernel switches approximation at |z| / sqrt 2 = 0.46875 and 4, and
-    erfc is 0 from |z| / sqrt 2 = 26.543 on.
-    """
+def test_normal_cdf_kernel_matches_erfc():
+    # A fine grid over |z| <= 40, plus each |z| / sqrt 2 where the kernel
+    # switches approximation (0.46875, 4; erfc is 0 from 26.543 on) and the
+    # neighbouring floats.
     edges = [s * t * math.sqrt(2.0) for t in (0.46875, 4.0, 26.543) for s in (1.0, -1.0)]
     around = [[np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf)] for e in edges]
-    return np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), *around, [0.0, -0.0]])
-
-
-def test_normal_cdf_kernel_matches_erfc():
-    z = _normal_cdf_points()
+    z = np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), *around, [0.0, -0.0]])
     values = distributions._normal_cdf(z)
     reference = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     # One ulp at 1.0 (2.2e-16), as for the scalar formula.
