@@ -19,7 +19,6 @@ from .balance import (
     TruncationBudgetError,
     difference_density,
     discretize,
-    interval_probability,
     resample,
     self_sufficiency,
     weibull_closed_form,
@@ -88,7 +87,6 @@ __all__ = [
     "discretize",
     "resample",
     "difference_density",
-    "interval_probability",
     "self_sufficiency",
     "weibull_closed_form",
     # monte carlo

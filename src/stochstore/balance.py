@@ -57,7 +57,6 @@ __all__ = [
     "discretize",
     "resample",
     "difference_density",
-    "interval_probability",
     "self_sufficiency",
     "weibull_closed_form",
 ]
@@ -151,7 +150,8 @@ class DensityGrid:
     def cdf(self, x: float) -> float:
         """Grid measure of ``(-inf, x]`` under the piecewise-uniform model.
 
-        Accepts ``±inf``.  For an atom the full mass sits exactly at
+        It is 0 up to the first edge and the total mass from the last one on,
+        ``±inf`` included.  For an atom the full mass sits exactly at
         ``origin`` (closed on the right, per the window convention).
         """
         x = float(x)
@@ -159,10 +159,6 @@ class DensityGrid:
             raise ValueError("cdf argument must not be NaN")
         if self.is_atom:
             return self.total_mass if x >= self.origin else 0.0
-        if x <= self.origin:
-            return 0.0
-        if x >= self.origin + self.width:
-            return self.total_mass
         return float(np.interp(x, self.edges, self._cum))
 
     def mean(self) -> float:
@@ -212,14 +208,10 @@ class ProbabilityTriple:
             object.__setattr__(self, name, min(max(v, 0.0), 1.0))
 
 
-def discretize(
-    spec: Distribution,
-    cells: int = DEFAULT_CELLS,
-    coverage: float = DEFAULT_COVERAGE,
-) -> DensityGrid:
+def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     """Project a distribution onto a uniform mass grid.
 
-    Continuous families are gridded over their central ``coverage``
+    Continuous families are gridded over their central ``DEFAULT_COVERAGE``
     quantile window with per-cell mass ``cdf(right) - cdf(left)`` exactly.
     ``Deterministic`` becomes an atom; ``Empirical`` becomes a normalized
     histogram over its sample range (no truncation).
@@ -227,9 +219,6 @@ def discretize(
     cells = int(cells)
     if cells < 2:
         raise ValueError(f"cell count must be >= 2, got {cells}")
-    coverage = float(coverage)
-    if not 0.5 < coverage < 1.0:
-        raise ValueError(f"coverage must lie in (0.5, 1), got {coverage!r}")
 
     if isinstance(spec, Deterministic):
         return DensityGrid(origin=spec.value, step=1.0, masses=np.ones(1))
@@ -242,7 +231,7 @@ def discretize(
         counts, _ = np.histogram(values, bins=cells, range=(lo, hi))
         return DensityGrid(origin=lo, step=(hi - lo) / cells, masses=counts / values.size)
 
-    tail = (1.0 - coverage) / 2.0
+    tail = (1.0 - DEFAULT_COVERAGE) / 2.0
     lo, hi = spec.quantile(tail), spec.quantile(1.0 - tail)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(
@@ -290,26 +279,14 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:
     the correlation is computed by FFT, which agrees with the direct sum to
     rounding (about 1e-17 per cell).  The result has ``n_gen + n_dem``
     cells, origin ``gen.origin - (dem.origin + dem.width)``, and total mass
-    equal to the product of the input masses.  Atoms shift (and for the
-    demand side, flip) the other grid exactly.
+    equal to the product of the input masses.  An atom on either side
+    shifts (and on the demand side, flips) the other grid exactly.
     """
-    if gen.is_atom and dem.is_atom:
-        return DensityGrid(
-            origin=gen.origin - dem.origin,
-            step=1.0,
-            masses=np.array([gen.total_mass * dem.total_mass]),
-        )
-    if gen.is_atom:
+    if gen.is_atom or dem.is_atom:
         return DensityGrid(
             origin=gen.origin - (dem.origin + dem.width),
-            step=dem.step,
-            masses=gen.total_mass * dem.masses[::-1],
-        )
-    if dem.is_atom:
-        return DensityGrid(
-            origin=gen.origin - dem.origin,
-            step=gen.step,
-            masses=dem.total_mass * gen.masses,
+            step=dem.step if gen.is_atom else gen.step,
+            masses=np.outer(gen.masses, dem.masses[::-1]).ravel(),
         )
 
     h = min(gen.step, dem.step)
@@ -355,22 +332,7 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def interval_probability(b: DensityGrid, lo: float, hi: float) -> float:
-    """Grid measure of ``(lo, hi]``; ``lo``/``hi`` may be ``±inf``."""
-    lo, hi = float(lo), float(hi)
-    if math.isnan(lo) or math.isnan(hi):
-        raise ValueError("interval bounds must not be NaN")
-    if lo > hi:
-        raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-    p = b.cdf(hi) - b.cdf(lo)
-    return min(max(p, 0.0), 1.0)
-
-
-def self_sufficiency(
-    b: DensityGrid,
-    q: BalanceQuery,
-    mass_budget: float = MASS_TRUNCATION_BUDGET,
-) -> ProbabilityTriple:
+def self_sufficiency(b: DensityGrid, q: BalanceQuery) -> ProbabilityTriple:
     """Deficit / overflow / self-sufficiency probabilities of a balance grid.
 
     ``p_deficit = Pr[B <= lo]``, ``p_overflow = Pr[B > hi]``, and
@@ -378,17 +340,17 @@ def self_sufficiency(
     grid's total mass exactly; any truncated tail mass is accounted
     against ``p_self``'s error budget.  Raises
     :class:`TruncationBudgetError` when the grid truncated more than
-    ``mass_budget`` of its distribution.
+    ``MASS_TRUNCATION_BUDGET`` of its distribution.
     """
-    if b.truncated_mass > mass_budget:
+    if b.truncated_mass > MASS_TRUNCATION_BUDGET:
         raise TruncationBudgetError(
             f"grid truncated {b.truncated_mass:.3e} of its mass, "
-            f"exceeding the evaluation budget {mass_budget:.3e}"
+            f"exceeding the evaluation budget {MASS_TRUNCATION_BUDGET:.3e}"
         )
-    p_deficit = b.cdf(q.lo)
-    p_self = interval_probability(b, q.lo, q.hi)
-    p_overflow = max(0.0, b.total_mass - b.cdf(q.hi))
-    return ProbabilityTriple(p_deficit=p_deficit, p_overflow=p_overflow, p_self=p_self)
+    below_lo, below_hi = b.cdf(q.lo), b.cdf(q.hi)
+    p_overflow = max(0.0, b.total_mass - below_hi)
+    # ProbabilityTriple clamps p_self to [0, 1].
+    return ProbabilityTriple(p_deficit=below_lo, p_overflow=p_overflow, p_self=below_hi - below_lo)
 
 
 def weibull_closed_form(

@@ -152,36 +152,24 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": "gate: analytic values must sit inside MC confidence intervals",
     }
     # Each command takes only the flags it reads, so an unused flag is an error.
+    # An absent flag stays out of the namespace: its default is RunConfig's.
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=True, help="bundled fixture name or scenario file path")
-        p.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
-        p.add_argument("--n", type=int, default=100_000, help="Monte Carlo sample count (default 100000)")
-        p.add_argument("--out", help="output file path" + ("" if name == "validate" else " (required)"))
-        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--scenario", required=True, dest="scenario_path", metavar="SCENARIO",
+                       help="bundled fixture name or scenario file path")
+        p.add_argument("--seed", type=int, help="master random seed (default 0)")
+        p.add_argument("--n", type=int, help="Monte Carlo sample count (default 100000)")
+        p.add_argument("--out", dest="output_path", metavar="OUT",
+                       help="output file path" + ("" if name == "validate" else " (required)"))
+        p.add_argument("--format", choices=("csv", "json"), help="output format")
         if name in ("analyze", "validate"):
-            p.add_argument("--grid-cells", type=int, default=DEFAULT_CELLS, help="density grid resolution")
+            p.add_argument("--grid-cells", type=int, help="density grid resolution")
         if name == "analyze":
             p.add_argument("--s-prev", type=float, help="battery level before the step")
-            p.add_argument("--step", type=int, default=1, help="1-based step to analyze (default 1)")
+            p.add_argument("--step", type=int, help="1-based step to analyze (default 1)")
         if name in ("sweep", "validate"):
             p.add_argument("--levels", type=_parse_levels_arg, help="comma-separated battery levels")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        scenario_path=args.scenario,
-        seed=args.seed,
-        n=args.n,
-        output_path=args.out,
-        format=args.format,
-        grid_cells=getattr(args, "grid_cells", DEFAULT_CELLS),
-        s_prev=getattr(args, "s_prev", None),
-        levels=getattr(args, "levels", None),
-        step=getattr(args, "step", 1),
-    )
 
 
 def _load_scenario(config: RunConfig) -> Scenario:
@@ -329,7 +317,7 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
                 triple.p_overflow,
                 triple.p_self,
                 1.0 - triple.p_self,
-                b.truncated_mass,
+                float(f"{b.truncated_mass:.3e}"),  # the rest is rounding noise of 1 - total mass
             ),
         ),
         metadata=_metadata(config, scenario, grid_cells=config.grid_cells),
@@ -520,7 +508,7 @@ def run_command(config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**vars(args))
     except ConfigError as e:
         _diag(f"config error: {e}")
         return 2

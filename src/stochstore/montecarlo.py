@@ -16,7 +16,7 @@ estimate draws generation then demand from ``default_rng(seed)``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,12 +159,7 @@ def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
             raw[start:stop, j] = draw(rng, stop - start)
     values = np.empty((len(quantities), m))
     for k, (q, row) in enumerate(zip(quantities, rows)):
-        if row is None:
-            values[k] = q.value
-        elif q.primitive is None:
-            values[k] = raw[row]
-        else:
-            values[k] = q.transform(raw[row])
+        _values(q, None if row is None else raw, row, values[k])
     return values[0::2], values[1::2]
 
 
@@ -172,7 +167,7 @@ def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajec
     """Simulate trajectory ``index`` of the ensemble seeded with ``seed``."""
     g, d = _draw(_draw_plan(scenario), seed, [index])
     g, d = g[:, 0], d[:, 0]
-    return evolve(scenario.storage, g - d, generation=g, demand=d)
+    return replace(evolve(scenario.storage, g - d), generation=g, demand=d)
 
 
 def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
@@ -193,7 +188,7 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
     for start in range(0, n, ENSEMBLE_CHUNK):
         stop = min(start + ENSEMBLE_CHUNK, n)
         g, d = _draw(plan, seed, range(start, stop))
-        traj = evolve(scenario.storage, g - d, generation=g, demand=d)
+        traj = evolve(scenario.storage, g - d)
         states[start:stop] = traj.storage.T
         balances[start:stop] = traj.balance.T
         spill_counts += np.count_nonzero(traj.spill > 0.0, axis=1)
@@ -242,10 +237,11 @@ def estimate_self_sufficiency(
     return _estimate(n_deficit, n_overflow, n)
 
 
-def _values(q: Distribution, raw, part: slice, out: np.ndarray) -> None:
+def _values(q: Distribution, raw, part, out: np.ndarray) -> None:
     """Write ``q``'s values for ``raw[part]`` into ``out``, leaving ``raw`` as is.
 
-    ``raw`` is ``None`` for a Deterministic quantity.
+    ``raw`` is ``None`` for a Deterministic quantity; ``part`` is a slice of
+    a draw array or the row of a raw-draw block.
     """
     if raw is None:
         out.fill(q.value)

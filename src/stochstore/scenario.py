@@ -161,38 +161,47 @@ def _parse_distribution(node, path: str) -> Distribution:
     try:
         if kind == "deterministic":
             _check_keys(node, path, {"kind", "value"})
-            return Deterministic(_number(node, path, "value"))
-        if kind == "weibull":
+            dist = Deterministic(_number(node, path, "value"))
+        elif kind == "weibull":
             _check_keys(node, path, {"kind", "scale", "shape"})
-            return Weibull(scale=_number(node, path, "scale"), shape=_number(node, path, "shape"))
-        if kind == "lognormal":
+            dist = Weibull(scale=_number(node, path, "scale"), shape=_number(node, path, "shape"))
+        elif kind == "lognormal":
             params = node.keys() - {"kind"}
             if params == {"mu", "sigma"}:
-                return LogNormal(mu=_number(node, path, "mu"), sigma=_number(node, path, "sigma"))
-            if params == {"mean", "variance"}:
-                return lognormal_from_moments(
+                dist = LogNormal(mu=_number(node, path, "mu"), sigma=_number(node, path, "sigma"))
+            elif params == {"mean", "variance"}:
+                dist = lognormal_from_moments(
                     _number(node, path, "mean"), _number(node, path, "variance")
                 )
-            raise ScenarioSchemaError(
-                f"{path}: lognormal takes exactly {{mu, sigma}} or {{mean, variance}}, "
-                f"got {sorted(params)}"
-            )
-        if kind == "empirical":
+            else:
+                raise ScenarioSchemaError(
+                    f"{path}: lognormal takes exactly {{mu, sigma}} or {{mean, variance}}, "
+                    f"got {sorted(params)}"
+                )
+        elif kind == "empirical":
             _check_keys(node, path, {"kind", "samples"})
             raw = node["samples"]
             if not isinstance(raw, list):
                 raise ScenarioSchemaError(
                     f"{path}.samples: expected an array, got {type(raw).__name__}"
                 )
-            return Empirical(
+            dist = Empirical(
                 samples=tuple(_finite(v, f"{path}.samples[{i}]") for i, v in enumerate(raw))
             )
-    except (ValueError, OverflowError) as e:
+        else:
+            raise ScenarioSchemaError(
+                f"{path}.kind: unknown distribution kind {kind!r} "
+                f"(expected deterministic, weibull, lognormal, or empirical)"
+            )
+        # Finite parameters may still give values past the float range.  The
+        # 1 - 2**-53 quantile is the largest Weibull draw and bounds the grid window.
+        if not math.isfinite(dist.quantile(1.0 - 2.0**-53)):
+            raise OverflowError
+    except OverflowError as e:
+        raise ScenarioInvariantError(f"{path}: values overflow the float range") from e
+    except ValueError as e:
         raise ScenarioInvariantError(f"{path}: {e}") from e
-    raise ScenarioSchemaError(
-        f"{path}.kind: unknown distribution kind {kind!r} "
-        f"(expected deterministic, weibull, lognormal, or empirical)"
-    )
+    return dist
 
 
 def parse_scenario(document: str) -> Scenario:

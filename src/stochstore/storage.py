@@ -96,7 +96,7 @@ class Trajectory:
     ``s_init`` before any step.  Arrays are ``(horizon,)`` for one path or
     ``(horizon, n)`` for ``n`` paths, so ``storage[t]`` is then the ``(n,)``
     states after step ``t``.  ``generation``/``demand`` are kept when the
-    balances were formed from an explicit pair.
+    balances were formed from an explicit pair (``simulate_trajectory``).
     """
 
     s_init: float
@@ -111,36 +111,18 @@ class Trajectory:
         return self.balance.shape[0]
 
 
-def evolve(
-    spec: StorageSpec,
-    balances: np.ndarray,
-    generation: np.ndarray | None = None,
-    demand: np.ndarray | None = None,
-) -> Trajectory:
+def evolve(spec: StorageSpec, balances: np.ndarray) -> Trajectory:
     """Run the recursion over whole balance sequences from ``spec.s_init``.
 
     ``balances`` is ``(horizon,)`` for one path or ``(horizon, n)`` for
     ``n`` paths, which advance together one step at a time.  Every path
-    follows :func:`step` exactly.  When ``generation`` and ``demand`` are
-    supplied they must reproduce ``balances`` exactly as
-    ``generation - demand``.
+    follows :func:`step` exactly.
     """
     b = np.asarray(balances, dtype=float)
     if b.ndim not in (1, 2) or b.size == 0:
         raise ValueError("balances must be a nonempty (horizon,) or (horizon, n) array")
     if not np.all(np.isfinite(b)):
         raise ValueError("balances must all be finite")
-    if (generation is None) != (demand is None):
-        raise ValueError("generation and demand must be supplied together")
-    if generation is not None:
-        g = np.asarray(generation, dtype=float)
-        d = np.asarray(demand, dtype=float)
-        if g.shape != b.shape or d.shape != b.shape:
-            raise ValueError("generation/demand must match the balance sequence length")
-        if not np.array_equal(g - d, b):
-            raise ValueError("generation - demand does not reproduce the balance sequence")
-    else:
-        g = d = None
 
     states = np.empty_like(b)
     spills = np.empty_like(b)
@@ -165,6 +147,4 @@ def evolve(
         storage=states,
         spill=spills,
         deficit=deficits,
-        generation=g,
-        demand=d,
     )

@@ -22,7 +22,6 @@ from stochstore import (
     Weibull,
     difference_density,
     discretize,
-    interval_probability,
     parse_scenario,
     resample,
     self_sufficiency,
@@ -99,7 +98,7 @@ def test_discretize_deterministic_is_an_atom():
 
 
 def test_discretize_weibull_coverage():
-    grid = discretize(FIG2_DEM, cells=4096, coverage=1.0 - 1e-8)
+    grid = discretize(FIG2_DEM, cells=4096)
     assert grid.total_mass >= 1.0 - 1e-8
     assert grid.total_mass <= 1.0
     assert grid.n_cells == 4096
@@ -136,10 +135,6 @@ def test_discretize_degenerate_empirical_is_an_atom():
 def test_discretize_validation():
     with pytest.raises(ValueError):
         discretize(FIG2_DEM, cells=1)
-    with pytest.raises(ValueError):
-        discretize(FIG2_DEM, cells=4096, coverage=0.5)
-    with pytest.raises(ValueError):
-        discretize(FIG2_DEM, cells=4096, coverage=1.0)
 
 
 # --- resample ----------------------------------------------------------------
@@ -207,6 +202,10 @@ def _two_cells(origin, step, masses):
     return DensityGrid(origin=origin, step=step, masses=np.array(masses))
 
 
+def _atom(origin, mass=0.7):
+    return DensityGrid(origin=origin, step=1.0, masses=np.array([mass]))
+
+
 # The FFT correlation rounds differently from the direct sum, by about 1e-17
 # per cell; 1e-15 leaves room without hiding a misplaced product.
 CELL_TOL = 1e-15
@@ -237,6 +236,15 @@ CELL_TOL = 1e-15
             lambda: (discretize(FIG2_DEM, 900), discretize(FIG2_DEM, 901)),
             id="900-901-fft-1875",
         ),
+        pytest.param(
+            lambda: (_atom(2.0), _two_cells(1.0, 0.2, [0.6, 0.4])),
+            id="atom-cells",
+        ),
+        pytest.param(
+            lambda: (discretize(LogNormal(0.2, 0.5), 700), _atom(0.5)),
+            id="cells-atom",
+        ),
+        pytest.param(lambda: (_atom(2.0), _atom(0.5)), id="atom-atom"),
     ],
 )
 def test_difference_masses_match_the_direct_correlation(make_grids):
@@ -327,28 +335,28 @@ def test_difference_with_atom_sides_is_an_exact_shift():
         assert b2.cdf(x) == pytest.approx(gen.cdf(x + 0.75), abs=1e-12)
 
 
-# --- interval_probability ----------------------------------------------------
+# --- window queries: cdf differences -----------------------------------------
 
 
 def test_interval_probability_edges_and_additivity():
     b = difference_density(
         discretize(LogNormal(0.0, 1.0), 1024), discretize(FIG2_DEM, 1024)
     )
-    assert interval_probability(b, 0.3, 0.3) == 0.0
-    assert interval_probability(b, -math.inf, math.inf) == pytest.approx(
-        b.total_mass, abs=1e-15
-    )
-    left = interval_probability(b, -1.0, 0.2)
-    right = interval_probability(b, 0.2, 1.4)
-    assert left + right == pytest.approx(interval_probability(b, -1.0, 1.4), abs=1e-12)
-    with pytest.raises(ValueError):
-        interval_probability(b, 1.0, 0.0)
+    assert b.cdf(0.3) - b.cdf(0.3) == 0.0
+    assert b.cdf(math.inf) - b.cdf(-math.inf) == b.total_mass
+    # Past either end of the grid the cdf is exactly 0 and the total mass.
+    first, last = b.edges[0], b.edges[-1]
+    assert b.cdf(first) == b.cdf(np.nextafter(first, -math.inf)) == 0.0
+    assert b.cdf(last) == b.cdf(np.nextafter(last, math.inf)) == b.total_mass
+    left = b.cdf(0.2) - b.cdf(-1.0)
+    right = b.cdf(1.4) - b.cdf(0.2)
+    assert left + right == pytest.approx(b.cdf(1.4) - b.cdf(-1.0), abs=1e-12)
 
 
 def test_interval_probability_symmetric_half():
     g = discretize(LogNormal(mu=0.3, sigma=0.7), cells=2048)
     b = difference_density(g, g)
-    assert interval_probability(b, -math.inf, 0.0) == pytest.approx(0.5, abs=1e-3)
+    assert b.cdf(0.0) - b.cdf(-math.inf) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_interval_probability_stable_under_refinement():
@@ -356,8 +364,8 @@ def test_interval_probability_stable_under_refinement():
         coarse = difference_density(*(discretize(d, 4096) for d in dist_pair))
         fine = difference_density(*(discretize(d, 8192) for d in dist_pair))
         for lo, hi in ((-1.0, 0.0), (0.0, 1.5), (-0.25, 2.0)):
-            assert interval_probability(coarse, lo, hi) == pytest.approx(
-                interval_probability(fine, lo, hi), abs=1e-3
+            assert coarse.cdf(hi) - coarse.cdf(lo) == pytest.approx(
+                fine.cdf(hi) - fine.cdf(lo), abs=1e-3
             )
 
 
@@ -394,12 +402,12 @@ def test_self_sufficiency_fig2_checkpoint():
 
 
 def test_self_sufficiency_rejects_over_budget_truncation():
-    grid = discretize(FIG2_DEM, cells=256, coverage=0.9)
+    grid = discretize(FIG2_DEM, cells=256)
+    query = BalanceQuery(s_prev=0.0, storage=SPEC_0_5)
+    assert self_sufficiency(grid, query).p_self <= grid.total_mass
+    truncated = DensityGrid(origin=grid.origin, step=grid.step, masses=0.9 * grid.masses)
     with pytest.raises(TruncationBudgetError):
-        self_sufficiency(grid, BalanceQuery(s_prev=0.0, storage=SPEC_0_5))
-    # An explicit budget can opt in to coarse grids.
-    t = self_sufficiency(grid, BalanceQuery(s_prev=0.0, storage=SPEC_0_5), mass_budget=0.2)
-    assert t.p_self <= grid.total_mass
+        self_sufficiency(truncated, query)
 
 
 def test_balance_query_validation():

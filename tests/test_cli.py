@@ -11,6 +11,7 @@ import stochstore.cli as cli
 from stochstore import (
     MAX_BALANCE_CELLS,
     BalanceQuery,
+    DensityGrid,
     Deterministic,
     ProbabilityTriple,
     StorageSpec,
@@ -500,6 +501,20 @@ def test_exit_3_on_scenario_errors(tmp_path, capsys):
 
 FIG2_TEXT = read_fixture_text("fig2_battery")
 HUGE_INT = "1" + "0" * 400  # an integer literal beyond the float range
+# Finite parameters whose largest values overflow the float range.
+OVERFLOWING_DOCUMENTS = {
+    "lognormal-mu-800": FIG2_TEXT.replace(
+        '{"kind": "deterministic", "value": 2.0}', '{"kind": "lognormal", "mu": 800, "sigma": 1}'
+    ),
+    "weibull-shape-0.001": FIG2_TEXT.replace(
+        '{"kind": "weibull", "scale": 2.0, "shape": 5.0}',
+        '{"kind": "weibull", "scale": 2, "shape": 0.001}',
+    ),
+    "weibull-scale-1e308": FIG2_TEXT.replace(
+        '{"kind": "weibull", "scale": 2.0, "shape": 5.0}',
+        '{"kind": "weibull", "scale": 1e308, "shape": 1}',
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -531,6 +546,10 @@ HUGE_INT = "1" + "0" * 400  # an integer literal beyond the float range
             ),
             "o.csv", 3, "scenario error", id="lognormal-moments-overflow",
         ),
+        *(
+            pytest.param(document, "o.csv", 3, "overflow the float range", id=name)
+            for name, document in OVERFLOWING_DOCUMENTS.items()
+        ),
     ],
 )
 def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, out_name, code, message):
@@ -548,6 +567,18 @@ def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, 
     assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# analyze takes these documents in test_io_and_parse_failures_exit_with_their_code.
+@pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
+def test_every_command_refuses_overflowing_parameters_with_exit_3(tmp_path, capsys, command):
+    for name, document in OVERFLOWING_DOCUMENTS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(document, encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 3, name
+        assert "overflow the float range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "validate"])
@@ -598,12 +629,11 @@ def test_validate_refuses_an_over_budget_grid_before_sampling(tmp_path, capsys, 
 
 
 def test_exit_4_when_truncation_budget_is_exceeded(tmp_path, capsys, monkeypatch):
-    real_discretize = discretize
-    monkeypatch.setattr(
-        cli,
-        "discretize",
-        lambda dist, cells: real_discretize(dist, cells, coverage=0.9),
-    )
+    def truncated(dist, cells):
+        grid = discretize(dist, cells)
+        return DensityGrid(origin=grid.origin, step=grid.step, masses=0.9 * grid.masses)
+
+    monkeypatch.setattr(cli, "discretize", truncated)
     code = main(
         [
             "analyze",

@@ -111,7 +111,7 @@ def test_evolve_batch_matches_scalar_step_per_path():
     g[:, 0], d[:, 0] = [4.0, 0.0] * 20, [1.0, 5.0] * 20  # +3, -5: hits s_max, s_min exactly
     g[5, 1:4], d[5, 1:4] = [1e300, 0.0, 1.0], [0.0, 1e300, 1.0]
     balances = g - d
-    traj = evolve(spec, balances, generation=g, demand=d)
+    traj = evolve(spec, balances)
     assert len(traj) == 40
     assert traj.storage.shape == traj.spill.shape == traj.deficit.shape == (40, 64)
     for j in range(64):
@@ -139,22 +139,6 @@ def test_evolve_composes_across_a_split():
     np.testing.assert_array_equal(whole.storage, np.concatenate([head.storage, tail.storage]))
     np.testing.assert_array_equal(whole.spill, np.concatenate([head.spill, tail.spill]))
     np.testing.assert_array_equal(whole.deficit, np.concatenate([head.deficit, tail.deficit]))
-
-
-def test_evolve_keeps_consistent_generation_and_demand():
-    g = np.array([2.0, 1.0, 0.5])
-    d = np.array([1.0, 3.0, 0.5])
-    traj = evolve(SPEC_0_5, g - d, generation=g, demand=d)
-    np.testing.assert_array_equal(traj.generation, g)
-    np.testing.assert_array_equal(traj.demand, d)
-    assert len(traj) == 3
-
-    with pytest.raises(ValueError):
-        evolve(SPEC_0_5, g - d + 1e-9, generation=g, demand=d)
-    with pytest.raises(ValueError):
-        evolve(SPEC_0_5, g - d, generation=g)
-    with pytest.raises(ValueError):
-        evolve(SPEC_0_5, g - d, generation=g, demand=d[:2])
 
 
 def test_evolve_rejects_bad_balance_sequences():
