@@ -260,11 +260,18 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
 
 
 def _resampled_cells(grid: DensityGrid, step: float) -> int:
-    """Cell count of ``resample(grid, step)``."""
+    """Cell count of ``resample(grid, step)``; over ``MAX_BALANCE_CELLS`` is refused."""
     if grid.is_atom or step == grid.step:
         return grid.n_cells
+    # Compared as a float: a huge grid's ratio may be inf, which has no int.
+    cells = grid.width / step - 1e-12
+    if not cells <= MAX_BALANCE_CELLS:
+        raise CellBudgetError(
+            f"a grid {grid.width:.3g} wide needs {cells:.3g} cells at step {step:.3g}, "
+            f"over the budget of {MAX_BALANCE_CELLS}"
+        )
     # At least two cells so the result is never mistaken for an atom.
-    return max(2, int(math.ceil(grid.width / step - 1e-12)))
+    return max(2, int(math.ceil(cells)))
 
 
 def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:

@@ -41,7 +41,6 @@ from .montecarlo import (
     QUANTILE_LEVELS,
     estimate_steps,
     simulate_ensemble,
-    simulate_trajectory,
     sweep_battery_levels,
 )
 from .scenario import (
@@ -248,8 +247,13 @@ def _balance_grid(step_spec, cells: int):
 
 def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, scenario.horizon)
-    traj = simulate_trajectory(scenario, config.seed, 0)
     stats = simulate_ensemble(scenario, config.n, config.seed)
+    if not np.all(np.isfinite(stats.b_mean)):
+        raise ConfigError(
+            f"--n {config.n}: the total of the ensemble's balances overflows a float; "
+            f"use a smaller --n or a scenario with smaller quantities"
+        )
+    traj = stats.realization
 
     steps = range(1, scenario.horizon + 1)
     traj_table = ResultTable(

@@ -8,9 +8,13 @@ confidence intervals (3 standard errors).
 Reproducibility contract: trajectory ``i`` of a run seeded with ``seed``
 draws from ``numpy.random.default_rng((seed, i))``, consuming generation
 then demand per step, in step order.  Results are therefore deterministic
-for a fixed (scenario, n, seed) under any execution order.  A frequency
-estimate draws generation then demand from ``default_rng(seed)``;
-``estimate_steps`` gives many such estimates from one shared draw.
+for a fixed (scenario, n, seed) under any execution order.  The generator
+states are computed here, a chunk of trajectories at a time, from numpy's
+documented ``SeedSequence`` and ``PCG64`` seeding algorithms rather than by
+building one ``Generator`` per trajectory; a test pins them to
+``default_rng``.  A frequency estimate draws generation then demand from
+``default_rng(seed)``; ``estimate_steps`` gives many such estimates from
+one shared draw.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class EnsembleStats:
 
     Arrays are indexed by step (0-based); ``s_quantiles[j, t]`` is the
     ``quantile_levels[j]`` quantile of the storage state after step ``t``.
+    ``realization`` is trajectory 0, with its generation and demand.
     """
 
     n_trajectories: int
@@ -97,12 +102,23 @@ class EnsembleStats:
     b_mean: np.ndarray
     spill_freq: np.ndarray
     deficit_freq: np.ndarray
+    realization: Trajectory
 
 
 # Trajectories drawn and evolved together by ``simulate_ensemble``.  Its
-# working arrays are a few (horizon, ENSEMBLE_CHUNK) blocks next to the two
-# (n, horizon) result matrices.
+# working arrays are a few (horizon, ENSEMBLE_CHUNK) blocks next to the
+# (n, horizon) matrix of states.
 ENSEMBLE_CHUNK = 256
+
+# numpy's SeedSequence (random/bit_generator.pyx: a pool of 4 uint32 words)
+# and PCG64 (random/src/pcg64: 128-bit LCG) seeding constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
 
 
 def _raw_draw(q: Distribution):
@@ -148,13 +164,109 @@ def _draw_plan(scenario: Scenario):
     return quantities, rows, runs
 
 
+def _words(value: int) -> list[int]:
+    """The uint32 words ``SeedSequence`` reads from an int, low word first."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed and trajectory index must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(rows: np.ndarray, hash_const: int, mult: int = _MULT_A):
+    """``SeedSequence``'s hashmix of each uint32 row in turn; also the next constant.
+
+    Row ``k`` is hashed with the ``k``-th constant of the sequence from
+    ``hash_const``.  The constants do not depend on the data, so one
+    sequence serves every column.  uint32 array arithmetic wraps modulo
+    2**32 as the C code's does.
+    """
+    xors, mults = [], []
+    for _ in range(len(rows)):
+        xors.append(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        mults.append(hash_const)
+    rows = rows ^ np.array(xors, dtype=np.uint32)[:, None]
+    rows *= np.array(mults, dtype=np.uint32)[:, None]
+    rows ^= rows >> 16
+    return rows, hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    result ^= result >> 16
+    return result
+
+
+def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng((seed, i))`` for each ``i`` in ``indices``.
+
+    The entropy of ``(seed, i)`` is ``_words(seed) + _words(i)``, one column
+    of ``entropy`` per index.  A short column is padded with zeros, which is
+    what the pool fill hashes past an entropy's end; only the words past
+    the pool, which are mixed in one at a time, are masked to the columns
+    that have them.  Callers pass one index or a range from 0, so checking
+    the largest index refuses every negative one.
+    """
+    seed_words = _words(seed)
+    indices = [int(i) for i in indices]
+    width = len(_words(max(indices)))
+    entropy = np.zeros((max(_POOL_SIZE, len(seed_words) + width), len(indices)), np.uint32)
+    entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words) : len(seed_words) + width] = [
+        [i >> 32 * k & _MASK32 for i in indices] for k in range(width)
+    ]
+
+    pool, hash_const = _hashmix(entropy[:_POOL_SIZE], _INIT_A)
+    for src in range(_POOL_SIZE):
+        # Row src is read, and only the other rows are written.
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        mixed, hash_const = _hashmix(pool[[src] * len(others)], hash_const)
+        pool[others] = _mix(pool[others], mixed)
+    if len(entropy) > _POOL_SIZE:
+        lengths = len(seed_words) + np.array([len(_words(i)) for i in indices])
+        for src in range(_POOL_SIZE, len(entropy)):
+            # Each word past the pool is hashed once per pool word.
+            mixed, hash_const = _hashmix(entropy[[src] * _POOL_SIZE], hash_const)
+            pool = np.where(lengths > src, _mix(pool, mixed), pool)
+
+    # generate_state(4, uint64): eight words hashed from the pool, paired
+    # low word first into the uint64s (s_hi, s_lo, seq_hi, seq_lo) that
+    # seed the 128-bit LCG.
+    words, _ = _hashmix(np.concatenate([pool, pool]), _INIT_B, _MULT_B)
+    words = words.astype(np.uint64)
+    s_hi, s_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    states = []
+    for a, b, c, d in zip(s_hi, s_lo, seq_hi, seq_lo):
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0, with the
+        # initial state added between them.
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
-    """Generation and demand of trajectories ``indices``, as ``(horizon, m)`` arrays."""
+    """Generation and demand of trajectories ``indices``, as ``(horizon, m)`` arrays.
+
+    One ``Generator`` serves every trajectory: its bit generator is set to
+    the state ``default_rng((seed, i))`` starts from before trajectory
+    ``i``'s runs of draws.
+    """
     quantities, rows, runs = plan
     m = len(indices)
     raw = np.empty((runs[-1][2] if runs else 0, m))
-    for j, i in enumerate(indices):
-        rng = np.random.default_rng((seed, i))
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for j, (state, inc) in enumerate(_pcg64_states(seed, indices)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         for draw, start, stop in runs:
             raw[start:stop, j] = draw(rng, stop - start)
     values = np.empty((len(quantities), m))
@@ -170,11 +282,21 @@ def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajec
     return replace(evolve(scenario.storage, g - d), generation=g, demand=d)
 
 
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    # A total that overflows is left as inf or nan for the caller to see.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce(rows, axis=0)
+
+
 def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
     """Aggregate ``n`` independent trajectories of the scenario.
 
     Trajectories are drawn and evolved ``ENSEMBLE_CHUNK`` at a time; each
-    equals ``simulate_trajectory(scenario, seed, i)`` exactly.
+    equals ``simulate_trajectory(scenario, seed, i)`` exactly, and every
+    statistic equals numpy's mean or quantile over the ``(n, horizon)``
+    matrix of all trajectories bit for bit.  Only the matrix of states is
+    held; ``b_mean`` is a running total, which is ``inf`` or ``nan`` where
+    that total overflows a float.
     """
     n = int(n)
     if n < 1:
@@ -182,30 +304,54 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
     horizon = scenario.horizon
     plan = _draw_plan(scenario)
     states = np.empty((n, horizon))
-    balances = np.empty((n, horizon))
+    # numpy sums the columns of a C-ordered matrix row by row, which the
+    # running total over C-ordered [total; chunk] blocks repeats.  (An
+    # F-ordered block would be summed pairwise.)  A one-column matrix it
+    # sums pairwise over all n rows, so a one-step scenario keeps its n
+    # balances and sums them once.
+    balances = np.empty((n, 1)) if horizon == 1 else None
+    b_total = np.zeros(horizon)
     spill_counts = np.zeros(horizon)
     deficit_counts = np.zeros(horizon)
+    realization = None
     for start in range(0, n, ENSEMBLE_CHUNK):
         stop = min(start + ENSEMBLE_CHUNK, n)
         g, d = _draw(plan, seed, range(start, stop))
         traj = evolve(scenario.storage, g - d)
+        if realization is None:
+            realization = Trajectory(
+                s_init=traj.s_init,
+                balance=traj.balance[:, 0],
+                storage=traj.storage[:, 0],
+                spill=traj.spill[:, 0],
+                deficit=traj.deficit[:, 0],
+                generation=g[:, 0],
+                demand=d[:, 0],
+            )
         states[start:stop] = traj.storage.T
-        balances[start:stop] = traj.balance.T
+        if balances is not None:
+            balances[start:stop] = traj.balance.T
+        else:
+            rows = np.empty((stop - start + 1, horizon))
+            rows[0] = b_total
+            rows[1:] = traj.balance.T
+            b_total = _sum_rows(rows)
         spill_counts += np.count_nonzero(traj.spill > 0.0, axis=1)
         deficit_counts += np.count_nonzero(traj.deficit > 0.0, axis=1)
-    # Means over the full matrices keep numpy's summation order, so the
-    # statistics match aggregating the trajectories one by one bit for bit.
-    b_mean = balances.mean(axis=0)
-    del balances
+    if balances is not None:
+        b_total = _sum_rows(balances)
+    s_mean = states.mean(axis=0)
     return EnsembleStats(
         n_trajectories=n,
         seed=int(seed),
         quantile_levels=QUANTILE_LEVELS,
-        s_mean=states.mean(axis=0),
-        s_quantiles=np.quantile(states, QUANTILE_LEVELS, axis=0),
-        b_mean=b_mean,
+        s_mean=s_mean,
+        # Partitions the states in place rather than a copy of them.
+        s_quantiles=np.quantile(states, QUANTILE_LEVELS, axis=0, overwrite_input=True),
+        b_mean=b_total / n,
         spill_freq=spill_counts / n,
         deficit_freq=deficit_counts / n,
+        realization=realization,
     )
 
 

@@ -450,7 +450,6 @@ def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys
         raise AssertionError("work started before --out was checked")
 
     for name in (
-        "simulate_trajectory",
         "simulate_ensemble",
         "estimate_steps",
         "sweep_battery_levels",
@@ -581,26 +580,51 @@ def test_every_command_refuses_overflowing_parameters_with_exit_3(tmp_path, caps
         assert not out.exists()
 
 
+# fig2 with a huge generation: each draw is finite (its 1 - 2**-53
+# quantile is about 1.6e307), its grid is wider than the float range of
+# cells, and the sum of 10**5 of its balances overflows.
+HUGE_GENERATION = '{"kind": "lognormal", "mu": 700, "sigma": 1}'
+
+
 @pytest.mark.parametrize("command", ["analyze", "validate"])
 def test_exit_2_when_refinement_exceeds_the_cell_budget(tmp_path, capsys, command):
-    # A near-atom generation refines the Weibull demand grid to ~1.3e7 cells.
-    path = tmp_path / "narrow.json"
+    # A near-atom generation refines the Weibull demand grid to ~1.3e7
+    # cells; a huge one would need an infinite count of them.
+    for name, generation in (
+        ("narrow", '{"kind": "lognormal", "mu": 0.0, "sigma": 0.0001}'),
+        ("huge", HUGE_GENERATION),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(
+            FIG2_TEXT.replace('{"kind": "deterministic", "value": 2.0}', generation),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        if command == "analyze":
+            argv += ["--s-prev", "0"]
+        start = time.perf_counter()
+        assert main(argv) == 2, name
+        assert time.perf_counter() - start < 1.0, name
+        err = capsys.readouterr().err
+        assert "config error" in err and str(MAX_BALANCE_CELLS) in err, name
+        assert not out.exists()
+
+
+def test_exit_2_when_the_ensemble_balance_total_overflows(tmp_path, capsys):
+    path = tmp_path / "huge.json"
     path.write_text(
-        FIG2_TEXT.replace(
-            '{"kind": "deterministic", "value": 2.0}',
-            '{"kind": "lognormal", "mu": 0.0, "sigma": 0.0001}',
-        ),
+        FIG2_TEXT.replace('{"kind": "deterministic", "value": 2.0}', HUGE_GENERATION),
         encoding="utf-8",
     )
     out = tmp_path / "o.csv"
-    argv = [command, "--scenario", str(path), "--out", str(out)]
-    if command == "analyze":
-        argv += ["--s-prev", "0"]
-    start = time.perf_counter()
-    assert main(argv) == 2
-    assert time.perf_counter() - start < 1.0
+    argv = ["simulate", "--scenario", str(path), "--out", str(out)]
+    assert main(argv + ["--n", "1000"]) == 0
+    capsys.readouterr()
+    out.unlink()
+    assert main(argv + ["--n", "100000"]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and str(MAX_BALANCE_CELLS) in err
+    assert "config error" in err and "--n 100000" in err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -344,6 +344,85 @@ def test_trajectories_and_ensemble_follow_the_seed_contract():
     for freq, key in ((stats.spill_freq, "spill"), (stats.deficit_freq, "deficit")):
         counts = np.count_nonzero(np.array([e[key] for e in expected]) > 0.0, axis=0)
         np.testing.assert_array_equal(freq, counts / n)
+
+
+# Seeds from one word to more words than SeedSequence's 4-word pool, and
+# indices at chunk edges and at the one-to-two-word boundary.
+CONTRACT_SEEDS = (0, 7, 2**32 + 5, 2**63 + 1, 2**200)
+CONTRACT_INDICES = (0, 255, 256, 257, 2**32 - 1, 2**32)
+
+
+@pytest.mark.parametrize("seed", CONTRACT_SEEDS)
+def test_generator_states_are_numpys_seeding_of_seed_and_index(seed):
+    # Computed in one call across every index width, as default_rng sets them.
+    states = montecarlo._pcg64_states(seed, CONTRACT_INDICES)
+    for i, (state, inc) in zip(CONTRACT_INDICES, states):
+        want = np.random.default_rng((seed, i)).bit_generator.state["state"]
+        assert (state, inc) == (want["state"], want["inc"]), i
+
+    scenario = parse_scenario(_mixed_scenario_json())
+    g, d = montecarlo._draw(montecarlo._draw_plan(scenario), seed, CONTRACT_INDICES)
+    for j, i in enumerate(CONTRACT_INDICES):
+        expected = _contract_trajectory(scenario, seed, i)
+        np.testing.assert_array_equal(g[:, j], expected["generation"], err_msg=str(i))
+        np.testing.assert_array_equal(d[:, j], expected["demand"], err_msg=str(i))
+        traj = simulate_trajectory(scenario, seed, i)
+        for name, want in expected.items():
+            np.testing.assert_array_equal(getattr(traj, name), want, err_msg=f"{i} {name}")
+
+
+def test_negative_seed_or_index_is_refused():
+    scenario = parse_scenario(_flat_scenario_json())
+    with pytest.raises(ValueError, match=">= 0"):
+        simulate_trajectory(scenario, seed=-1)
+    with pytest.raises(ValueError, match=">= 0"):
+        simulate_trajectory(scenario, seed=0, index=-1)
+
+
+ONE_BY_ONE_SIZES = (1, 255, 256, 257, 1000, 20011)
+
+
+@pytest.fixture(scope="module")
+def one_by_one_references(day24_scenario, fig2_scenario):
+    """Per-trajectory contract paths of the largest ensemble, per scenario.
+
+    numpy sums the columns of the two-step scenario's matrices row by row,
+    and the one-step fig2 scenario's single column pairwise.
+    """
+    seed = 21
+    two_steps = replace(day24_scenario, name="two_steps", steps=day24_scenario.steps[:2])
+    references = {}
+    for scenario in (two_steps, fig2_scenario):
+        paths = [_contract_trajectory(scenario, seed, i) for i in range(max(ONE_BY_ONE_SIZES))]
+        references[scenario.name] = (
+            scenario,
+            seed,
+            {key: np.array([p[key] for p in paths]) for key in paths[0]},
+        )
+    return references
+
+
+@pytest.mark.parametrize("n", ONE_BY_ONE_SIZES)
+@pytest.mark.parametrize("name", ["two_steps", "fig2_battery"])
+def test_ensemble_equals_an_aggregation_one_trajectory_at_a_time(one_by_one_references, name, n):
+    scenario, seed, paths = one_by_one_references[name]
+    stats = simulate_ensemble(scenario, n=n, seed=seed)
+    states, balances = paths["storage"][:n], paths["balance"][:n]
+    if scenario.horizon > 1:
+        # numpy's column means of a matrix add its rows one at a time.
+        total = np.zeros(scenario.horizon)
+        for row in balances:
+            total = total + row
+        np.testing.assert_array_equal(stats.b_mean, total / n)
+    np.testing.assert_array_equal(stats.b_mean, balances.mean(axis=0))
+    np.testing.assert_array_equal(stats.s_mean, states.mean(axis=0))
+    np.testing.assert_array_equal(
+        stats.s_quantiles, np.quantile(states, stats.quantile_levels, axis=0)
+    )
+    for freq, key in ((stats.spill_freq, "spill"), (stats.deficit_freq, "deficit")):
+        np.testing.assert_array_equal(freq, np.count_nonzero(paths[key][:n] > 0.0, axis=0) / n)
+    for key, column in paths.items():
+        np.testing.assert_array_equal(getattr(stats.realization, key), column[0], err_msg=key)
 
 
 def test_trajectory_respects_storage_window(day24_scenario):
