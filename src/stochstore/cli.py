@@ -10,14 +10,17 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
-``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS`` and an
-unreadable scenario or unwritable output path); 3 scenario error; 4 numeric
-truncation budget exceeded.
+``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, an
+unreadable scenario and an unwritable or directory output path); 3 scenario
+error; 4 numeric truncation budget exceeded.
+
+``main`` builds its parser on the first call and reuses it in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -171,6 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _ensemble_path(out: Path) -> Path:
+    """Where simulate writes the ensemble table next to the realization ``out``."""
+    return out.with_name(out.stem + "_ensemble" + out.suffix)
+
+
 def _load_scenario(config: RunConfig) -> Scenario:
     """Load ``--scenario`` as a file path, else as the name of a bundled fixture."""
     name = config.scenario_path
@@ -290,7 +303,7 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
     )
 
     out = Path(config.output_path)
-    ensemble_out = out.with_name(out.stem + "_ensemble" + out.suffix)
+    ensemble_out = _ensemble_path(out)
     _write_table(config, traj_table, out)
     _write_table(config, ensemble_table, ensemble_out)
     print(
@@ -492,8 +505,14 @@ _HANDLERS = {
 def run_command(config: RunConfig) -> int:
     """Execute a configured run, mapping failures to the exit-code taxonomy."""
     try:
-        if config.output_path and not Path(config.output_path).parent.is_dir():
-            raise ConfigError(f"--out {config.output_path}: no such directory")
+        if config.output_path:
+            out = Path(config.output_path)
+            if not out.parent.is_dir():
+                raise ConfigError(f"--out {out}: no such directory")
+            targets = (out, _ensemble_path(out)) if config.command == "simulate" else (out,)
+            for target in targets:
+                if target.is_dir():
+                    raise ConfigError(f"--out: {target} is a directory")
         scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
     # OSError: unreadable --scenario, unwritable --out; CellBudgetError: the
@@ -510,7 +529,7 @@ def run_command(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))
     except ConfigError as e:

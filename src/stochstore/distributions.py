@@ -302,7 +302,9 @@ class Empirical(Distribution):
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("empirical samples must all be finite and >= 0")
         object.__setattr__(self, "samples", tuple(float(v) for v in values))
-        object.__setattr__(self, "_sorted", np.sort(values))
+        ordered = np.sort(values)
+        ordered.setflags(write=False)  # parsed scenarios are shared between callers
+        object.__setattr__(self, "_sorted", ordered)
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(self._sorted, size=self._check_n(n), replace=True)

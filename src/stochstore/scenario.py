@@ -32,11 +32,16 @@ Failures are classified: :class:`ScenarioSyntaxError` (not UTF-8 JSON),
 :class:`ScenarioSchemaError` (wrong shape: missing/unknown/mistyped
 fields), :class:`ScenarioInvariantError` (well-formed but violating a
 domain rule).  Every message carries the offending field path.
+
+``parse_scenario`` keeps the last few parsed documents: an unchanged
+document returns the same (immutable) :class:`Scenario`; errors are raised
+again on every call.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -204,6 +209,7 @@ def _parse_distribution(node, path: str) -> Distribution:
     return dist
 
 
+@functools.lru_cache(maxsize=8)
 def parse_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     # ValueError: malformed JSON or an integer literal over Python's digit limit;
@@ -364,6 +370,17 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _row_format(kinds: tuple[type, ...]) -> str | None:
+    """A %-format equal to ``_csv_cell`` on a row of numbers, else None.
+
+    ``str`` cells may need csv quoting and ``bool`` cells print as words, so
+    rows holding anything but numbers go through ``csv.writer``.
+    """
+    if not all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds):
+        return None
+    return ",".join("%.9g" if issubclass(k, float) else "%s" for k in kinds) + "\n"
+
+
 def write_results(table: ResultTable, format: str) -> bytes:
     """Serialize a result table to bytes; deterministic for equal inputs.
 
@@ -375,8 +392,16 @@ def write_results(table: ResultTable, format: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(table.columns)
+        formats: dict[tuple[type, ...], str | None] = {}
         for row in table.rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            kinds = tuple(map(type, row))
+            if kinds not in formats:
+                formats[kinds] = _row_format(kinds)
+            fmt = formats[kinds]
+            if fmt is None:
+                writer.writerow([_csv_cell(v) for v in row])
+            else:
+                buf.write(fmt % row)
         return buf.getvalue().encode("utf-8")
     if format == "json":
         payload = {

@@ -435,7 +435,7 @@ def test_exit_2_refuses_oversized_n_before_sampling(tmp_path, capsys, command, s
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+EVERY_COMMAND = pytest.mark.parametrize(
     "argv",
     [
         ["simulate", "--n", "200000"],
@@ -445,11 +445,17 @@ def test_exit_2_refuses_oversized_n_before_sampling(tmp_path, capsys, command, s
     ],
     ids=lambda argv: argv[0],
 )
-def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys, monkeypatch, argv):
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command loads its scenario or starts any work."""
+
     def must_not_run(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
     for name in (
+        "load_scenario",
         "simulate_ensemble",
         "estimate_steps",
         "sweep_battery_levels",
@@ -457,9 +463,30 @@ def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys
         "difference_density",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
+
+
+@EVERY_COMMAND
+def test_exit_2_refuses_a_missing_out_directory_before_any_work(tmp_path, capsys, no_work, argv):
     out = tmp_path / "missing" / "x.csv"
     assert main([*argv, "--scenario", "fig2_battery", "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@EVERY_COMMAND
+def test_exit_2_refuses_a_directory_out_before_any_work(tmp_path, capsys, no_work, argv):
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    assert main([*argv, "--scenario", "fig2_battery", "--out", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["out.csv"]
+
+
+def test_exit_2_refuses_a_directory_ensemble_path_before_any_work(tmp_path, capsys, no_work):
+    (tmp_path / "run_ensemble.csv").mkdir()
+    argv = ["simulate", "--scenario", "fig2_battery", "--out", str(tmp_path / "run.csv")]
+    assert main(argv) == 2
+    assert "run_ensemble.csv is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["run_ensemble.csv"]
 
 
 @pytest.mark.parametrize(
@@ -696,3 +723,62 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+# --- one process, many commands -----------------------------------------------------
+
+
+def _validate_levels(out):
+    sources = json.loads(out.read_text(encoding="utf-8"))["columns"]["source"]
+    return sorted({float(s[len("level[") : s.index("]")]) for s in sources if s.startswith("level[")})
+
+
+def test_a_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()  # public builder: a fresh parser
+    report = tmp_path / "v.json"
+    validate = ["validate", "--scenario", "fig2_battery", "--n", "20000", "--format", "json",
+                "--out", str(report)]
+    assert main([*validate, "--levels", "1,2"]) == 0
+    assert _validate_levels(report) == [1.0, 2.0]
+    assert main(validate) == 0
+    assert _validate_levels(report) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]  # the default 6 levels
+
+    probs = tmp_path / "a.json"
+    analyze = ["analyze", "--scenario", "day24_lognormal", "--s-prev", "5", "--format", "json",
+               "--out", str(probs)]
+    assert main([*analyze, "--step", "3"]) == 0
+    assert json.loads(probs.read_text(encoding="utf-8"))["columns"]["step"] == [3]
+    assert main(analyze) == 0
+    assert json.loads(probs.read_text(encoding="utf-8"))["columns"]["step"] == [1]
+
+    exits = [
+        (["analyze", "--scenario", "fig2_battery", "--s-prev", "x"], 2),
+        (["bogus"], 2),
+        (["--version"], 0),
+        (["-h"], 0),
+        (["simulate", "-h"], 0),
+    ]
+    for argv, code in exits:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code, argv
+        assert main(validate) == 0, argv  # a valid call still succeeds afterwards
+        assert _validate_levels(report) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    capsys.readouterr()
+
+
+def test_an_edited_scenario_file_is_parsed_again(tmp_path):
+    path = tmp_path / "scenario.json"
+    out = tmp_path / "p.json"
+    argv = ["analyze", "--scenario", str(path), "--s-prev", "0", "--format", "json", "--out", str(out)]
+    path.write_text(FIG2_TEXT, encoding="utf-8")
+    assert main(argv) == 0
+    first = json.loads(out.read_text(encoding="utf-8"))
+    path.write_text(
+        FIG2_TEXT.replace('"fig2_battery"', '"edited"').replace('"value": 2.0', '"value": 4.0'),
+        encoding="utf-8",
+    )
+    assert main(argv) == 0
+    second = json.loads(out.read_text(encoding="utf-8"))
+    assert (first["metadata"]["scenario"], second["metadata"]["scenario"]) == ("fig2_battery", "edited")
+    assert second["columns"]["p_deficit"][0] < first["columns"]["p_deficit"][0]

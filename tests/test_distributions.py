@@ -225,6 +225,14 @@ def test_empirical_step_function_and_order_statistics():
     assert set(draws) <= {1.0, 2.0, 3.0}
 
 
+def test_empirical_order_statistics_are_read_only():
+    # A parsed scenario is shared between callers; nothing may change it in place.
+    e = Empirical(samples=(3.0, 1.0, 2.0))
+    with pytest.raises(ValueError):
+        e._sorted[0] = 99.0
+    assert (e.quantile(0.0), e.cdf(2.0), e.mean()) == (1.0, 2.0 / 3.0, 2.0)
+
+
 @given(
     mean=st.floats(0.05, 50.0),
     variance=st.floats(0.01, 40.0),

@@ -1,7 +1,10 @@
 """Scenario JSON parsing, serialization round-trips, and result tables."""
 
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from stochstore import (
@@ -19,7 +22,7 @@ from stochstore import (
     serialize_scenario,
     write_results,
 )
-from stochstore.scenario import Scenario, StepSpec
+from stochstore.scenario import Scenario, StepSpec, _csv_cell
 
 from conftest import read_fixture_text
 
@@ -206,6 +209,44 @@ def test_csv_output_shape_and_formatting():
     assert lines[2] == "2,1e-09,false"
     assert text.endswith("\n")
     assert "\r" not in text
+
+
+def _csv_writer_reference(table):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table.columns)
+    for row in table.rows:
+        writer.writerow([_csv_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_rows_match_the_csv_writer_reference():
+    numbers = (7, np.float64(1.0 / 3.0), -0.0, 5e-324, 1e308, 0.1 + 0.2, 2**70)
+    table = ResultTable(
+        columns=("i", "f64", "negzero", "tiny", "huge", "sum", "big", "cell"),
+        rows=(
+            (*numbers, 'a, "quoted" cell'),
+            (*numbers, True),
+            (*numbers, np.float64(-2.5e-10)),  # numbers only: the one-format path
+            (-1, np.float64(1e22), 0.0, 1e-5, 123456789.5, 1e16, 0, 4),
+        ),
+        metadata=META,
+    )
+    payload = write_results(table, format="csv")
+    assert payload == _csv_writer_reference(table)
+    lines = payload.decode("utf-8").splitlines()
+    assert lines[1].endswith(',"a, ""quoted"" cell"')
+    assert lines[3] == "7,0.333333333,-0,4.94065646e-324,1e+308,0.3,1180591620717411303424,-2.5e-10"
+
+
+def test_parse_scenario_reuses_a_document_and_raises_its_errors_every_time():
+    text = read_fixture_text("fig2_battery")
+    assert parse_scenario(text) is parse_scenario(text)
+    doc = _fig2_doc()
+    doc["horizon"] = 0
+    for _ in range(3):
+        with pytest.raises(ScenarioInvariantError, match="scenario.horizon: must be >= 1"):
+            parse_scenario(json.dumps(doc))
 
 
 def test_csv_empty_table_is_header_only():
