@@ -75,7 +75,11 @@ class TruncationBudgetError(ValueError):
 
 
 class CellBudgetError(ValueError):
-    """A balance grid would need more than ``MAX_BALANCE_CELLS`` cells."""
+    """A grid cannot be built within the cell budget.
+
+    Either a balance grid would need more than ``MAX_BALANCE_CELLS`` cells,
+    or a distribution's quantile window is too narrow for any float step.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +218,9 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     Continuous families are gridded over their central ``DEFAULT_COVERAGE``
     quantile window with per-cell mass ``cdf(right) - cdf(left)`` exactly.
     ``Deterministic`` becomes an atom; ``Empirical`` becomes a normalized
-    histogram over its sample range (no truncation).
+    histogram over its sample range (no truncation).  A quantile window
+    narrower than float resolution has no step to grid it with and raises
+    :class:`CellBudgetError`.
     """
     cells = int(cells)
     if cells < 2:
@@ -234,7 +240,7 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     tail = (1.0 - DEFAULT_COVERAGE) / 2.0
     lo, hi = spec.quantile(tail), spec.quantile(1.0 - tail)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(
+        raise CellBudgetError(
             f"cannot grid {type(spec).__name__}: degenerate quantile window [{lo}, {hi}]"
         )
     step = (hi - lo) / cells

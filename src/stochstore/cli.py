@@ -11,15 +11,19 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
 ``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, an
-unreadable scenario and an unwritable or directory output path); 3 scenario
-error; 4 numeric truncation budget exceeded.
+input's quantile window narrower than float resolution, an unreadable
+scenario and an unwritable or directory output path); 3 scenario error; 4
+numeric truncation budget exceeded.
 
 ``main`` builds its parser on the first call and reuses it in the process.
+On glibc the first call also keeps freed memory for reuse in the process
+(``_retain_freed_memory``); callers that bypass ``main`` are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import sys
 from dataclasses import dataclass
@@ -82,6 +86,15 @@ MAX_SAMPLE_BYTES = 2**30
 # ~0.03 s at 2**14 cells and ~0.08 s at 2**16.  The cap refuses sizes that
 # would exhaust memory (10**11 cells) before any array is allocated.
 MAX_GRID_CELLS = 2**16
+
+# glibc's mallopt parameter numbers (malloc.h).  Setting either one turns off
+# glibc's adaptive thresholds, which follow the largest block freed so far.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Largest block served from the heap, glibc's ceiling on 64-bit: above every
+# array of a default grid step and a sweep level's n-length arrays to n = 4e6.
+_MMAP_THRESHOLD = 32 * 2**20
+# Free memory kept at the top of the heap: twice the above, glibc's own ratio.
+_TRIM_THRESHOLD = 64 * 2**20
 
 
 class ConfigError(ValueError):
@@ -177,6 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
+
+
+@functools.cache
+def _retain_freed_memory() -> None:
+    """Keep freed numpy temporaries in the heap for the next grid step or sweep
+    level, which would otherwise fault them in again as zeroed pages; a no-op
+    without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _ensemble_path(out: Path) -> Path:
@@ -516,7 +544,8 @@ def run_command(config: RunConfig) -> int:
         scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
     # OSError: unreadable --scenario, unwritable --out; CellBudgetError: the
-    # inputs' grids refine to more cells than balance.MAX_BALANCE_CELLS.
+    # inputs' grids refine to more cells than balance.MAX_BALANCE_CELLS, or
+    # an input's quantile window is narrower than float resolution.
     except (ConfigError, CellBudgetError, OSError) as e:
         _diag(f"config error: {e}")
         return 2
@@ -529,6 +558,7 @@ def run_command(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
+    _retain_freed_memory()
     args = _parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))

@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: commands, outputs, and the exit-code taxonomy."""
 
 import csv
+import ctypes
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import stochstore
 import stochstore.cli as cli
 from stochstore import (
     MAX_BALANCE_CELLS,
@@ -638,6 +645,36 @@ def test_exit_2_when_refinement_exceeds_the_cell_budget(tmp_path, capsys, comman
         assert not out.exists()
 
 
+def test_a_lognormal_narrower_than_float_resolution_exits_2(tmp_path, capsys):
+    # At sigma 1e-300 the quantile window rounds to [1.0, 1.0]: no float step
+    # grids it.  At 1e-17 it is a few ulps wide and over the cell budget.
+    for sigma, message in (
+        ("1e-300", "degenerate quantile window [1.0, 1.0]"),
+        ("1e-17", str(MAX_BALANCE_CELLS)),
+    ):
+        path = tmp_path / f"sigma{sigma}.json"
+        path.write_text(
+            FIG2_TEXT.replace(
+                '{"kind": "deterministic", "value": 2.0}',
+                f'{{"kind": "lognormal", "mu": 0, "sigma": {sigma}}}',
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        for command in ("analyze", "validate"):
+            argv = [command, "--scenario", str(path), "--out", str(out)]
+            if command == "analyze":
+                argv += ["--s-prev", "0"]
+            assert main(argv) == 2, (sigma, command)
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err, (sigma, command)
+            assert "Traceback" not in err, (sigma, command)
+            assert not out.exists()
+        assert main(["simulate", "--scenario", str(path), "--n", "1000", "--out", str(out)]) == 0
+        capsys.readouterr()
+        out.unlink()
+
+
 def test_exit_2_when_the_ensemble_balance_total_overflows(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(
@@ -782,3 +819,71 @@ def test_an_edited_scenario_file_is_parsed_again(tmp_path):
     second = json.loads(out.read_text(encoding="utf-8"))
     assert (first["metadata"]["scenario"], second["metadata"]["scenario"]) == ("fig2_battery", "edited")
     assert second["columns"]["p_deficit"][0] < first["columns"]["p_deficit"][0]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# Minor page faults of the last of repeated in-process calls.
+REPEATED_CALLS_CHILD = """\
+import contextlib, io, resource, sys
+from stochstore.cli import main
+
+def last_call_faults(argv, calls):
+    for _ in range(calls):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+out = sys.argv[1]
+analyze = ["analyze", "--scenario", "day24_lognormal", "--s-prev", "5", "--step", "12",
+           "--grid-cells", "16384", "--out", out + "/a.csv"]
+sweep = ["sweep", "--scenario", "fig2_battery", "--n", "250000", "--out", out + "/s.csv"]
+print(last_call_faults(analyze, 3), last_call_faults(sweep, 2))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_repeated_commands_reuse_freed_memory(tmp_path):
+    # With glibc's adaptive thresholds the last analyze took about 2000 minor
+    # faults and the last sweep about 48000: each freed temporary went back to
+    # the OS and came back as fresh zeroed pages.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", REPEATED_CALLS_CHILD, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    analyze_faults, sweep_faults = map(int, done.stdout.split())
+    assert analyze_faults < 200
+    assert sweep_faults < 1000
+
+
+def _no_dlopen(name):
+    raise OSError("no shared objects")
+
+
+@pytest.mark.parametrize("cdll", [_no_dlopen, lambda name: object()], ids=["no-dlopen", "no-mallopt"])
+def test_retaining_freed_memory_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._retain_freed_memory.__wrapped__() is None
+
+
+def test_retaining_freed_memory_sets_both_thresholds(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    cli._retain_freed_memory.__wrapped__()
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]  # M_MMAP_ then M_TRIM_THRESHOLD
