@@ -286,6 +286,11 @@ def _balance_grid(step_spec, cells: int):
 # --- commands ----------------------------------------------------------------
 
 
+def _step_rows(*columns) -> tuple:
+    """Rows ``(step, *values)`` for steps 1, 2, ... from per-step arrays (or rows of them)."""
+    return tuple((t, *row) for t, row in enumerate(np.vstack(columns).T.tolist(), start=1))
+
+
 def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, scenario.horizon)
     stats = simulate_ensemble(scenario, config.n, config.seed)
@@ -296,36 +301,18 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
         )
     traj = stats.realization
 
-    steps = range(1, scenario.horizon + 1)
     traj_table = ResultTable(
         columns=("step", "generation", "demand", "balance", "storage", "spill", "deficit"),
-        rows=tuple(
-            (
-                t,
-                float(traj.generation[t - 1]),
-                float(traj.demand[t - 1]),
-                float(traj.balance[t - 1]),
-                float(traj.storage[t - 1]),
-                float(traj.spill[t - 1]),
-                float(traj.deficit[t - 1]),
-            )
-            for t in steps
+        rows=_step_rows(
+            traj.generation, traj.demand, traj.balance, traj.storage, traj.spill, traj.deficit
         ),
         metadata=_metadata(config, scenario, s_init=scenario.storage.s_init, trajectory_index=0),
     )
     quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in QUANTILE_LEVELS)
     ensemble_table = ResultTable(
         columns=("step", "s_mean", *quantile_names, "b_mean", "spill_freq", "deficit_freq"),
-        rows=tuple(
-            (
-                t,
-                float(stats.s_mean[t - 1]),
-                *(float(stats.s_quantiles[j, t - 1]) for j in range(len(QUANTILE_LEVELS))),
-                float(stats.b_mean[t - 1]),
-                float(stats.spill_freq[t - 1]),
-                float(stats.deficit_freq[t - 1]),
-            )
-            for t in steps
+        rows=_step_rows(
+            stats.s_mean, stats.s_quantiles, stats.b_mean, stats.spill_freq, stats.deficit_freq
         ),
         metadata=_metadata(config, scenario, s_init=scenario.storage.s_init),
     )

@@ -19,6 +19,7 @@ one shared draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -137,31 +138,45 @@ def _raw_draw(q: Distribution):
 
 
 def _draw_plan(scenario: Scenario):
-    """How one trajectory takes its draws, in contract order.
+    """How a chunk of trajectories takes its draws and turns them into values.
 
-    Returns ``(quantities, rows, runs)``.  ``quantities`` lists generation
-    then demand, step by step.  ``rows[k]`` is the row of the raw-draw block
-    that holds quantity ``k``'s draws, or ``None`` for a Deterministic
-    quantity, which draws nothing.  Each run ``(draw, start, stop)`` fills
-    rows ``start:stop`` with one call ``draw(rng, stop - start)``: the draws
-    of consecutive quantities sharing a primitive form one run; an Empirical
-    draw is a run of its own.
+    Returns ``(runs, fixed, order, groups, gen_rows, dem_rows)`` over the
+    quantities generation then demand, step by step.  A chunk's block holds
+    one row per trajectory: the ``fixed`` Deterministic values, then the
+    other quantities' draws in contract order.  A run ``(draw, start, stop,
+    primitive)`` fills columns ``start:stop`` with one ``draw`` call: one run
+    per stretch of consecutive quantities sharing a primitive, one per
+    Empirical draw.  ``block.T[order]`` puts equal quantities in adjacent
+    rows, and each ``(q, start, stop)`` of ``groups`` is transformed in one
+    call; ``gen_rows``/``dem_rows`` give each step's quantities' rows.
     """
     quantities = [q for spec in scenario.steps for q in (spec.generation, spec.demand)]
-    rows, runs = [], []
-    last = None
-    for q in quantities:
+    fixed = [q.value for q in quantities if isinstance(q, Deterministic)]
+    runs, column, members = [], [], {}
+    n_fixed, n_drawn, last = 0, len(fixed), None
+    for k, q in enumerate(quantities):
+        # Equal quantities that transform draws share one transform call (==
+        # takes a -0.0 parameter for 0.0, which changes no transform's value).
+        members.setdefault(k if q.primitive is None else q, []).append(k)
         if isinstance(q, Deterministic):
-            rows.append(None)
+            column.append(n_fixed)
+            n_fixed += 1
             continue
-        row = runs[-1][2] if runs else 0
-        rows.append(row)
+        column.append(n_drawn)
         if q.primitive is not None and q.primitive == last:
             runs[-1][2] += 1
         else:
-            runs.append([_raw_draw(q), row, row + 1])
+            runs.append([_raw_draw(q), n_drawn, n_drawn + 1, q.primitive is not None])
+        n_drawn += 1
         last = q.primitive
-    return quantities, rows, runs
+    order, groups, rows = [], [], [0] * len(quantities)
+    for ks in members.values():
+        if quantities[ks[0]].primitive is not None:
+            groups.append((quantities[ks[0]], len(order), len(order) + len(ks)))
+        for k in ks:
+            rows[k] = len(order)
+            order.append(column[k])
+    return runs, fixed, np.array(order, dtype=np.intp), groups, rows[0::2], rows[1::2]
 
 
 def _words(value: int) -> list[int]:
@@ -176,23 +191,33 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(rows: np.ndarray, hash_const: int, mult: int = _MULT_A):
-    """``SeedSequence``'s hashmix of each uint32 row in turn; also the next constant.
+@functools.cache
+def _hash_chain(hash_const: int, mult: int, sizes: tuple[int, ...]):
+    """The xor and multiply constants of a hashmix chain, in blocks of ``sizes`` rows.
 
-    Row ``k`` is hashed with the ``k``-th constant of the sequence from
-    ``hash_const``.  The constants do not depend on the data, so one
-    sequence serves every column.  uint32 array arithmetic wraps modulo
-    2**32 as the C code's does.
+    ``SeedSequence`` hashes its ``k``-th word with the ``k``-th constant of
+    the sequence from ``hash_const``, whatever the data, so a chain depends
+    only on the entropy length.
     """
     xors, mults = [], []
-    for _ in range(len(rows)):
+    for _ in range(sum(sizes)):
         xors.append(hash_const)
         hash_const = hash_const * mult & _MASK32
         mults.append(hash_const)
-    rows = rows ^ np.array(xors, dtype=np.uint32)[:, None]
-    rows *= np.array(mults, dtype=np.uint32)[:, None]
+    chain = np.array([xors, mults], dtype=np.uint32)[:, :, None]
+    chain.setflags(write=False)
+    return tuple(np.split(chain, np.cumsum(sizes)[:-1], axis=1))
+
+
+def _hashmix(rows: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of each uint32 row with its ``chain`` constants.
+
+    uint32 array arithmetic wraps modulo 2**32 as the C code's does.
+    """
+    rows = rows ^ chain[0]
+    rows *= chain[1]
     rows ^= rows >> 16
-    return rows, hash_const
+    return rows
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,32 +245,34 @@ def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
         [i >> 32 * k & _MASK32 for i in indices] for k in range(width)
     ]
 
-    pool, hash_const = _hashmix(entropy[:_POOL_SIZE], _INIT_A)
+    # The pool fill, each pool word mixed into the other three, then each
+    # word past the pool hashed once per pool word.
+    past_pool = len(entropy) - _POOL_SIZE
+    sizes = (_POOL_SIZE,) + (_POOL_SIZE - 1,) * _POOL_SIZE + (_POOL_SIZE,) * past_pool
+    chain = iter(_hash_chain(_INIT_A, _MULT_A, sizes))
+    pool = _hashmix(entropy[:_POOL_SIZE], next(chain))
     for src in range(_POOL_SIZE):
         # Row src is read, and only the other rows are written.
         others = [dst for dst in range(_POOL_SIZE) if dst != src]
-        mixed, hash_const = _hashmix(pool[[src] * len(others)], hash_const)
-        pool[others] = _mix(pool[others], mixed)
-    if len(entropy) > _POOL_SIZE:
+        pool[others] = _mix(pool[others], _hashmix(pool[src], next(chain)))
+    if past_pool:
         lengths = len(seed_words) + np.array([len(_words(i)) for i in indices])
         for src in range(_POOL_SIZE, len(entropy)):
-            # Each word past the pool is hashed once per pool word.
-            mixed, hash_const = _hashmix(entropy[[src] * _POOL_SIZE], hash_const)
-            pool = np.where(lengths > src, _mix(pool, mixed), pool)
+            pool = np.where(lengths > src, _mix(pool, _hashmix(entropy[src], next(chain))), pool)
 
     # generate_state(4, uint64): eight words hashed from the pool, paired
     # low word first into the uint64s (s_hi, s_lo, seq_hi, seq_lo) that
     # seed the 128-bit LCG.
-    words, _ = _hashmix(np.concatenate([pool, pool]), _INIT_B, _MULT_B)
-    words = words.astype(np.uint64)
+    pool = np.concatenate([pool, pool])
+    words = _hashmix(pool, *_hash_chain(_INIT_B, _MULT_B, (2 * _POOL_SIZE,))).astype(np.uint64)
     s_hi, s_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
-    states = []
-    for a, b, c, d in zip(s_hi, s_lo, seq_hi, seq_lo):
-        # pcg_setseq_128_srandom_r: two LCG steps from state 0, with the
-        # initial state added between them.
-        inc = (c << 65 | d << 1 | 1) & _MASK128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    # pcg_setseq_128_srandom_r: two LCG steps from state 0, with the initial
+    # state added between them.
+    incs = [(c << 65 | d << 1 | 1) & _MASK128 for c, d in zip(seq_hi, seq_lo)]
+    return [
+        (((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc)
+        for a, b, inc in zip(s_hi, s_lo, incs)
+    ]
 
 
 def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
@@ -253,26 +280,27 @@ def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
 
     One ``Generator`` serves every trajectory: its bit generator is set to
     the state ``default_rng((seed, i))`` starts from before trajectory
-    ``i``'s runs of draws.
+    ``i``'s runs of draws, which land in its row of the block.
     """
-    quantities, rows, runs = plan
-    m = len(indices)
-    raw = np.empty((runs[-1][2] if runs else 0, m))
+    runs, fixed, order, groups, gen_rows, dem_rows = plan
+    states = _pcg64_states(seed, indices)
+    block = np.empty((len(states), len(order)))
+    block[:, : len(fixed)] = fixed
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for j, (state, inc) in enumerate(_pcg64_states(seed, indices)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        for draw, start, stop in runs:
-            raw[start:stop, j] = draw(rng, stop - start)
-    values = np.empty((len(quantities), m))
-    for k, (q, row) in enumerate(zip(quantities, rows)):
-        _values(q, None if row is None else raw, row, values[k])
-    return values[0::2], values[1::2]
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg["state"], pcg["inc"]) in zip(block, states):
+        bit_generator.state = state
+        for draw, start, stop, primitive in runs:
+            if primitive:
+                draw(rng, out=row[start:stop])
+            else:
+                row[start:stop] = draw(rng, stop - start)
+    values = block.T[order]
+    for q, start, stop in groups:
+        q.transform(values[start:stop])
+    return values[gen_rows], values[dem_rows]
 
 
 def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajectory:
@@ -387,7 +415,7 @@ def _values(q: Distribution, raw, part, out: np.ndarray) -> None:
     """Write ``q``'s values for ``raw[part]`` into ``out``, leaving ``raw`` as is.
 
     ``raw`` is ``None`` for a Deterministic quantity; ``part`` is a slice of
-    a draw array or the row of a raw-draw block.
+    a draw array.
     """
     if raw is None:
         out.fill(q.value)

@@ -125,19 +125,18 @@ def evolve(spec: StorageSpec, balances: np.ndarray) -> Trajectory:
     if not np.all(np.isfinite(b)):
         raise ValueError("balances must all be finite")
 
-    states = np.empty_like(b)
-    spills = np.empty_like(b)
-    deficits = np.empty_like(b)
-    s = np.full(b.shape[1:], spec.s_init)
-    for t in range(b.shape[0]):
-        # The selections reproduce step()'s min/max exactly, signed zeros included.
-        raw = s + b[t]
-        over = raw > spec.s_max
-        under = spec.s_min > raw
-        spills[t] = np.where(over, raw - spec.s_max, 0.0)
-        deficits[t] = np.where(under, spec.s_min - raw, 0.0)
-        s = np.where(over, spec.s_max, np.where(under, spec.s_min, raw))
-        states[t] = s
+    # One path is a one-column block.  Each step adds into ``raw`` and clamps
+    # into ``states``: np.clip keeps ``raw`` on a tie with a bound, as
+    # step()'s min/max do, so signed zeros come out as step()'s.
+    block = b.reshape(b.shape[0], -1)
+    raw = np.empty_like(block)
+    states = np.empty_like(block)
+    s = spec.s_init
+    for t in range(block.shape[0]):
+        s = np.add(s, block[t], out=raw[t]).clip(spec.s_min, spec.s_max, out=states[t])
+    spills = np.where(raw > spec.s_max, raw - spec.s_max, 0.0)
+    deficits = np.where(spec.s_min > raw, spec.s_min - raw, 0.0)
+    states, spills, deficits = (a.reshape(b.shape) for a in (states, spills, deficits))
     if not np.all((states >= spec.s_min) & (states <= spec.s_max)):
         raise ValueError(
             f"a state left the storage window [{spec.s_min}, {spec.s_max}]"

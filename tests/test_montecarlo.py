@@ -50,16 +50,30 @@ def _flat_scenario_json(horizon=4, gen=1.0, dem=1.0):
     )
 
 
+weibull = lambda scale, shape: {"kind": "weibull", "scale": scale, "shape": shape}
+lognormal = lambda mu, sigma: {"kind": "lognormal", "mu": mu, "sigma": sigma}
+empirical = lambda *xs: {"kind": "empirical", "samples": list(xs)}
+deterministic = lambda v: {"kind": "deterministic", "value": v}
+
+
+def _pairs_scenario_json(name, pairs, storage):
+    import json
+
+    return json.dumps(
+        {
+            "name": name,
+            "energy_unit": "kWh",
+            "storage": storage,
+            "horizon": len(pairs),
+            "steps": [{"generation": g, "demand": d} for g, d in pairs],
+        }
+    )
+
+
 def _mixed_scenario_json():
     # All four families; draws switch primitive (uniform -> normal), two
     # Empirical draws follow each other, Weibull shapes 2 and 0.5 hit the
     # special exponents 0.5 and 2, and a one-sample Empirical draws nothing.
-    import json
-
-    weibull = lambda scale, shape: {"kind": "weibull", "scale": scale, "shape": shape}
-    lognormal = lambda mu, sigma: {"kind": "lognormal", "mu": mu, "sigma": sigma}
-    empirical = lambda *xs: {"kind": "empirical", "samples": list(xs)}
-    deterministic = lambda v: {"kind": "deterministic", "value": v}
     pairs = [
         (weibull(2.0, 5.0), lognormal(0.0, 0.5)),
         (empirical(1.0, 3.0, 2.5), empirical(0.5, 4.0, 1.0, 2.0)),
@@ -69,15 +83,25 @@ def _mixed_scenario_json():
         (weibull(1.0, 0.5), empirical(2.0)),
         (empirical(0.0, 6.0), weibull(3.0, 1.5)),
     ]
-    return json.dumps(
-        {
-            "name": "mixed",
-            "energy_unit": "kWh",
-            "storage": {"s_min": 0.5, "s_max": 4.0, "s_init": 2.0},
-            "horizon": len(pairs),
-            "steps": [{"generation": g, "demand": d} for g, d in pairs],
-        }
-    )
+    return _pairs_scenario_json("mixed", pairs, {"s_min": 0.5, "s_max": 4.0, "s_init": 2.0})
+
+
+def _repeated_scenario_json():
+    # A log-normal and a Weibull (exponent 0.5) each recur at steps that are
+    # not adjacent and on both sides, so one transform call covers rows of
+    # generation and of demand; Empirical runs sit between the repeats, and
+    # the Weibull of shape 0.5 (exponent 2) recurs too.
+    ln, wb, wb2 = lognormal(0.3, 0.5), weibull(1.5, 2.0), weibull(1.0, 0.5)
+    pairs = [
+        (ln, wb),
+        (empirical(1.0, 2.0, 3.5), empirical(0.5, 2.5)),
+        (wb, ln),
+        (deterministic(1.0), wb2),
+        (ln, empirical(0.0, 1.5, 4.0)),
+        (wb2, wb),
+        (lognormal(-0.2, 0.7), ln),
+    ]
+    return _pairs_scenario_json("repeated", pairs, {"s_min": 0.5, "s_max": 3.0, "s_init": 1.0})
 
 
 def _contract_trajectory(scenario, seed, index):
@@ -320,9 +344,7 @@ def test_trajectory_is_reproducible_and_indexed(day24_scenario):
     assert not np.array_equal(t_a.generation, t_c.generation)
 
 
-def test_trajectories_and_ensemble_follow_the_seed_contract():
-    scenario = parse_scenario(_mixed_scenario_json())
-    seed, n = 13, 600
+def _assert_follows_the_seed_contract(scenario, seed, n):
     assert n > getattr(montecarlo, "ENSEMBLE_CHUNK", 0)  # spans several chunks
     expected = [_contract_trajectory(scenario, seed, i) for i in range(n)]
     for i in (0, 1, 255, 256, n - 1):
@@ -344,6 +366,16 @@ def test_trajectories_and_ensemble_follow_the_seed_contract():
     for freq, key in ((stats.spill_freq, "spill"), (stats.deficit_freq, "deficit")):
         counts = np.count_nonzero(np.array([e[key] for e in expected]) > 0.0, axis=0)
         np.testing.assert_array_equal(freq, counts / n)
+    for key, want in expected[0].items():
+        np.testing.assert_array_equal(getattr(stats.realization, key), want, err_msg=key)
+
+
+def test_trajectories_and_ensemble_follow_the_seed_contract():
+    _assert_follows_the_seed_contract(parse_scenario(_mixed_scenario_json()), seed=13, n=600)
+
+
+def test_repeated_quantities_follow_the_seed_contract():
+    _assert_follows_the_seed_contract(parse_scenario(_repeated_scenario_json()), seed=17, n=600)
 
 
 # Seeds from one word to more words than SeedSequence's 4-word pool, and

@@ -127,6 +127,50 @@ def test_evolve_batch_matches_scalar_step_per_path():
         np.testing.assert_array_equal(evolve(spec, balances[:, j]).storage, traj.storage[:, j])
 
 
+# Signed zeros, and balances that land a [0, 5] store exactly on 0 and on 5.
+TIE_BALANCES = (
+    -0.0, 0.0, -0.0, -0.0, 5.0, -0.0, 0.0, -5.0, -0.0, -1.0, -0.0, 0.0,
+    7.0, -0.0, -7.0, 2.5, 2.5, 2.5, -0.0, -2.5, -2.5, -0.0, -0.0, 0.0,
+)
+
+
+def _assert_bits_equal(got, want, msg):
+    np.testing.assert_array_equal(got, want, err_msg=msg)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=f"{msg} signbit")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StorageSpec(-0.0, 5.0, -0.0),
+        StorageSpec(0.0, 5.0, 0.0),
+        StorageSpec(0.0, 5.0, -0.0),
+        StorageSpec(-0.0, 5.0, 0.0),
+    ],
+    ids=lambda s: f"s_min={s.s_min!r},s_init={s.s_init!r}",
+)
+def test_evolve_keeps_steps_signed_zeros_and_ties_bit_for_bit(spec):
+    # == cannot tell -0.0 from +0.0; every state, spill and deficit must
+    # match step()'s sign bit too.  Columns are rotations of the sequence
+    # and of its negation, 48 paths, so a vector loop's tail is covered.
+    b = np.array(TIE_BALANCES)
+    paths = np.stack([np.roll(sign * b, k) for sign in (1.0, -1.0) for k in range(len(b))], axis=1)
+    cases = [b, paths, b[:1], paths[:1], *(np.array([x]) for x in (0.0, -0.0, 5.0, -5.0))]
+    for balances in cases:
+        traj = evolve(spec, balances)
+        columns = balances.reshape(len(balances), -1)
+        for j in range(columns.shape[1]):
+            s, want = spec.s_init, []
+            for x in columns[:, j]:
+                r = step(s, x, spec)
+                s = r.s_next
+                want.append((r.s_next, r.spill, r.deficit))
+            got = (traj.storage, traj.spill, traj.deficit)
+            for name, g, w in zip(("storage", "spill", "deficit"), got, np.array(want).T):
+                msg = f"{balances.shape} column {j} {name}"
+                _assert_bits_equal(g.reshape(columns.shape)[:, j], w, msg)
+
+
 def test_evolve_composes_across_a_split():
     rng = np.random.default_rng(7)
     balances = rng.normal(0.0, 3.0, size=200)
