@@ -1,12 +1,14 @@
 """Density-grid arithmetic for the per-step energy balance.
 
 The balance of one step is ``B = G - D`` with generation ``G`` and demand
-``D`` independent.  Both are discretized onto uniform mass grids, the
-distribution of ``B`` is obtained by a numerical difference-convolution,
-and the window probabilities (deficit / overflow / self-sufficiency) are
-read off the result.  For deterministic generation and Weibull demand the
-same triple also has a closed form (:func:`weibull_closed_form`); the two
-routes are kept independent so they can check each other.
+``D`` independent.  Both are discretized onto uniform mass grids, and the
+window probabilities (deficit / overflow / self-sufficiency) are read from
+the cdf of their difference-convolution.  A window query needs that cdf at
+two points only, so it is summed from the two input grids at those points;
+the balance masses are correlated by FFT only when something reads them.
+For deterministic generation and Weibull demand the same triple also has a
+closed form (:func:`weibull_closed_form`); the two routes are kept
+independent so they can check each other.
 
 Grid conventions
 ----------------
@@ -36,6 +38,7 @@ truncated remainder is accounted against ``p_self``'s error budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,8 +85,31 @@ class CellBudgetError(ValueError):
     """
 
 
+class _GridMeasure:
+    """What a window query reads from a probability measure on a uniform grid.
+
+    Subclasses give ``origin``, ``step``, ``n_cells``, ``is_atom``,
+    ``total_mass``, ``masses`` and ``cdf``; the geometry follows from them.
+    """
+
+    @property
+    def width(self) -> float:
+        """Support width; zero for an atom."""
+        return 0.0 if self.is_atom else self.n_cells * self.step
+
+    @property
+    def truncated_mass(self) -> float:
+        """Probability mass lost to tail truncation (>= 0)."""
+        return max(0.0, 1.0 - self.total_mass)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Cell edge positions, length ``n_cells + 1``."""
+        return self.origin + self.step * np.arange(self.n_cells + 1)
+
+
 @dataclass(frozen=True, eq=False)
-class DensityGrid:
+class DensityGrid(_GridMeasure):
     """Uniform-grid probability masses for one scalar random quantity.
 
     ``masses[i]`` is the probability of ``[origin + i*step,
@@ -133,23 +159,8 @@ class DensityGrid:
         return self.masses.size == 1
 
     @property
-    def width(self) -> float:
-        """Support width; zero for an atom."""
-        return 0.0 if self.is_atom else self.n_cells * self.step
-
-    @property
     def total_mass(self) -> float:
         return float(self._cum[-1])
-
-    @property
-    def truncated_mass(self) -> float:
-        """Probability mass lost to tail truncation (>= 0)."""
-        return max(0.0, 1.0 - self.total_mass)
-
-    @property
-    def edges(self) -> np.ndarray:
-        """Cell edge positions, length ``n_cells + 1``."""
-        return self.origin + self.step * np.arange(self.n_cells + 1)
 
     def cdf(self, x: float) -> float:
         """Grid measure of ``(-inf, x]`` under the piecewise-uniform model.
@@ -164,13 +175,6 @@ class DensityGrid:
         if self.is_atom:
             return self.total_mass if x >= self.origin else 0.0
         return float(np.interp(x, self.edges, self._cum))
-
-    def mean(self) -> float:
-        """Mean of the (normalized) grid measure; cell mass at the center."""
-        if self.is_atom:
-            return self.origin
-        centers = self.origin + self.step * (np.arange(self.n_cells) + 0.5)
-        return float(np.dot(self.masses, centers) / self.total_mass)
 
 
 @dataclass(frozen=True)
@@ -280,20 +284,27 @@ def _resampled_cells(grid: DensityGrid, step: float) -> int:
     return max(2, int(math.ceil(cells)))
 
 
-def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:
-    """Distribution grid of the balance ``B = G - D`` (independent inputs).
+def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid | _CellBalance:
+    """Distribution of the balance ``B = G - D`` (independent inputs).
+
+    The result is read through ``origin``, ``step``, ``n_cells``, ``width``,
+    ``edges``, ``is_atom``, ``total_mass``, ``truncated_mass``, ``cdf(x)``
+    and ``masses``, as on a :class:`DensityGrid`.  It has ``n_gen + n_dem``
+    cells, origin ``gen.origin - (dem.origin + dem.width)``, and total mass
+    equal to the product of the input masses.
 
     Unequal grid spacings are reconciled by refining the coarser grid to
     the finer one first; :class:`CellBudgetError` is raised, before any
     refinement, when the result would have more than ``MAX_BALANCE_CELLS``
     cells.  For two cell-mass grids the exact difference density of the
     piecewise-uniform model is the cross-correlation of the masses with
-    each product triangle split evenly between the two cells it straddles;
-    the correlation is computed by FFT, which agrees with the direct sum to
-    rounding (about 1e-17 per cell).  The result has ``n_gen + n_dem``
-    cells, origin ``gen.origin - (dem.origin + dem.width)``, and total mass
-    equal to the product of the input masses.  An atom on either side
-    shifts (and on the demand side, flips) the other grid exactly.
+    each product triangle split evenly between the two cells it straddles.
+    ``cdf`` sums that correlation from the two inputs at the cells it
+    needs, in time linear in the inputs; ``masses`` computes the whole
+    correlation by FFT on first read, which agrees with the direct sum to
+    rounding (about 1e-17 per cell).  ``cdf`` never reads ``masses``.  An
+    atom on either side shifts (and on the demand side, flips) the other
+    grid exactly, and the result is a :class:`DensityGrid`.
     """
     if gen.is_atom or dem.is_atom:
         return DensityGrid(
@@ -310,21 +321,98 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid:
             f"over the budget of {MAX_BALANCE_CELLS}; one input is much narrower "
             f"than the other"
         )
-    gen, dem = resample(gen, h), resample(dem, h)
-    # Correlate the masses by FFT: zero-padding both to a length no shorter
-    # than the full correlation makes the circular product linear.
-    n_corr = n_cells - 1
-    size = _fft_length(n_corr)
-    spectrum = np.fft.rfft(gen.masses, size) * np.fft.rfft(dem.masses[::-1], size)
-    corr = np.fft.irfft(spectrum, size)[:n_corr]
-    # Each (i, j) product mass is a width-2h triangle centered on a cell
-    # edge of the output grid: half goes to the cell on each side.
-    masses = 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
-    return DensityGrid(
-        origin=gen.origin - (dem.origin + dem.width),
-        step=h,
-        masses=masses,
-    )
+    return _CellBalance(resample(gen, h), resample(dem, h))
+
+
+@dataclass(frozen=True, eq=False)
+class _CellBalance(_GridMeasure):
+    """The balance ``G - D`` of two cell grids on one step, kept as its inputs.
+
+    With ``g`` the generation masses and ``d`` the demand masses, the
+    balance masses are ``0.5 * (corr[k] + corr[k - 1])`` for the correlation
+    ``corr = np.convolve(g, d[::-1])`` (zero outside ``[0, n_corr)``).  The
+    cumulative masses at the edges are therefore
+    ``cum[k] = 0.5 * (C[k - 2] + C[k - 1])`` with ``C`` the running sum of
+    ``corr``, and each ``C[j]`` is one dot product of the inputs.
+    """
+
+    gen: DensityGrid
+    dem: DensityGrid
+    # _tail[m] is the demand mass of cells m and up: the reversed cumsum.
+    _tail: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_tail", np.cumsum(self.dem.masses[::-1])[::-1].copy())
+
+    @property
+    def origin(self) -> float:
+        return self.gen.origin - (self.dem.origin + self.dem.width)
+
+    @property
+    def step(self) -> float:
+        return self.gen.step
+
+    @property
+    def n_cells(self) -> int:
+        return self.gen.n_cells + self.dem.n_cells
+
+    is_atom = False
+
+    @property
+    def total_mass(self) -> float:
+        return float(self._tail[0] * self.gen.total_mass)
+
+    def _corr_cum(self, j: int) -> float:
+        """``C[j] = corr[0] + ... + corr[j]``: 0 for ``j < 0``, the total from ``n_corr - 1``."""
+        if j < 0:
+            return 0.0
+        n_gen, n_dem = self.gen.n_cells, self.dem.n_cells
+        # Generation cells below lo meet all of the demand; cells lo..hi-1
+        # meet the demand cells from n_dem - 1 - (j - i) up.
+        lo = min(max(j - n_dem + 2, 0), n_gen)
+        hi = min(j + 1, n_gen)
+        shift = n_dem - 1 - j
+        partial = np.dot(self.gen.masses[lo:hi], self._tail[lo + shift : hi + shift])
+        return float(self._tail[0] * self.gen._cum[lo] + partial)
+
+    def cdf(self, x: float) -> float:
+        """Balance measure of ``(-inf, x]``, as :meth:`DensityGrid.cdf` reads it.
+
+        0 up to the first edge, the total mass from the last one on, and
+        linear in between on the edges of ``edges``.
+        """
+        x = float(x)
+        if math.isnan(x):
+            raise ValueError("cdf argument must not be NaN")
+        origin, step, n = self.origin, self.step, self.n_cells
+        if not x > origin:
+            return 0.0
+        if not x < origin + step * n:
+            return self.total_mass
+        # The cell k with edges[k] <= x < edges[k + 1].
+        k = min(int((x - origin) / step), n - 1)
+        while k > 0 and origin + step * k > x:
+            k -= 1
+        while k < n - 1 and origin + step * (k + 1) <= x:
+            k += 1
+        c = [self._corr_cum(j) for j in (k - 2, k - 1, k)]
+        below, above = 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
+        left, right = origin + step * k, origin + step * (k + 1)
+        return (above - below) / (right - left) * (x - left) + below
+
+    @functools.cached_property
+    def masses(self) -> np.ndarray:
+        """Balance cell masses, correlated by FFT on first read."""
+        # Zero-padding both to a length no shorter than the full correlation
+        # makes the circular product linear.
+        n_corr = self.n_cells - 1
+        size = _fft_length(n_corr)
+        spectrum = np.fft.rfft(self.gen.masses, size) * np.fft.rfft(self.dem.masses[::-1], size)
+        corr = np.fft.irfft(spectrum, size)[:n_corr]
+        # Each (i, j) product mass is a width-2h triangle centered on a cell
+        # edge of the output grid: half goes to the cell on each side.
+        masses = 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
+        return DensityGrid(origin=self.origin, step=self.step, masses=masses).masses
 
 
 def _fft_length(n: int) -> int:
@@ -345,7 +433,7 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def self_sufficiency(b: DensityGrid, q: BalanceQuery) -> ProbabilityTriple:
+def self_sufficiency(b: _GridMeasure, q: BalanceQuery) -> ProbabilityTriple:
     """Deficit / overflow / self-sufficiency probabilities of a balance grid.
 
     ``p_deficit = Pr[B <= lo]``, ``p_overflow = Pr[B > hi]``, and

@@ -23,6 +23,7 @@ On glibc the first call also keeps freed memory for reuse in the process
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import functools
 import sys
@@ -81,10 +82,10 @@ VALIDATE_CAVEAT_N = 10_000
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
-# Largest --grid-cells.  The grid route grows about linearly (FFT
-# correlation, one array cdf call per grid): analyze day24 --step 12 takes
-# ~0.03 s at 2**14 cells and ~0.08 s at 2**16.  The cap refuses sizes that
-# would exhaust memory (10**11 cells) before any array is allocated.
+# Largest --grid-cells.  The grid route grows about linearly (one array cdf
+# call per grid, a resample, a few dot products per query): analyze day24
+# --step 12 takes ~5 ms at 2**14 cells and ~10 ms at 2**16.  The cap refuses
+# sizes that would exhaust memory (10**11 cells) before any array is allocated.
 MAX_GRID_CELLS = 2**16
 
 # glibc's mallopt parameter numbers (malloc.h).  Setting either one turns off
@@ -276,11 +277,26 @@ def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
         )
 
 
-def _balance_grid(step_spec, cells: int):
-    return difference_density(
-        discretize(step_spec.generation, cells),
-        discretize(step_spec.demand, cells),
-    )
+def _balance_grid(step_spec, grid_of):
+    return difference_density(grid_of(step_spec.generation), grid_of(step_spec.demand))
+
+
+def _grid_source(steps, cells: int):
+    """``discretize`` at ``cells``, run once per distinct distribution of ``steps``.
+
+    A grid is kept from its first use to its last, so a quantity that recurs
+    across steps (day24's generation) is gridded once.
+    """
+    uses = collections.Counter(d for spec in steps for d in (spec.generation, spec.demand))
+    grids = {}
+
+    def grid_of(dist):
+        if dist not in grids:
+            grids[dist] = discretize(dist, cells)
+        uses[dist] -= 1
+        return grids[dist] if uses[dist] else grids.pop(dist)
+
+    return grid_of
 
 
 # --- commands ----------------------------------------------------------------
@@ -336,7 +352,8 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
             f"--step must lie in [1, {scenario.horizon}] for this scenario, got {config.step}"
         )
     s_prev = _check_window(scenario.storage, config.s_prev, "--s-prev")
-    b = _balance_grid(scenario.steps[config.step - 1], config.grid_cells)
+    step_spec = scenario.steps[config.step - 1]
+    b = _balance_grid(step_spec, _grid_source([step_spec], config.grid_cells))
     triple = self_sufficiency(b, BalanceQuery(s_prev=s_prev, storage=scenario.storage))
 
     table = ResultTable(
@@ -450,10 +467,10 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     # budget exits 2 at once: each step at the initial level, and the first
     # step at every level.
     at_init = BalanceQuery(s_prev=s_init, storage=storage)
-    first_grid = _balance_grid(scenario.steps[0], config.grid_cells)
+    grid_of = _grid_source(scenario.steps, config.grid_cells)
+    first_grid = _balance_grid(scenario.steps[0], grid_of)
     step_triples = [self_sufficiency(first_grid, at_init)] + [
-        self_sufficiency(_balance_grid(spec, config.grid_cells), at_init)
-        for spec in scenario.steps[1:]
+        self_sufficiency(_balance_grid(spec, grid_of), at_init) for spec in scenario.steps[1:]
     ]
     level_triples = [
         self_sufficiency(first_grid, BalanceQuery(s_prev=level, storage=storage))

@@ -39,6 +39,15 @@ P_B_AT_5 = 0.6321205588285577  # 1 - exp(-1)
 LOGNORMAL_0_1_MEAN = 1.6487212707001282
 
 
+def _grid_mean(grid):
+    """Mean of the normalized grid measure, each cell's mass at its center."""
+    if grid.is_atom:
+        return grid.origin
+    edges = grid.edges
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return float(np.dot(grid.masses, centers) / grid.total_mass)
+
+
 # --- DensityGrid -------------------------------------------------------------
 
 
@@ -61,7 +70,7 @@ def test_atom_grid_semantics():
     assert atom.width == 0.0
     assert atom.cdf(1.9999) == 0.0
     assert atom.cdf(2.0) == 1.0  # closed on the right
-    assert atom.mean() == 2.0
+    assert _grid_mean(atom) == 2.0
 
 
 def test_grid_masses_are_read_only():
@@ -115,7 +124,7 @@ def test_discretize_mass_per_cell_is_exact_cdf_difference():
 
 def test_discretize_lognormal_grid_mean():
     grid = discretize(LogNormal(mu=0.0, sigma=1.0), cells=4096)
-    assert grid.mean() == pytest.approx(LOGNORMAL_0_1_MEAN, abs=1e-3)
+    assert _grid_mean(grid) == pytest.approx(LOGNORMAL_0_1_MEAN, abs=1e-3)
 
 
 def test_discretize_empirical_histogram_keeps_all_mass():
@@ -123,7 +132,7 @@ def test_discretize_empirical_histogram_keeps_all_mass():
     grid = discretize(emp, cells=16)
     assert grid.total_mass == pytest.approx(1.0, abs=1e-15)
     assert grid.origin == 0.5
-    assert grid.mean() == pytest.approx(emp.mean(), abs=grid.step)
+    assert _grid_mean(grid) == pytest.approx(emp.mean(), abs=grid.step)
 
 
 def test_discretize_degenerate_empirical_is_an_atom():
@@ -144,7 +153,7 @@ def test_resample_conserves_mass_and_location():
     grid = discretize(FIG2_DEM, cells=512)
     finer = resample(grid, grid.step / 3.0)
     assert finer.total_mass == pytest.approx(grid.total_mass, abs=1e-12)
-    assert finer.mean() == pytest.approx(grid.mean(), abs=grid.step)
+    assert _grid_mean(finer) == pytest.approx(_grid_mean(grid), abs=grid.step)
     for x in (0.5, 1.0, 2.0, 3.0):
         assert finer.cdf(x) == pytest.approx(grid.cdf(x), abs=1e-12)
 
@@ -170,7 +179,7 @@ def test_difference_of_iid_grids_is_symmetric():
     g = discretize(LogNormal(mu=0.0, sigma=1.0), cells=4096)
     b = difference_density(g, g)
     assert b.cdf(0.0) == pytest.approx(0.5, abs=1e-3)
-    assert b.mean() == pytest.approx(0.0, abs=1e-9)
+    assert _grid_mean(b) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_difference_deterministic_minus_weibull_checkpoint():
@@ -186,7 +195,7 @@ def test_difference_grid_geometry_and_mass():
     assert b.step == pytest.approx(min(gen.step, dem.step))
     assert b.total_mass == pytest.approx(gen.total_mass * dem.total_mass, abs=1e-12)
     # Difference of means is preserved well inside the 2*step bound.
-    assert abs(b.mean() - (gen.mean() - dem.mean())) <= 2.0 * b.step
+    assert abs(_grid_mean(b) - (_grid_mean(gen) - _grid_mean(dem))) <= 2.0 * b.step
 
 
 def _direct_masses(gen, dem):
@@ -284,16 +293,38 @@ FIXTURE_STEPS = [
 
 @pytest.mark.parametrize("storage, step_spec", FIXTURE_STEPS)
 def test_fixture_balances_match_the_direct_correlation(storage, step_spec):
-    gen, dem = discretize(step_spec.generation, 4096), discretize(step_spec.demand, 4096)
-    b = difference_density(gen, dem)
-    direct = DensityGrid(origin=b.origin, step=b.step, masses=_direct_masses(gen, dem))
-    np.testing.assert_allclose(b.masses, direct.masses, rtol=0.0, atol=CELL_TOL)
-    for s_prev in np.linspace(storage.s_min, storage.s_max, 6):
-        q = BalanceQuery(s_prev=float(s_prev), storage=storage)
-        fft, ref = self_sufficiency(b, q), self_sufficiency(direct, q)
-        assert fft.p_deficit == pytest.approx(ref.p_deficit, abs=1e-12)
-        assert fft.p_overflow == pytest.approx(ref.p_overflow, abs=1e-12)
-        assert fft.p_self == pytest.approx(ref.p_self, abs=1e-12)
+    for cells in (4096, 16384):
+        gen, dem = discretize(step_spec.generation, cells), discretize(step_spec.demand, cells)
+        b = difference_density(gen, dem)
+        direct = DensityGrid(origin=b.origin, step=b.step, masses=_direct_masses(gen, dem))
+        # The triples the CLI writes, read from the inputs; measured <= 1.8e-14 off.
+        for s_prev in np.linspace(storage.s_min, storage.s_max, 11):
+            q = BalanceQuery(s_prev=float(s_prev), storage=storage)
+            got, ref = self_sufficiency(b, q), self_sufficiency(direct, q)
+            assert got.p_deficit == pytest.approx(ref.p_deficit, abs=1e-12)
+            assert got.p_overflow == pytest.approx(ref.p_overflow, abs=1e-12)
+            assert got.p_self == pytest.approx(ref.p_self, abs=1e-12)
+        np.testing.assert_allclose(b.masses, direct.masses, rtol=0.0, atol=CELL_TOL)
+
+
+def test_balance_cdf_is_the_same_before_and_after_masses_are_read():
+    b = difference_density(discretize(LogNormal(0.2, 0.5), 700), discretize(FIG2_DEM, 1000))
+    xs = np.linspace(b.edges[0] - 0.5, b.edges[-1] + 0.5, 501)
+    before = [b.cdf(x) for x in xs]
+    assert b.masses.size == b.n_cells
+    assert [b.cdf(x) for x in xs] == before
+
+
+def test_window_query_on_two_cell_grids_runs_no_fft(monkeypatch):
+    gen, dem = discretize(LogNormal(0.2, 0.5), 1000), discretize(FIG2_DEM, 700)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a window query called the FFT")
+
+    monkeypatch.setattr(np.fft, "rfft", no_fft)
+    monkeypatch.setattr(np.fft, "irfft", no_fft)
+    triple = self_sufficiency(difference_density(gen, dem), BalanceQuery(1.0, SPEC_0_5))
+    assert triple.p_self > 0.0
 
 
 def test_cell_budget_bounds_the_refined_balance_grid(monkeypatch):

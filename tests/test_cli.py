@@ -376,6 +376,19 @@ def test_validate_small_n_warns_but_passes(tmp_path, capsys):
     assert report["metadata"]["caveat"] is True
 
 
+def test_validate_grids_each_distinct_distribution_once(monkeypatch):
+    # day24 shares one generation log-normal across its 24 steps.
+    gridded = []
+
+    def recording(dist, cells):
+        gridded.append(dist)
+        return discretize(dist, cells)
+
+    monkeypatch.setattr(cli, "discretize", recording)
+    assert main(["validate", "--scenario", "day24_lognormal", "--n", "20000"]) == 0
+    assert len(gridded) == len(set(gridded)) == 25
+
+
 def test_validate_flags_a_corrupted_closed_form(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
