@@ -19,7 +19,6 @@ from .balance import (
     TruncationBudgetError,
     difference_density,
     discretize,
-    resample,
     self_sufficiency,
     weibull_closed_form,
 )
@@ -55,7 +54,7 @@ from .scenario import (
     serialize_scenario,
     write_results,
 )
-from .storage import StepResult, StorageSpec, Trajectory, evolve, step
+from .storage import StorageSpec, Trajectory, evolve
 
 __version__ = "0.1.0"
 
@@ -70,9 +69,7 @@ __all__ = [
     "lognormal_from_moments",
     # storage
     "StorageSpec",
-    "StepResult",
     "Trajectory",
-    "step",
     "evolve",
     # balance
     "DEFAULT_CELLS",
@@ -85,7 +82,6 @@ __all__ = [
     "TruncationBudgetError",
     "CellBudgetError",
     "discretize",
-    "resample",
     "difference_density",
     "self_sufficiency",
     "weibull_closed_form",

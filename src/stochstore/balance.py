@@ -4,11 +4,11 @@ The balance of one step is ``B = G - D`` with generation ``G`` and demand
 ``D`` independent.  Both are discretized onto uniform mass grids, and the
 window probabilities (deficit / overflow / self-sufficiency) are read from
 the cdf of their difference-convolution.  A window query needs that cdf at
-two points only, so it is summed from the two input grids at those points;
-the balance masses are correlated by FFT only when something reads them.
-For deterministic generation and Weibull demand the same triple also has a
-closed form (:func:`weibull_closed_form`); the two routes are kept
-independent so they can check each other.
+two points only, so for two cell grids it is summed from the inputs at
+those points and the balance masses are never formed.  For deterministic
+generation and Weibull demand the same triple also has a closed form
+(:func:`weibull_closed_form`); the two routes are kept independent so they
+can check each other.
 
 Grid conventions
 ----------------
@@ -38,7 +38,6 @@ truncated remainder is accounted against ``p_self``'s error budget.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,7 +57,6 @@ __all__ = [
     "MAX_BALANCE_CELLS",
     "CellBudgetError",
     "discretize",
-    "resample",
     "difference_density",
     "self_sufficiency",
     "weibull_closed_form",
@@ -89,7 +87,7 @@ class _GridMeasure:
     """What a window query reads from a probability measure on a uniform grid.
 
     Subclasses give ``origin``, ``step``, ``n_cells``, ``is_atom``,
-    ``total_mass``, ``masses`` and ``cdf``; the geometry follows from them.
+    ``total_mass`` and ``cdf``; the geometry follows from them.
     """
 
     @property
@@ -142,7 +140,9 @@ class DensityGrid(_GridMeasure):
         if total > 1.0 + 1e-9:
             raise ValueError(f"total mass must not exceed 1, got {total!r}")
         masses.flags.writeable = False
-        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        cum = np.empty(masses.size + 1)
+        cum[0] = 0.0
+        np.cumsum(masses, out=cum[1:])
         cum.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "step", step)
@@ -264,9 +264,11 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if grid.is_atom or step == grid.step:
         return grid
-    new_edges = grid.origin + step * np.arange(_resampled_cells(grid, step) + 1)
-    new_cum = np.interp(new_edges, grid.edges, grid._cum)
-    return DensityGrid(origin=grid.origin, step=step, masses=np.diff(new_cum))
+    # One name for the new edges and then their cumulative masses, so the
+    # edges are freed before np.diff allocates.
+    cum = grid.origin + step * np.arange(_resampled_cells(grid, step) + 1)
+    cum = np.interp(cum, grid.edges, grid._cum)
+    return DensityGrid(origin=grid.origin, step=step, masses=np.diff(cum))
 
 
 def _resampled_cells(grid: DensityGrid, step: float) -> int:
@@ -288,8 +290,8 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid | _Cel
     """Distribution of the balance ``B = G - D`` (independent inputs).
 
     The result is read through ``origin``, ``step``, ``n_cells``, ``width``,
-    ``edges``, ``is_atom``, ``total_mass``, ``truncated_mass``, ``cdf(x)``
-    and ``masses``, as on a :class:`DensityGrid`.  It has ``n_gen + n_dem``
+    ``edges``, ``is_atom``, ``total_mass``, ``truncated_mass`` and
+    ``cdf(x)``, as on a :class:`DensityGrid`.  It has ``n_gen + n_dem``
     cells, origin ``gen.origin - (dem.origin + dem.width)``, and total mass
     equal to the product of the input masses.
 
@@ -300,11 +302,9 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid | _Cel
     piecewise-uniform model is the cross-correlation of the masses with
     each product triangle split evenly between the two cells it straddles.
     ``cdf`` sums that correlation from the two inputs at the cells it
-    needs, in time linear in the inputs; ``masses`` computes the whole
-    correlation by FFT on first read, which agrees with the direct sum to
-    rounding (about 1e-17 per cell).  ``cdf`` never reads ``masses``.  An
-    atom on either side shifts (and on the demand side, flips) the other
-    grid exactly, and the result is a :class:`DensityGrid`.
+    needs, in time linear in the inputs, and no balance-sized array is
+    built.  An atom on either side shifts (and on the demand side, flips)
+    the other grid exactly, and the result is a :class:`DensityGrid`.
     """
     if gen.is_atom or dem.is_atom:
         return DensityGrid(
@@ -399,38 +399,6 @@ class _CellBalance(_GridMeasure):
         below, above = 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
         left, right = origin + step * k, origin + step * (k + 1)
         return (above - below) / (right - left) * (x - left) + below
-
-    @functools.cached_property
-    def masses(self) -> np.ndarray:
-        """Balance cell masses, correlated by FFT on first read."""
-        # Zero-padding both to a length no shorter than the full correlation
-        # makes the circular product linear.
-        n_corr = self.n_cells - 1
-        size = _fft_length(n_corr)
-        spectrum = np.fft.rfft(self.gen.masses, size) * np.fft.rfft(self.dem.masses[::-1], size)
-        corr = np.fft.irfft(spectrum, size)[:n_corr]
-        # Each (i, j) product mass is a width-2h triangle centered on a cell
-        # edge of the output grid: half goes to the cell on each side.
-        masses = 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
-        return DensityGrid(origin=self.origin, step=self.step, masses=masses).masses
-
-
-def _fft_length(n: int) -> int:
-    """Smallest ``2**a * 3**b * 5**c >= n``: a length numpy's FFT splits fast.
-
-    Never longer than the next power of two, and often much shorter: 44
-    such lengths lie in ``[2**15, 2**16)`` against one power of two.
-    """
-    best = 1 << (n - 1).bit_length()
-    power5 = 1
-    while power5 < best:
-        factor = power5  # runs over 3**b * 5**c below best
-        while factor < best:
-            # The least power-of-two multiple of factor that reaches n.
-            best = min(best, factor << (-(-n // factor) - 1).bit_length())
-            factor *= 3
-        power5 *= 5
-    return best
 
 
 def self_sufficiency(b: _GridMeasure, q: BalanceQuery) -> ProbabilityTriple:

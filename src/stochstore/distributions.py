@@ -2,10 +2,11 @@
 
 Every model describes a nonnegative scalar quantity (an energy amount for
 one time step) and exposes the same small interface: seeded sampling,
-cumulative probability, quantiles, and the first two moments.  Sampling goes through ``numpy.random.Generator`` so that
-callers control reproducibility explicitly.  The continuous families'
-``cdf`` is elementwise: a float in gives a float out, an array in gives an
-array out, so a whole grid of cell edges is evaluated in one call.
+cumulative probability and quantiles.  Sampling goes through
+``numpy.random.Generator`` so that callers control reproducibility
+explicitly.  The continuous families' ``cdf`` is elementwise: a float in
+gives a float out, an array in gives an array out, so a whole grid of cell
+edges is evaluated in one call.
 
 The continuous families sample in two parts: ``primitive`` names the
 ``Generator`` method they draw from and ``transform`` maps those draws to
@@ -144,12 +145,6 @@ class Distribution:
         """Smallest ``x`` with ``cdf(x) >= p``."""
         raise NotImplementedError
 
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def variance(self) -> float:
-        raise NotImplementedError
-
     @staticmethod
     def _check_n(n: int) -> int:
         n = int(n)
@@ -179,12 +174,6 @@ class Deterministic(Distribution):
     def quantile(self, p: float) -> float:
         _check_probability(p)
         return self.value
-
-    def mean(self) -> float:
-        return self.value
-
-    def variance(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -229,14 +218,6 @@ class Weibull(Distribution):
             return math.inf
         return self.scale * (-math.log1p(-p)) ** (1.0 / self.shape)
 
-    def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
-
-    def variance(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self.shape)
-        g2 = math.gamma(1.0 + 2.0 / self.shape)
-        return self.scale**2 * (g2 - g1**2)
-
 
 @dataclass(frozen=True)
 class LogNormal(Distribution):
@@ -276,13 +257,6 @@ class LogNormal(Distribution):
             return math.inf
         return math.exp(self.mu + self.sigma * _STD_NORMAL.inv_cdf(p))
 
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
-
-    def variance(self) -> float:
-        s2 = self.sigma**2
-        return math.expm1(s2) * math.exp(2.0 * self.mu + s2)
-
 
 @dataclass(frozen=True)
 class Empirical(Distribution):
@@ -318,12 +292,6 @@ class Empirical(Distribution):
             return float(self._sorted[0])
         k = math.ceil(p * self._sorted.size)
         return float(self._sorted[k - 1])
-
-    def mean(self) -> float:
-        return float(np.mean(self._sorted))
-
-    def variance(self) -> float:
-        return float(np.var(self._sorted))
 
 
 def lognormal_from_moments(mean: float, variance: float) -> LogNormal:

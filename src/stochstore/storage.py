@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StorageSpec", "StepResult", "Trajectory", "step", "evolve"]
+__all__ = ["StorageSpec", "Trajectory", "evolve"]
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,6 @@ class StorageSpec:
         return self.s_max - self.s_min
 
 
-@dataclass(frozen=True)
-class StepResult:
-    s_next: float
-    spill: float
-    deficit: float
-
-
-def step(s_prev: float, balance: float, spec: StorageSpec) -> StepResult:
-    """Advance the storage state by one step.
-
-    ``s_prev`` must already lie in the storage window and ``balance`` must
-    be finite; both are checked.  This is the scalar reference that
-    :func:`evolve` reproduces on whole arrays of paths.
-    """
-    s_prev = spec.check_level(s_prev)
-    balance = float(balance)
-    if not math.isfinite(balance):
-        raise ValueError(f"balance must be finite, got {balance!r}")
-
-    raw = s_prev + balance
-    spill = max(0.0, raw - spec.s_max)
-    deficit = max(0.0, spec.s_min - raw)
-    s_next = min(spec.s_max, max(raw, spec.s_min))
-    return StepResult(s_next=s_next, spill=spill, deficit=deficit)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Realized paths: per-step balances, states, and ledger terms.
@@ -108,16 +82,14 @@ class Trajectory:
     generation: np.ndarray | None = None
     demand: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.balance.shape[0]
-
 
 def evolve(spec: StorageSpec, balances: np.ndarray) -> Trajectory:
     """Run the recursion over whole balance sequences from ``spec.s_init``.
 
     ``balances`` is ``(horizon,)`` for one path or ``(horizon, n)`` for
     ``n`` paths, which advance together one step at a time.  Every path
-    follows :func:`step` exactly.
+    follows the scalar update of the module docstring exactly, signed zeros
+    included.
     """
     b = np.asarray(balances, dtype=float)
     if b.ndim not in (1, 2) or b.size == 0:
@@ -126,8 +98,9 @@ def evolve(spec: StorageSpec, balances: np.ndarray) -> Trajectory:
         raise ValueError("balances must all be finite")
 
     # One path is a one-column block.  Each step adds into ``raw`` and clamps
-    # into ``states``: np.clip keeps ``raw`` on a tie with a bound, as
-    # step()'s min/max do, so signed zeros come out as step()'s.
+    # into ``states``: np.clip keeps ``raw`` on a tie with a bound, as the
+    # scalar min(s_max, max(raw, s_min)) does, so signed zeros come out as
+    # the scalar update's.
     block = b.reshape(b.shape[0], -1)
     raw = np.empty_like(block)
     states = np.empty_like(block)

@@ -25,11 +25,12 @@ from stochstore import (
     lognormal_from_moments,
     self_sufficiency,
     simulate_trajectory,
-    step,
     sweep_battery_levels,
     weibull_closed_form,
 )
 from stochstore.cli import RunConfig, run_command
+
+from conftest import evolve_one_step
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -104,33 +105,29 @@ def test_criterion_3_step_invariant_suite():
     big = rng.random(n) < 0.02
     balances[big] *= 5e4  # exercise hard clamps far outside the window
 
+    # One step of evolve from every level at once.
+    r = evolve_one_step(s_prevs, balances, SPEC_0_5)
     eps = np.finfo(float).eps
-    ok = True
-    for s_prev, b in zip(s_prevs, balances):
-        r = step(s_prev, b, SPEC_0_5)
-        scale = max(1.0, abs(s_prev), abs(b), SPEC_0_5.s_max)
-        ledger_gap = abs((r.s_next - s_prev) - (b - r.spill + r.deficit))
-        if not (
-            SPEC_0_5.s_min <= r.s_next <= SPEC_0_5.s_max
-            and r.spill >= 0.0
-            and r.deficit >= 0.0
-            and (r.spill == 0.0 or r.deficit == 0.0)
-            and ledger_gap <= 8.0 * eps * scale
-        ):
-            ok = False
-            break
+    scale = np.maximum(np.maximum(np.abs(s_prevs), np.abs(balances)), max(1.0, SPEC_0_5.s_max))
+    ledger_gap = np.abs((r.s_next - s_prevs) - (balances - r.spill + r.deficit))
+    ok = bool(
+        np.all(
+            (SPEC_0_5.s_min <= r.s_next)
+            & (r.s_next <= SPEC_0_5.s_max)
+            & (r.spill >= 0.0)
+            & (r.deficit >= 0.0)
+            & ((r.spill == 0.0) | (r.deficit == 0.0))
+            & (ledger_gap <= 8.0 * eps * scale)
+        )
+    )
 
-    # Monotonicity in both arguments on ordered pairs.
-    mono_ok = True
-    for _ in range(10_000):
-        s1, s2 = np.sort(rng.uniform(0.0, 5.0, 2))
-        b1, b2 = np.sort(rng.normal(0.0, 3.0, 2))
-        if step(s1, b1, SPEC_0_5).s_next > step(s2, b1, SPEC_0_5).s_next + 1e-12:
-            mono_ok = False
-            break
-        if step(s1, b1, SPEC_0_5).s_next > step(s1, b2, SPEC_0_5).s_next + 1e-12:
-            mono_ok = False
-            break
+    # Monotonicity in both arguments on 10000 ordered pairs.
+    s1, s2 = np.sort(rng.uniform(0.0, 5.0, (2, 10_000)), axis=0)
+    b1, b2 = np.sort(rng.normal(0.0, 3.0, (2, 10_000)), axis=0)
+    pair_levels, pair_balances = np.concatenate([s1, s2, s1]), np.concatenate([b1, b1, b2])
+    s_next = evolve_one_step(pair_levels, pair_balances, SPEC_0_5).s_next
+    base, higher_level, higher_balance = np.split(s_next, 3)
+    mono_ok = bool(np.all(base <= higher_level + 1e-12) and np.all(base <= higher_balance + 1e-12))
 
     _report(
         3,

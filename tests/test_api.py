@@ -1,11 +1,16 @@
-"""The public surface: every exported name exists, and the package re-exports
-only names that a library submodule exports itself."""
+"""The public surface: every exported name exists, the package re-exports
+only names that a library submodule exports itself, and README's examples
+run against it."""
 
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import stochstore
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 LIBRARY_MODULES = ("distributions", "storage", "balance", "montecarlo", "scenario")
 MODULES = ("stochstore", "stochstore.cli", *(f"stochstore.{name}" for name in LIBRARY_MODULES))
@@ -27,3 +32,18 @@ def test_package_exports_come_from_library_modules():
         exported.update(importlib.import_module(f"stochstore.{name}").__all__)
     stray = set(stochstore.__all__) - {"__version__"} - exported
     assert not stray, f"stochstore.__all__ names no library module exports: {sorted(stray)}"
+
+
+def _readme_block(language):
+    """The body of README's one code block fenced as ``language``."""
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, f"README has {len(blocks)} {language} blocks"
+    return blocks[0]
+
+
+def test_readme_examples_run(capsys):
+    exec(compile(_readme_block("python"), str(README), "exec"), {})
+    p_grid, p_exact = map(float, capsys.readouterr().out.split())
+    assert p_grid == pytest.approx(p_exact, abs=1e-3)
+    assert stochstore.parse_scenario(_readme_block("json")).name == "fig2_battery"

@@ -21,10 +21,11 @@ from stochstore import (
     parse_scenario,
     simulate_ensemble,
     simulate_trajectory,
-    step,
     sweep_battery_levels,
     weibull_closed_form,
 )
+
+from conftest import step
 
 E_MINUS_1 = 0.36787944117144233
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochstore import StorageSpec, evolve, step
+from stochstore import BalanceQuery, StorageSpec, evolve
+
+from conftest import evolve_one_step, step
 
 SPEC_0_5 = StorageSpec(s_min=0.0, s_max=5.0, s_init=0.0)
 
@@ -23,8 +25,8 @@ finite_balances = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     ],
 )
 def test_step_worked_examples(s_prev, b, expected):
-    r = step(s_prev, b, SPEC_0_5)
-    assert (r.s_next, r.spill, r.deficit) == expected
+    r = evolve_one_step(s_prev, b, SPEC_0_5)
+    assert (r.s_next[0], r.spill[0], r.deficit[0]) == expected
 
 
 @given(
@@ -32,17 +34,17 @@ def test_step_worked_examples(s_prev, b, expected):
     b=finite_balances,
 )
 def test_step_invariants(s_prev, b):
-    r = step(s_prev, b, SPEC_0_5)
-    assert SPEC_0_5.s_min <= r.s_next <= SPEC_0_5.s_max
-    assert r.spill >= 0.0 and r.deficit >= 0.0
-    assert r.spill * r.deficit == 0.0
-    if r.spill > 0.0:
-        assert r.s_next == SPEC_0_5.s_max
-    if r.deficit > 0.0:
-        assert r.s_next == SPEC_0_5.s_min
+    s_next, spill, deficit = (float(a[0]) for a in evolve_one_step(s_prev, b, SPEC_0_5))
+    assert SPEC_0_5.s_min <= s_next <= SPEC_0_5.s_max
+    assert spill >= 0.0 and deficit >= 0.0
+    assert spill * deficit == 0.0
+    if spill > 0.0:
+        assert s_next == SPEC_0_5.s_max
+    if deficit > 0.0:
+        assert s_next == SPEC_0_5.s_min
     # Ledger identity, exact up to the rounding of the sums involved.
     scale = max(1.0, abs(s_prev), abs(b))
-    assert abs((r.s_next - s_prev) - (b - r.spill + r.deficit)) <= 8 * np.finfo(float).eps * scale
+    assert abs((s_next - s_prev) - (b - spill + deficit)) <= 8 * np.finfo(float).eps * scale
 
 
 @given(
@@ -54,19 +56,24 @@ def test_step_invariants(s_prev, b):
 def test_step_is_monotone_in_both_arguments(s1, s2, b1, b2):
     lo_s, hi_s = min(s1, s2), max(s1, s2)
     lo_b, hi_b = min(b1, b2), max(b1, b2)
-    assert step(lo_s, lo_b, SPEC_0_5).s_next <= step(hi_s, lo_b, SPEC_0_5).s_next
-    assert step(lo_s, lo_b, SPEC_0_5).s_next <= step(lo_s, hi_b, SPEC_0_5).s_next
+    base, higher_level, higher_balance = evolve_one_step(
+        [lo_s, hi_s, lo_s], [lo_b, lo_b, hi_b], SPEC_0_5
+    ).s_next
+    assert base <= higher_level
+    assert base <= higher_balance
 
 
 def test_step_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        step(-0.1, 0.0, SPEC_0_5)
-    with pytest.raises(ValueError):
-        step(5.1, 0.0, SPEC_0_5)
-    with pytest.raises(ValueError):
-        step(2.0, math.nan, SPEC_0_5)
-    with pytest.raises(ValueError):
-        step(2.0, math.inf, SPEC_0_5)
+    # A level enters as a store's s_init or as a query's s_prev; a balance
+    # enters through evolve.
+    for level in (-0.1, 5.1):
+        with pytest.raises(ValueError, match="outside the storage window"):
+            StorageSpec(0.0, 5.0, level)
+        with pytest.raises(ValueError, match="outside the storage window"):
+            BalanceQuery(s_prev=level, storage=SPEC_0_5)
+    for b in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(SPEC_0_5, np.array([2.0, b]))
 
 
 def test_evolve_zero_balances_holds_state():
@@ -102,8 +109,8 @@ def test_evolve_matches_independent_scalar_recomputation():
 
 
 def test_evolve_batch_matches_scalar_step_per_path():
-    # Columns are independent paths; each must follow step() bit for bit,
-    # including exact ties with the window edges.
+    # Columns are independent paths; each must follow the scalar step()
+    # reference bit for bit, including exact ties with the window edges.
     rng = np.random.default_rng(3)
     spec = StorageSpec(0.0, 5.0, 2.0)
     g = rng.exponential(3.0, size=(40, 64))
@@ -112,7 +119,6 @@ def test_evolve_batch_matches_scalar_step_per_path():
     g[5, 1:4], d[5, 1:4] = [1e300, 0.0, 1.0], [0.0, 1e300, 1.0]
     balances = g - d
     traj = evolve(spec, balances)
-    assert len(traj) == 40
     assert traj.storage.shape == traj.spill.shape == traj.deficit.shape == (40, 64)
     for j in range(64):
         s = spec.s_init
