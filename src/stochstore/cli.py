@@ -76,9 +76,8 @@ COMMANDS = ("simulate", "analyze", "sweep", "validate")
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix, one of the n-length draw arrays of a sweep
-# estimate, or one n-length raw draw array of validate (it holds at most two
-# at a time and forms the balance in blocks).
+# (n, horizon) ensemble matrix, or one n-length raw draw array of validate
+# or sweep (each holds at most two at a time and forms the balance in blocks).
 # A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
@@ -92,7 +91,7 @@ MAX_GRID_CELLS = 2**16
 # glibc's adaptive thresholds, which follow the largest block freed so far.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # Largest block served from the heap, glibc's ceiling on 64-bit: above every
-# array of a default grid step and a sweep level's n-length arrays to n = 4e6.
+# array of a default grid step and every n-length raw draw array to n = 4e6.
 _MMAP_THRESHOLD = 32 * 2**20
 # Free memory kept at the top of the heap: twice the above, glibc's own ratio.
 _TRIM_THRESHOLD = 64 * 2**20

@@ -13,8 +13,10 @@ states are computed here, a chunk of trajectories at a time, from numpy's
 documented ``SeedSequence`` and ``PCG64`` seeding algorithms rather than by
 building one ``Generator`` per trajectory; a test pins them to
 ``default_rng``.  A frequency estimate draws generation then demand from
-``default_rng(seed)``; ``estimate_steps`` gives many such estimates from
-one shared draw.
+``default_rng(seed)``.  Every estimate is made by ``estimate_steps``, which
+counts one draw set at all the levels and for all the pairs that share it:
+a sweep draws its demand once for every level, and a generation that
+recurs from step to step is transformed once per block of draws.
 """
 
 from __future__ import annotations
@@ -400,15 +402,7 @@ def estimate_self_sufficiency(
     ``n >= 1`` is accepted; the confidence intervals are meaningful from
     roughly ``n >= 10**3`` upward.
     """
-    query = BalanceQuery(s_prev=s_prev, storage=storage)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
-    n_deficit = int(np.count_nonzero(b <= query.lo))
-    n_overflow = int(np.count_nonzero(b > query.hi))
-    return _estimate(n_deficit, n_overflow, n)
+    return estimate_steps([(gen, dem)], storage, [(s_prev,)], n, seed)[0][0]
 
 
 def _values(q: Distribution, raw, part, out: np.ndarray) -> None:
@@ -433,13 +427,16 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     """Estimate the triple of each ``(gen, dem)`` pair at each of its levels.
 
     ``levels[k]`` lists the levels of ``pairs[k]``; the result holds one
-    tuple per pair of one estimate per level, each bit for bit equal to
-    ``estimate_self_sufficiency(gen, dem, storage, level, n, seed)``.  That
-    estimate's raw draws depend only on ``(seed, n)`` and on each side's
-    ``_raw_draw``, so pairs with equal draw callables share one sampling
-    pass, and each pair's balance is counted at all of its levels.  The
-    balance is formed ``ESTIMATE_BLOCK`` values at a time, so the raw draws
-    of one draw set (at most 2n values) are the only n-length arrays held.
+    tuple per pair of one estimate per level.  Each estimate counts ``n``
+    draws of the balance, generation drawn before demand from
+    ``default_rng(seed)``, so its raw draws depend only on ``(seed, n)`` and
+    on each side's ``_raw_draw``: pairs with equal draw callables share one
+    sampling pass, and each pair's balance is counted at all of its levels.
+    The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
+    pair; a pair whose generation equals the previous pair's reuses the
+    generation values already in the block.  A block of generation and one
+    of balance, next to one draw set's raw draws (at most 2n values), are
+    all the arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
     queries = [[BalanceQuery(s_prev=s, storage=storage) for s in lv] for lv in levels]
@@ -452,27 +449,32 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     for k, (gen, dem) in enumerate(pairs):
         groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(k)
     g_block, b_block = np.empty(min(n, ESTIMATE_BLOCK)), np.empty(min(n, ESTIMATE_BLOCK))
-    results = [()] * len(pairs)
+    deficits = [[0] * len(qs) for qs in queries]
+    overflows = [[0] * len(qs) for qs in queries]
     for (draw_g, draw_d), members in groups.items():
         rng = np.random.default_rng(seed)
         raw_g = None if draw_g is None else draw_g(rng, n)
         raw_d = None if draw_d is None else draw_d(rng, n)
-        for k in members:
-            gen, dem = pairs[k]
-            deficits = [0] * len(queries[k])
-            overflows = [0] * len(queries[k])
-            for start in range(0, n, ESTIMATE_BLOCK):
-                part = slice(start, min(start + ESTIMATE_BLOCK, n))
-                g, b = g_block[: part.stop - start], b_block[: part.stop - start]
-                _values(gen, raw_g, part, g)
+        for start in range(0, n, ESTIMATE_BLOCK):
+            part = slice(start, min(start + ESTIMATE_BLOCK, n))
+            g, b = g_block[: part.stop - start], b_block[: part.stop - start]
+            previous = None
+            for k in members:
+                gen, dem = pairs[k]
+                # An equal generation maps the group's raw draws to the same
+                # values (0.0 for a -0.0 changes no count).
+                if previous is None or gen != previous:
+                    _values(gen, raw_g, part, g)
+                previous = gen
                 _values(dem, raw_d, part, b)
                 np.subtract(g, b, out=b)
                 for j, query in enumerate(queries[k]):
-                    deficits[j] += int(np.count_nonzero(b <= query.lo))
-                    overflows[j] += int(np.count_nonzero(b > query.hi))
-            results[k] = tuple(_estimate(d, o, n) for d, o in zip(deficits, overflows))
+                    deficits[k][j] += int(np.count_nonzero(b <= query.lo))
+                    overflows[k][j] += int(np.count_nonzero(b > query.hi))
         del raw_g, raw_d
-    return tuple(results)
+    return tuple(
+        tuple(_estimate(d, o, n) for d, o in zip(ds, os)) for ds, os in zip(deficits, overflows)
+    )
 
 
 def _estimate(n_deficit: int, n_overflow: int, n: int) -> SelfSufficiencyEstimate:
@@ -500,18 +502,15 @@ def sweep_battery_levels(
 ) -> tuple[SweepRow, ...]:
     """Pair the closed-form triple with an MC estimate at each level.
 
-    Every level reuses the same ``seed`` (and Deterministic generation
-    consumes no random state), so all rows share one demand sample: a
-    single-level sweep reproduces ``estimate_self_sufficiency`` exactly,
-    and across levels the comparison uses common random numbers.
+    One demand sample from ``seed`` (Deterministic generation consumes no
+    random state) is counted at every level: each row's estimate equals
+    ``estimate_self_sufficiency`` at its level exactly, and across levels
+    the comparison uses common random numbers.
     """
     levels = [float(s) for s in levels]
     if not levels:
         raise ValueError("levels must be a nonempty sequence")
     gen = Deterministic(gen_value)
-    rows = []
-    for level in levels:
-        analytic = weibull_closed_form(gen_value, level, storage, dem)
-        mc = estimate_self_sufficiency(gen, dem, storage, level, n, seed)
-        rows.append(SweepRow(level=level, analytic=analytic, mc=mc))
-    return tuple(rows)
+    analytic = [weibull_closed_form(gen_value, level, storage, dem) for level in levels]
+    (mc,) = estimate_steps([(gen, dem)], storage, [levels], n, seed)
+    return tuple(SweepRow(*row) for row in zip(levels, analytic, mc))

@@ -4,7 +4,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from stochstore import Scenario, StorageSpec, evolve, parse_scenario
+from stochstore import (
+    BalanceQuery,
+    ProbabilityEstimate,
+    Scenario,
+    SelfSufficiencyEstimate,
+    StorageSpec,
+    evolve,
+    parse_scenario,
+)
 
 
 def read_fixture_text(name: str) -> str:
@@ -50,3 +58,22 @@ def evolve_one_step(s_prev, balance, spec: StorageSpec) -> StepResult:
     traj = evolve(start, np.stack([s_prev.ravel() - spec.s_min, balance.ravel()]))
     np.testing.assert_array_equal(traj.storage[0], s_prev.ravel())
     return StepResult(traj.storage[1], traj.spill[1], traj.deficit[1])
+
+
+def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, seed: int):
+    """The whole-array frequency estimate: the bit-identity reference for ``estimate_steps``.
+
+    Draws all ``n`` generation values and then all ``n`` demand values with
+    ``sample_n`` from ``default_rng(seed)``, and counts the balance against
+    the window of ``s_prev`` (deficit closed, overflow open).
+    """
+    query = BalanceQuery(s_prev=s_prev, storage=storage)
+    rng = np.random.default_rng(seed)
+    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
+    n_deficit = int(np.count_nonzero(b <= query.lo))
+    n_overflow = int(np.count_nonzero(b > query.hi))
+    return SelfSufficiencyEstimate(
+        deficit=ProbabilityEstimate.from_count(n_deficit, n),
+        overflow=ProbabilityEstimate.from_count(n_overflow, n),
+        self_sufficient=ProbabilityEstimate.from_count(n - n_deficit - n_overflow, n),
+    )

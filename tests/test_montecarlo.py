@@ -25,7 +25,7 @@ from stochstore import (
     weibull_closed_form,
 )
 
-from conftest import step
+from conftest import estimate_reference, step
 
 E_MINUS_1 = 0.36787944117144233
 
@@ -271,11 +271,12 @@ def test_shared_estimates_equal_separate_estimates_bit_for_bit():
     for (gen, dem), pair_levels, estimates in zip(SHARED_PAIRS, levels, shared):
         assert len(estimates) == len(pair_levels)
         for level, est in zip(pair_levels, estimates):
-            solo = estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed)
+            solo = estimate_reference(gen, dem, SPEC_MIXED, level, n, seed)
             assert est.deficit.p_hat == solo.deficit.p_hat
             assert est.overflow.p_hat == solo.overflow.p_hat
             assert est.self_sufficient.p_hat == solo.self_sufficient.p_hat
             assert est.n == solo.n == n
+            assert estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed) == est
     assert shared[5][1].deficit.p_hat == 1.0  # (1.0 - 2.5) at level 2.0
     assert shared[6][0].self_sufficient.p_hat == 1.0  # (3.0 - 1.0) at level 2.0
 
@@ -298,7 +299,86 @@ def test_shared_estimates_accept_an_unhashable_quantity():
     shared = estimate_steps(pairs, SPEC_MIXED, [(2.0, 3.1)] * len(pairs), n, seed)
     for (gen, dem), estimates in zip(pairs, shared):
         for level, est in zip((2.0, 3.1), estimates):
-            assert est == estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed)
+            assert est == estimate_reference(gen, dem, SPEC_MIXED, level, n, seed)
+
+
+def _count_calls(monkeypatch, cls, name):
+    """Count the calls of ``cls.name``; the returned list holds the count."""
+    calls = [0]
+    method = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_a_recurring_generation_is_transformed_once_per_block(day24_scenario, monkeypatch):
+    n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 5
+    pairs = [(spec.generation, spec.demand) for spec in day24_scenario.steps]
+    assert len(pairs) == 24 and all(gen == pairs[0][0] for gen, _ in pairs)
+    calls = _count_calls(monkeypatch, LogNormal, "transform")
+    shared = estimate_steps(pairs, day24_scenario.storage, [(5.0, 0.0)] * len(pairs), n, seed)
+    # Three blocks, each transforming the one generation and the 24 demands.
+    assert calls[0] == 3 * (1 + 24)
+    for (gen, dem), estimates in zip(pairs, shared):
+        for level, est in zip((5.0, 0.0), estimates):
+            assert est == estimate_reference(gen, dem, day24_scenario.storage, level, n, seed)
+
+
+_GEN = LogNormal(0.1, 0.4)
+_SHIFTED = _ShiftedUniform(1.0)
+_ZEROS = Empirical((0.0, 1.5, 3.5))
+
+
+@pytest.mark.parametrize(
+    "pairs, transforms_per_block",
+    [
+        pytest.param([(_GEN, LogNormal(-0.1, 0.6)), (_GEN, LogNormal(0.3, 0.2))], 3, id="same-object"),
+        pytest.param(
+            [(LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)), (LogNormal(0.1, 0.4), LogNormal(0.3, 0.2))],
+            3,
+            id="equal-distinct",
+        ),
+        # Balance 0.0 from one and -0.0 from the other (demand 0.0) lie on lo
+        # at level 0.5 and on hi at level 4.0.
+        pytest.param(
+            [(Deterministic(0.0), _ZEROS), (Deterministic(-0.0), _ZEROS)], 0, id="signed-zero"
+        ),
+        # Equal but distinct user quantities draw apart; the same one twice
+        # shares a group and is compared with ==, which must not hash it.
+        pytest.param(
+            [
+                (_ShiftedUniform(1.0), Weibull(2.0, 2.0)),
+                (_SHIFTED, Weibull(3.0, 1.0)),
+                (_SHIFTED, Weibull(2.0, 2.0)),
+            ],
+            0,
+            id="unhashable",
+        ),
+        pytest.param(
+            [
+                (LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)),
+                (LogNormal(0.2, 0.4), LogNormal(0.3, 0.2)),
+                (LogNormal(0.1, 0.4), LogNormal(0.0, 1.0)),
+            ],
+            6,
+            id="equal-not-adjacent",
+        ),
+    ],
+)
+def test_generation_reuse_matches_the_reference_bit_for_bit(pairs, transforms_per_block, monkeypatch):
+    assert Deterministic(-0.0) == Deterministic(0.0)
+    n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 17
+    levels = (0.5, 2.0, 4.0)
+    calls = _count_calls(monkeypatch, LogNormal, "transform")
+    shared = estimate_steps(pairs, SPEC_MIXED, [levels] * len(pairs), n, seed)
+    assert calls[0] == 3 * transforms_per_block
+    for (gen, dem), estimates in zip(pairs, shared):
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, SPEC_MIXED, level, n, seed)
 
 
 def test_shared_estimates_hold_one_draw_set_at_a_time():
@@ -524,16 +604,30 @@ def test_sweep_matches_single_estimates_exactly():
     )
     assert [row.level for row in rows] == levels
     for row in rows:
-        solo = estimate_self_sufficiency(
-            gen=Deterministic(2.0),
-            dem=FIG2_DEM,
-            storage=SPEC_0_5,
-            s_prev=row.level,
-            n=10_000,
-            seed=123,
-        )
-        assert row.mc.deficit.p_hat == solo.deficit.p_hat
-        assert row.mc.overflow.p_hat == solo.overflow.p_hat
+        solo = estimate_reference(Deterministic(2.0), FIG2_DEM, SPEC_0_5, row.level, 10_000, 123)
+        assert row.mc == solo
+
+
+def test_sweep_draws_its_demand_once_for_all_levels(monkeypatch):
+    calls = _count_calls(monkeypatch, Weibull, "transform")
+    rows = sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, np.linspace(0.0, 5.0, 51), 1000, 3)
+    assert len(rows) == 51
+    assert calls[0] == 1
+
+
+def test_sweep_holds_one_n_length_array():
+    n = 200_000
+    levels = np.linspace(0.0, 5.0, 51)
+    sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, 100, 0)
+    tracemalloc.start()
+    try:
+        sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The demand draws plus two blocks; an n-length generation or balance
+    # array next to them would add another 8n.
+    assert peak < 1.5 * 8 * n
 
 
 def test_sweep_analytic_columns_are_monotone():
