@@ -26,6 +26,8 @@ import argparse
 import collections
 import ctypes
 import functools
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -241,8 +243,19 @@ def _metadata(config: RunConfig, scenario: Scenario, **extra) -> dict:
 
 
 def _write_table(config: RunConfig, table: ResultTable, path: str | Path | None = None) -> Path:
+    """Write ``table`` to ``path`` (default ``--out``) and return the path.
+
+    An existing regular file is written over in place and then cut to the
+    new length, which keeps its blocks instead of freeing them in a
+    truncating open; a new path is created.  A FIFO or a terminal is
+    written as it is, without the cut.
+    """
     target = Path(path if path is not None else config.output_path)
-    target.write_bytes(write_results(table, config.format))
+    data = write_results(table, config.format)
+    with open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
     return target
 
 

@@ -9,11 +9,13 @@ gives a float out, an array in gives an array out, so a whole grid of cell
 edges is evaluated in one call.
 
 The continuous families sample in two parts: ``primitive`` names the
-``Generator`` method they draw from and ``transform`` maps those draws to
-values elementwise, in place.  One call for ``k`` draws yields the same
-stream as ``k`` calls for one draw each, so a caller may take the draws of
-several consecutive quantities that share a primitive in a single call and
-apply each quantity's ``transform`` afterwards.
+``Generator`` method they draw from and ``transform(draws, out)`` maps those
+draws to values elementwise, into ``out``: the draws themselves for an
+in-place map, or another array, which leaves the draws as they are.  One
+call for ``k`` draws yields the same stream as ``k`` calls for one draw
+each, so a caller may take the draws of several consecutive quantities that
+share a primitive in a single call and apply each quantity's ``transform``
+afterwards.
 """
 
 from __future__ import annotations
@@ -72,12 +74,15 @@ def _rational(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
 
 
 def _erfc(y: np.ndarray) -> np.ndarray:
-    """``erfc(y)`` for ``y > 0.46875``; NaN gives NaN."""
+    """``erfc(y)`` where ``y > 0.46875`` or NaN (NaN gives NaN).
+
+    The (0.46875, 4] rational runs over the whole array and the tail's formula
+    over the elements past 4 only; an element at or below 0.46875 gets a
+    finite value that the caller overwrites.
+    """
     y = np.minimum(y, _ERFC_ZERO)  # keeps inf (inf - inf) out of the split below
-    out = np.empty_like(y)
-    mid = y <= _ERFC_MID
-    out[mid] = _rational(_ERFC_C, _ERFC_D, y[mid])
-    tail = ~mid
+    out = _rational(_ERFC_C, _ERFC_D, y)
+    tail = y > _ERFC_MID
     y_tail = y[tail]
     inv_sq = 1.0 / (y_tail * y_tail)
     out[tail] = (_INV_SQRT_PI - inv_sq * _rational(_ERFC_P, _ERFC_Q, inv_sq)) / y_tail
@@ -93,18 +98,18 @@ def _normal_cdf(z) -> np.ndarray:
 
     ``0.5 * (1 + erf(z / sqrt 2))`` near 0; elsewhere ``0.5 * erfc(|z| / sqrt 2)``
     for ``z < 0`` and one minus that for ``z > 0``, so the lower tail keeps its
-    relative accuracy down to the underflow.
+    relative accuracy down to the underflow.  The erfc form is evaluated over
+    the whole array, and the few elements near 0 are then overwritten.
     """
-    x = np.asarray(z, dtype=float) / _SQRT2
+    z = np.asarray(z, dtype=float)
+    x = z.reshape(-1) / _SQRT2  # a 0-d z as one element, so the masks index it
     y = np.abs(x)
-    out = np.empty_like(y)
+    half_erfc = 0.5 * _erfc(y)
+    out = np.where(x < 0.0, half_erfc, 1.0 - half_erfc)
     small = y <= _ERF_SMALL
     x_small = x[small]
     out[small] = 0.5 * (1.0 + x_small * _rational(_ERF_A, _ERF_B, x_small * x_small))
-    large = ~small
-    half_erfc = 0.5 * _erfc(y[large])
-    out[large] = np.where(x[large] < 0.0, half_erfc, 1.0 - half_erfc)
-    return out
+    return out.reshape(z.shape)
 
 
 def _elementwise(values: np.ndarray):
@@ -128,12 +133,14 @@ class Distribution:
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values as a float array of shape ``(n,)``."""
-        return self.transform(getattr(rng, self.primitive)(self._check_n(n)))
+        draws = getattr(rng, self.primitive)(self._check_n(n))
+        return self.transform(draws, draws)
 
-    def transform(self, draws: np.ndarray) -> np.ndarray:
+    def transform(self, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Map draws of ``primitive`` to values of this quantity, elementwise.
 
-        Works in place: ``draws`` is overwritten with the values and returned.
+        The values are written into ``out`` and returned; ``out`` may be
+        ``draws`` itself, and any other array leaves ``draws`` unchanged.
         """
         raise NotImplementedError
 
@@ -197,14 +204,14 @@ class Weibull(Distribution):
 
     primitive = "random"
 
-    def transform(self, draws: np.ndarray) -> np.ndarray:
+    def transform(self, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
         # Inverse-transform: x = scale * (-log(1 - U))**(1/shape).
-        np.negative(draws, out=draws)
-        np.log1p(draws, out=draws)
-        np.negative(draws, out=draws)
-        np.power(draws, 1.0 / self.shape, out=draws)
-        draws *= self.scale
-        return draws
+        np.negative(draws, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        np.power(out, 1.0 / self.shape, out=out)
+        out *= self.scale
+        return out
 
     def cdf(self, x):
         """``F(x)`` elementwise over a float or an array; 0 for ``x <= 0``."""
@@ -237,10 +244,10 @@ class LogNormal(Distribution):
 
     primitive = "standard_normal"
 
-    def transform(self, draws: np.ndarray) -> np.ndarray:
-        draws *= self.sigma
-        draws += self.mu
-        return np.exp(draws, out=draws)
+    def transform(self, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(draws, self.sigma, out=out)
+        out += self.mu
+        return np.exp(out, out=out)
 
     def cdf(self, x):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""

@@ -16,7 +16,11 @@ building one ``Generator`` per trajectory; a test pins them to
 ``default_rng(seed)``.  Every estimate is made by ``estimate_steps``, which
 counts one draw set at all the levels and for all the pairs that share it:
 a sweep draws its demand once for every level, and a generation that
-recurs from step to step is transformed once per block of draws.
+recurs from step to step is transformed once per block of draws.  The
+transforms read the raw draws and write a block of values; a pair counted
+at many levels (a sweep's 51) sorts each block once and reads every
+level's counts by binary search, and any other pair compares the block
+with each level's window edges.
 """
 
 from __future__ import annotations
@@ -301,7 +305,8 @@ def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
                 row[start:stop] = draw(rng, stop - start)
     values = block.T[order]
     for q, start, stop in groups:
-        q.transform(values[start:stop])
+        rows = values[start:stop]
+        q.transform(rows, rows)
     return values[gen_rows], values[dem_rows]
 
 
@@ -405,22 +410,71 @@ def estimate_self_sufficiency(
     return estimate_steps([(gen, dem)], storage, [(s_prev,)], n, seed)[0][0]
 
 
-def _values(q: Distribution, raw, part, out: np.ndarray) -> None:
-    """Write ``q``'s values for ``raw[part]`` into ``out``, leaving ``raw`` as is.
+def _block_values(q: Distribution, raw, part: slice, out: np.ndarray):
+    """``q``'s values for the draws ``raw[part]``, leaving ``raw`` as is.
 
-    ``raw`` is ``None`` for a Deterministic quantity; ``part`` is a slice of
-    a draw array.
+    A Deterministic quantity (``raw`` is ``None``) gives its value as a
+    scalar, a quantity without a ``transform`` its draws themselves, and any
+    other the transformed draws, written into ``out``.
     """
     if raw is None:
-        out.fill(q.value)
-        return
-    np.copyto(out, raw[part])
-    if q.primitive is not None:
-        q.transform(out)
+        return q.value
+    if q.primitive is None:
+        return raw[part]
+    return q.transform(raw[part], out)
 
 
 # Balance values formed and counted at a time by ``estimate_steps``.
-ESTIMATE_BLOCK = 8192
+ESTIMATE_BLOCK = 16384
+
+# A pair with more levels than this sorts each balance block once and reads
+# all its counts by binary search.  At ESTIMATE_BLOCK values the sort and the
+# searches cost about as much as 8 levels' two compare-and-count passes.
+SORT_ABOVE_LEVELS = 8
+
+
+def _count(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask, deficit, overflow) -> None:
+    """Add the counts of ``b <= lo[j]`` to ``deficit`` and of ``b > hi[j]`` to ``overflow``.
+
+    ``hi`` ends with ``inf``, one past the levels; a NaN balance is in
+    neither count.  A sorted ``b`` (many levels) holds ``searchsorted(b,
+    inf)`` values that are not NaN, of which those above ``hi[j]`` overflow.
+    """
+    if len(lo) > SORT_ABOVE_LEVELS:
+        b.sort()
+        deficit += np.searchsorted(b, lo, "right")
+        at_most = np.searchsorted(b, hi, "right")
+        overflow += at_most[-1] - at_most[:-1]
+        return
+    for j in range(len(lo)):
+        deficit[j] += np.count_nonzero(np.less_equal(b, lo[j], out=mask))
+        overflow[j] += np.count_nonzero(np.greater(b, hi[j], out=mask))
+
+
+def _count_draw_set(draw_g, draw_d, members, n: int, seed: int) -> None:
+    """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
+
+    The blocks are made after the raw draws, and every array and view of
+    them is freed on return, before the next draw set is drawn.
+    """
+    rng = np.random.default_rng(seed)
+    raw_g = None if draw_g is None else draw_g(rng, n)
+    raw_d = None if draw_d is None else draw_d(rng, n)
+    size = min(n, ESTIMATE_BLOCK)
+    g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for start in range(0, n, ESTIMATE_BLOCK):
+        part = slice(start, min(start + ESTIMATE_BLOCK, n))
+        size = part.stop - start
+        previous = None
+        for gen, dem, lo, hi, deficit, overflow in members:
+            # An equal generation maps the group's raw draws to the same
+            # values (0.0 for a -0.0 changes no count).
+            if previous is None or gen != previous:
+                g = _block_values(gen, raw_g, part, g_block[:size])
+            previous = gen
+            d = _block_values(dem, raw_d, part, b_block[:size])
+            b = np.subtract(g, d, out=b_block[:size])
+            _count(b, lo, hi, mask_block[:size], deficit, overflow)
 
 
 def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
@@ -433,10 +487,13 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     on each side's ``_raw_draw``: pairs with equal draw callables share one
     sampling pass, and each pair's balance is counted at all of its levels.
     The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
-    pair; a pair whose generation equals the previous pair's reuses the
-    generation values already in the block.  A block of generation and one
-    of balance, next to one draw set's raw draws (at most 2n values), are
-    all the arrays held.
+    pair.  A transform reads the raw draws and writes the block; a pair
+    whose generation equals the previous pair's reuses the generation values
+    already in the block.  A pair with more than ``SORT_ABOVE_LEVELS`` levels
+    sorts its balance block and reads every level's counts by binary search;
+    any other compares the block against each level's window edges.  A
+    block of generation, one of balance and one bool mask, made after one
+    draw set's raw draws (at most 2n values), are all the arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
     queries = [[BalanceQuery(s_prev=s, storage=storage) for s in lv] for lv in levels]
@@ -445,35 +502,19 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     n = int(n)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
+    deficits = [np.zeros(len(qs), dtype=np.int64) for qs in queries]
+    overflows = [np.zeros(len(qs), dtype=np.int64) for qs in queries]
     groups: dict = {}
-    for k, (gen, dem) in enumerate(pairs):
-        groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(k)
-    g_block, b_block = np.empty(min(n, ESTIMATE_BLOCK)), np.empty(min(n, ESTIMATE_BLOCK))
-    deficits = [[0] * len(qs) for qs in queries]
-    overflows = [[0] * len(qs) for qs in queries]
+    for (gen, dem), qs, deficit, overflow in zip(pairs, queries, deficits, overflows):
+        lo = np.array([q.lo for q in qs])
+        hi = np.array([q.hi for q in qs] + [np.inf])
+        member = (gen, dem, lo, hi, deficit, overflow)
+        groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(member)
     for (draw_g, draw_d), members in groups.items():
-        rng = np.random.default_rng(seed)
-        raw_g = None if draw_g is None else draw_g(rng, n)
-        raw_d = None if draw_d is None else draw_d(rng, n)
-        for start in range(0, n, ESTIMATE_BLOCK):
-            part = slice(start, min(start + ESTIMATE_BLOCK, n))
-            g, b = g_block[: part.stop - start], b_block[: part.stop - start]
-            previous = None
-            for k in members:
-                gen, dem = pairs[k]
-                # An equal generation maps the group's raw draws to the same
-                # values (0.0 for a -0.0 changes no count).
-                if previous is None or gen != previous:
-                    _values(gen, raw_g, part, g)
-                previous = gen
-                _values(dem, raw_d, part, b)
-                np.subtract(g, b, out=b)
-                for j, query in enumerate(queries[k]):
-                    deficits[k][j] += int(np.count_nonzero(b <= query.lo))
-                    overflows[k][j] += int(np.count_nonzero(b > query.hi))
-        del raw_g, raw_d
+        _count_draw_set(draw_g, draw_d, members, n, seed)
     return tuple(
-        tuple(_estimate(d, o, n) for d, o in zip(ds, os)) for ds, os in zip(deficits, overflows)
+        tuple(_estimate(d, o, n) for d, o in zip(ds.tolist(), os.tolist()))
+        for ds, os in zip(deficits, overflows)
     )
 
 

@@ -4,6 +4,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+import stochstore.distributions as dist
+
 from stochstore import (
     BalanceQuery,
     ProbabilityEstimate,
@@ -77,3 +79,35 @@ def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, se
         overflow=ProbabilityEstimate.from_count(n_overflow, n),
         self_sufficient=ProbabilityEstimate.from_count(n - n_deficit - n_overflow, n),
     )
+
+
+def normal_cdf_reference(z) -> np.ndarray:
+    """The gather-and-scatter normal cdf: the bit-identity reference for ``_normal_cdf``.
+
+    Each branch of Cody's erf/erfc runs only on the elements it serves.
+    """
+    x = np.asarray(z, dtype=float) / dist._SQRT2
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small = y <= dist._ERF_SMALL
+    x_small = x[small]
+    out[small] = 0.5 * (1.0 + x_small * dist._rational(dist._ERF_A, dist._ERF_B, x_small * x_small))
+    large = ~small
+    half_erfc = 0.5 * _erfc_reference(y[large])
+    out[large] = np.where(x[large] < 0.0, half_erfc, 1.0 - half_erfc)
+    return out
+
+
+def _erfc_reference(y: np.ndarray) -> np.ndarray:
+    y = np.minimum(y, dist._ERFC_ZERO)
+    out = np.empty_like(y)
+    mid = y <= dist._ERFC_MID
+    out[mid] = dist._rational(dist._ERFC_C, dist._ERFC_D, y[mid])
+    tail = ~mid
+    y_tail = y[tail]
+    inv_sq = 1.0 / (y_tail * y_tail)
+    out[tail] = (dist._INV_SQRT_PI - inv_sq * dist._rational(dist._ERFC_P, dist._ERFC_Q, inv_sq)) / y_tail
+    y16 = np.trunc(y * 16.0) / 16.0
+    out *= np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16))
+    out[y == dist._ERFC_ZERO] = 0.0
+    return out

@@ -4,8 +4,10 @@ import csv
 import ctypes
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -225,6 +227,38 @@ def test_simulate_writes_both_tables_and_is_byte_stable(tmp_path):
         "deficit_freq",
     ]
     assert len(e_rows) == 24
+
+
+def test_an_existing_longer_output_holds_exactly_the_new_bytes(tmp_path):
+    fresh = tmp_path / "fresh" / "run.csv"
+    fresh.parent.mkdir()
+    argv_tail = ["--scenario", "day24_lognormal", "--n", "50", "--seed", "2"]
+    assert main(["simulate", *argv_tail, "--out", str(fresh)]) == 0
+    out = tmp_path / "run.csv"
+    written = (out, out.with_name("run_ensemble.csv"))
+    for path in written:
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o640)
+    assert main(["simulate", *argv_tail, "--out", str(out)]) == 0
+    for path in written:
+        assert path.read_bytes() == fresh.with_name(path.name).read_bytes()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_a_fifo_output_is_written_without_the_cut(tmp_path):
+    argv = ["analyze", "--scenario", "fig2_battery", "--s-prev", "1", "--out"]
+    assert main([*argv, str(tmp_path / "p.csv")]) == 0
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main([*argv, str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [(tmp_path / "p.csv").read_bytes()]
 
 
 # --- sweep -----------------------------------------------------------------------

@@ -16,8 +16,11 @@ from stochstore import (
     Empirical,
     LogNormal,
     Weibull,
+    discretize,
     lognormal_from_moments,
 )
+
+from conftest import normal_cdf_reference
 
 # Frozen oracle values (computed independently via math.gamma / scipy).
 WEIBULL_2_5_MEAN = 1.8363374847995209  # 2 * gamma(1 + 1/5)
@@ -141,6 +144,62 @@ def test_normal_cdf_kernel_matches_erfc():
     # accuracy down to the underflow (about 1e-15 measured).
     lower = (z <= 0.0) & (reference > 1e-300)
     np.testing.assert_allclose(values[lower], reference[lower], rtol=1e-14, atol=0.0)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_normal_cdf_kernel_is_bit_identical_to_the_gather_kernel(day24_scenario, monkeypatch):
+    # The kernel runs Cody's (0.46875, 4] erfc over the whole array and
+    # overwrites the other elements; the reference gathers each branch's
+    # elements first.  Every bit must agree: the grids' cdf values and the
+    # fixture bytes rest on them.
+    edges = [s * t * math.sqrt(2.0) for t in (0.46875, 4.0, 26.543) for s in (1.0, -1.0)]
+    around = [[np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf)] for e in edges]
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+    z = np.concatenate(
+        [special, *around, np.random.default_rng(3).standard_normal(300_000) * 8.0]
+    )
+    np.testing.assert_array_equal(_bits(distributions._normal_cdf(z)), _bits(normal_cdf_reference(z)))
+    for v in special:
+        value = distributions._normal_cdf(v)
+        assert value.shape == () and _bits(value) == _bits(normal_cdf_reference(v))
+    assert distributions._normal_cdf(np.empty(0)).shape == (0,)
+    assert distributions._normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+
+    # The arguments discretize passes for each day24 log-normal grid.
+    inputs = []
+    kernel = distributions._normal_cdf
+
+    def spy(values):
+        inputs.append(np.array(values))
+        return kernel(values)
+
+    lognormals = {
+        q for spec in day24_scenario.steps for q in (spec.generation, spec.demand)
+        if isinstance(q, LogNormal)
+    }
+    monkeypatch.setattr(distributions, "_normal_cdf", spy)
+    for cells in (4096, 16384, 65536):
+        for q in lognormals:
+            discretize(q, cells)
+    assert len(inputs) == 3 * len(lognormals) == 3 * 25
+    for values in inputs:
+        np.testing.assert_array_equal(_bits(kernel(values)), _bits(normal_cdf_reference(values)))
+
+
+@pytest.mark.parametrize("dist", [Weibull(2.0, 5.0), Weibull(1.5, 0.5), LogNormal(-0.3, 1.2)])
+def test_transform_into_another_array_leaves_the_draws(dist):
+    draws = getattr(np.random.default_rng(5), dist.primitive)(1000)
+    kept = draws.copy()
+    out = np.empty_like(draws)
+    assert dist.transform(draws, out) is out
+    np.testing.assert_array_equal(draws, kept)
+    in_place = kept.copy()
+    assert dist.transform(in_place, in_place) is in_place
+    np.testing.assert_array_equal(_bits(out), _bits(in_place))
+    np.testing.assert_array_equal(in_place, dist.sample_n(np.random.default_rng(5), 1000))
 
 
 def test_negative_arguments_have_zero_mass():

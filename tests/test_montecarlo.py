@@ -302,16 +302,17 @@ def test_shared_estimates_accept_an_unhashable_quantity():
             assert est == estimate_reference(gen, dem, SPEC_MIXED, level, n, seed)
 
 
-def _count_calls(monkeypatch, cls, name):
-    """Count the calls of ``cls.name``; the returned list holds the count."""
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name``, a method or a module's function;
+    the returned list holds the count."""
     calls = [0]
-    method = getattr(cls, name)
+    fn = getattr(owner, name)
 
-    def counted(self, *args, **kwargs):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return method(self, *args, **kwargs)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(cls, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -402,6 +403,89 @@ def test_shared_estimates_validate_inputs():
     with pytest.raises(ValueError, match="storage window"):
         estimate_steps(SHARED_PAIRS[:1], SPEC_MIXED, [(0.0,)], 100, 0)
     assert estimate_steps([], SPEC_MIXED, [], 100, 0) == ()
+
+
+# --- the sort path: a pair counted at many levels ---------------------------------
+
+SORT_PAIRS = [
+    (LogNormal(0.1, 0.4), Weibull(2.0, 5.0)),
+    (LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)),
+    (EMPIRICAL_A, Weibull(1.0, 0.5)),
+    (Deterministic(1.5), EMPIRICAL_B),
+    (Deterministic(2.0), Deterministic(0.5)),
+]
+MANY_LEVELS = tuple(np.linspace(0.5, 4.0, montecarlo.SORT_ABOVE_LEVELS + 1))
+
+
+def _assert_matches_reference(pairs, storage, levels, n, seed):
+    shared = estimate_steps(pairs, storage, [levels] * len(pairs), n, seed)
+    for (gen, dem), estimates in zip(pairs, shared):
+        assert len(estimates) == len(levels)
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, storage, level, n, seed)
+    return shared
+
+
+@pytest.mark.parametrize("extra_levels, sorts", [(0, False), (1, True)])
+def test_the_sort_path_starts_one_level_past_the_crossover(extra_levels, sorts, monkeypatch):
+    levels = tuple(np.linspace(0.5, 4.0, montecarlo.SORT_ABOVE_LEVELS + extra_levels))
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    searches = _count_calls(monkeypatch, np, "searchsorted")
+    estimate_steps(SORT_PAIRS, SPEC_MIXED, [levels] * len(SORT_PAIRS), n, 8)
+    assert (searches[0] > 0) is sorts
+    monkeypatch.undo()
+    _assert_matches_reference(SORT_PAIRS, SPEC_MIXED, levels, n, 8)
+
+
+@pytest.mark.parametrize("n_from_block", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_the_sort_path_matches_the_reference_at_block_edges(n_from_block):
+    blocks, extra = n_from_block
+    n = blocks * montecarlo.ESTIMATE_BLOCK + extra
+    _assert_matches_reference(SORT_PAIRS, SPEC_MIXED, MANY_LEVELS, n, 23)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [tuple(np.linspace(0.0, 5.0, 51)), (0.0, 1.0, 2.5, 3.0, 5.0)],
+    ids=["sort", "compare"],
+)
+def test_balances_on_window_edges_count_as_in_the_reference(levels):
+    # In a [0, 5] store the window at level s is (-s, 5 - s]: these balances
+    # (0, 1, 2.5, 3, 5 and their negatives, -0.0 among them) land on its
+    # closed deficit edge or its open overflow edge at the listed levels.
+    edges = Empirical((0.0, 1.0, 2.5, 3.0, 5.0))
+    pairs = [
+        (edges, Deterministic(0.0)),
+        (Deterministic(5.0), edges),
+        (Deterministic(-0.0), Empirical((0.0, 2.5))),
+        (Deterministic(2.5), Deterministic(2.5)),
+        (Deterministic(0.0), edges),
+    ]
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    shared = _assert_matches_reference(pairs, SPEC_0_5, levels, n, 6)
+    assert shared[3][0].deficit.p_hat == 1.0  # balance 0 on lo = 0 at level 0
+    assert shared[3][-1].self_sufficient.p_hat == 1.0  # balance 0 on hi = 0 at level 5
+
+
+@pytest.mark.parametrize("levels", [MANY_LEVELS, (2.0, 0.5)], ids=["sort", "compare"])
+def test_nan_balances_count_as_neither_deficit_nor_overflow(levels):
+    # exp(709 + z) overflows for z > 0.78, so some balances are inf - inf.
+    huge = LogNormal(709.0, 1.0)
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = _assert_matches_reference([(huge, huge)], SPEC_MIXED, levels, n, 2)
+    for est in shared[0]:
+        # Finite balances this large miss the window; NaNs are neither event.
+        assert 0.03 < est.self_sufficient.p_hat < 0.07
+        assert est.deficit.p_hat > 0.3 and est.overflow.p_hat > 0.3
+
+
+def test_a_many_level_sweep_makes_no_per_level_passes(monkeypatch):
+    counts = _count_calls(monkeypatch, np, "count_nonzero")
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    rows = sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, np.linspace(0.0, 5.0, 51), n, 3)
+    assert len(rows) == 51
+    assert counts[0] == 0
 
 
 # --- simulate_trajectory --------------------------------------------------------
