@@ -34,7 +34,6 @@ from .montecarlo import (
     EnsembleStats,
     ProbabilityEstimate,
     SelfSufficiencyEstimate,
-    SweepRow,
     estimate_self_sufficiency,
     estimate_steps,
     simulate_ensemble,
@@ -89,7 +88,6 @@ __all__ = [
     "ProbabilityEstimate",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
-    "SweepRow",
     "simulate_trajectory",
     "simulate_ensemble",
     "estimate_self_sufficiency",

@@ -5,10 +5,13 @@ The balance of one step is ``B = G - D`` with generation ``G`` and demand
 window probabilities (deficit / overflow / self-sufficiency) are read from
 the cdf of their difference-convolution.  A window query needs that cdf at
 two points only, so for two cell grids it is summed from the inputs at
-those points and the balance masses are never formed.  For deterministic
+those points and the balance masses are never formed.  Every grid measure
+reads its cdf through one interpolation, ``_GridMeasure.cdf``, from the
+cumulative masses at the two edges around the point.  For deterministic
 generation and Weibull demand the same triple also has a closed form
-(:func:`weibull_closed_form`); the two routes are kept independent so they
-can check each other.
+(:func:`weibull_closed_form`).  The grid never calls it, and the Monte Carlo
+sampler imports nothing from this module; the routes meet only in the CLI,
+so they can check each other.
 
 Grid conventions
 ----------------
@@ -87,7 +90,8 @@ class _GridMeasure:
     """What a window query reads from a probability measure on a uniform grid.
 
     Subclasses give ``origin``, ``step``, ``n_cells``, ``is_atom``,
-    ``total_mass`` and ``cdf``; the geometry follows from them.
+    ``total_mass`` and ``_cum_pair(k)``, the cumulative masses at edges ``k``
+    and ``k + 1``; the geometry and the cdf follow from them.
     """
 
     @property
@@ -104,6 +108,38 @@ class _GridMeasure:
     def edges(self) -> np.ndarray:
         """Cell edge positions, length ``n_cells + 1``."""
         return self.origin + self.step * np.arange(self.n_cells + 1)
+
+    def cdf(self, x: float) -> float:
+        """Grid measure of ``(-inf, x]`` under the piecewise-uniform model.
+
+        0 up to the first edge, the total mass from the last one on (``±inf``
+        included), and in between ``np.interp(x, edges, cum)`` bit for bit,
+        without building ``edges``.  An atom's mass sits exactly at
+        ``origin`` (closed on the right, per the window convention).
+        """
+        x = float(x)
+        if math.isnan(x):
+            raise ValueError("cdf argument must not be NaN")
+        origin, step, n = self.origin, self.step, self.n_cells
+        if self.is_atom:
+            return self.total_mass if x >= origin else 0.0
+        if x < origin:
+            return 0.0
+        if not x < origin + step * n:
+            return self.total_mass
+        # The last cell k with edges[k] <= x (edges that round together hold
+        # one value), as np.interp's search finds it.
+        k = int(min((x - origin) / step, n - 1))
+        while k > 0 and origin + step * k > x:
+            k -= 1
+        while k < n - 1 and origin + step * (k + 1) <= x:
+            k += 1
+        below, above = self._cum_pair(k)
+        left = origin + step * k
+        if x == left:
+            return below
+        # x > left, so np.interp's retry for a NaN product cannot arise.
+        return (above - below) / (origin + step * (k + 1) - left) * (x - left) + below
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,19 +198,8 @@ class DensityGrid(_GridMeasure):
     def total_mass(self) -> float:
         return float(self._cum[-1])
 
-    def cdf(self, x: float) -> float:
-        """Grid measure of ``(-inf, x]`` under the piecewise-uniform model.
-
-        It is 0 up to the first edge and the total mass from the last one on,
-        ``±inf`` included.  For an atom the full mass sits exactly at
-        ``origin`` (closed on the right, per the window convention).
-        """
-        x = float(x)
-        if math.isnan(x):
-            raise ValueError("cdf argument must not be NaN")
-        if self.is_atom:
-            return self.total_mass if x >= self.origin else 0.0
-        return float(np.interp(x, self.edges, self._cum))
+    def _cum_pair(self, k: int) -> tuple[float, float]:
+        return float(self._cum[k]), float(self._cum[k + 1])
 
 
 @dataclass(frozen=True)
@@ -222,9 +247,9 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     Continuous families are gridded over their central ``DEFAULT_COVERAGE``
     quantile window with per-cell mass ``cdf(right) - cdf(left)`` exactly.
     ``Deterministic`` becomes an atom; ``Empirical`` becomes a normalized
-    histogram over its sample range (no truncation).  A quantile window
-    narrower than float resolution has no step to grid it with and raises
-    :class:`CellBudgetError`.
+    histogram over its sample range (no truncation).  A quantile window or a
+    sample range too narrow to cut into ``cells`` increasing float edges has
+    no step to grid it with and raises :class:`CellBudgetError`.
     """
     cells = int(cells)
     if cells < 2:
@@ -238,6 +263,10 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
         lo, hi = float(values.min()), float(values.max())
         if lo == hi:
             return DensityGrid(origin=lo, step=1.0, masses=np.ones(1))
+        # np.histogram's own edges, which it refuses unless they increase.
+        edges = np.linspace(lo, hi, cells + 1)
+        if np.any(edges[:-1] >= edges[1:]):
+            raise CellBudgetError(f"cannot grid Empirical: no {cells} float cells in [{lo}, {hi}]")
         counts, _ = np.histogram(values, bins=cells, range=(lo, hi))
         return DensityGrid(origin=lo, step=(hi - lo) / cells, masses=counts / values.size)
 
@@ -375,30 +404,9 @@ class _CellBalance(_GridMeasure):
         partial = np.dot(self.gen.masses[lo:hi], self._tail[lo + shift : hi + shift])
         return float(self._tail[0] * self.gen._cum[lo] + partial)
 
-    def cdf(self, x: float) -> float:
-        """Balance measure of ``(-inf, x]``, as :meth:`DensityGrid.cdf` reads it.
-
-        0 up to the first edge, the total mass from the last one on, and
-        linear in between on the edges of ``edges``.
-        """
-        x = float(x)
-        if math.isnan(x):
-            raise ValueError("cdf argument must not be NaN")
-        origin, step, n = self.origin, self.step, self.n_cells
-        if not x > origin:
-            return 0.0
-        if not x < origin + step * n:
-            return self.total_mass
-        # The cell k with edges[k] <= x < edges[k + 1].
-        k = min(int((x - origin) / step), n - 1)
-        while k > 0 and origin + step * k > x:
-            k -= 1
-        while k < n - 1 and origin + step * (k + 1) <= x:
-            k += 1
+    def _cum_pair(self, k: int) -> tuple[float, float]:
         c = [self._corr_cum(j) for j in (k - 2, k - 1, k)]
-        below, above = 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
-        left, right = origin + step * k, origin + step * (k + 1)
-        return (above - below) / (right - left) * (x - left) + below
+        return 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
 
 
 def self_sufficiency(b: _GridMeasure, q: BalanceQuery) -> ProbabilityTriple:

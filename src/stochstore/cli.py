@@ -11,9 +11,12 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
 ``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, an
-input's quantile window narrower than float resolution, an unreadable
-scenario and an unwritable or directory output path); 3 scenario error; 4
-numeric truncation budget exceeded.
+input's quantile window or sample range too narrow for its float cells, an
+unreadable scenario and an unwritable or directory output path); 3 scenario
+error; 4 numeric truncation budget exceeded.
+
+This is the one module where the routes meet: ``sweep`` and ``validate``
+put the closed form, the grid and the Monte Carlo estimates side by side.
 
 ``main`` builds its parser on the first call and reuses it in the process.
 On glibc the first call also keeps freed memory for reuse in the process
@@ -273,11 +276,13 @@ def _levels(config: RunConfig, storage, default_count: int) -> tuple[float, ...]
     return tuple(float(v) for v in np.linspace(storage.s_min, storage.s_max, default_count))
 
 
-def _has_closed_form(step_spec) -> bool:
-    """Deterministic generation against Weibull demand: the closed-form pairing."""
-    return isinstance(step_spec.generation, Deterministic) and isinstance(
-        step_spec.demand, Weibull
-    )
+def _closed_form(step_spec, storage, levels):
+    """The closed-form triple at each level; ``None`` unless the step pairs
+    deterministic generation with Weibull demand."""
+    gen, dem = step_spec.generation, step_spec.demand
+    if not (isinstance(gen, Deterministic) and isinstance(dem, Weibull)):
+        return None
+    return [weibull_closed_form(gen.value, level, storage, dem) for level in levels]
 
 
 def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
@@ -396,18 +401,23 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
 
 def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, 1)
-    step_spec = scenario.steps[0]
-    if not _has_closed_form(step_spec):
+    step_spec, storage = scenario.steps[0], scenario.storage
+    levels = _levels(config, storage, 51)
+    closed = _closed_form(step_spec, storage, levels)
+    if closed is None:
         raise ScenarioInvariantError(
             "scenario.steps[0]: sweep requires deterministic generation and "
             "weibull demand (the closed-form pairing)"
         )
-    storage = scenario.storage
-    levels = _levels(config, storage, 51)
 
-    rows = sweep_battery_levels(
+    estimates = sweep_battery_levels(
         step_spec.generation.value, step_spec.demand, storage, levels, config.n, config.seed
     )
+    rows = []
+    for level, triple, mc in zip(levels, closed, estimates):
+        mcs = (mc.deficit, mc.overflow, mc.self_sufficient)
+        rows.append((level, triple.p_deficit, triple.p_overflow, triple.p_self,
+                     *(e.p_hat for e in mcs), max(e.ci_halfwidth for e in mcs)))
     table = ResultTable(
         columns=(
             "level",
@@ -419,36 +429,16 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
             "p_self_mc",
             "ci_halfwidth",
         ),
-        rows=tuple(
-            (
-                row.level,
-                row.analytic.p_deficit,
-                row.analytic.p_overflow,
-                row.analytic.p_self,
-                row.mc.deficit.p_hat,
-                row.mc.overflow.p_hat,
-                row.mc.self_sufficient.p_hat,
-                max(
-                    row.mc.deficit.ci_halfwidth,
-                    row.mc.overflow.ci_halfwidth,
-                    row.mc.self_sufficient.ci_halfwidth,
-                ),
-            )
-            for row in rows
-        ),
+        rows=tuple(rows),
         metadata=_metadata(config, scenario),
     )
     out = _write_table(config, table)
-    first, last = rows[0], rows[-1]
-    print(f"sweep {scenario.name}: {len(rows)} level(s), n={config.n}, seed={config.seed}")
-    print(
-        f"  level {first.level:g}: p_self={first.analytic.p_self:.6f} "
-        f"(1-p_self={1.0 - first.analytic.p_self:.6f})"
-    )
-    print(
-        f"  level {last.level:g}: p_self={last.analytic.p_self:.6f} "
-        f"(1-p_self={1.0 - last.analytic.p_self:.6f})"
-    )
+    print(f"sweep {scenario.name}: {len(levels)} level(s), n={config.n}, seed={config.seed}")
+    for level, analytic in ((levels[0], closed[0]), (levels[-1], closed[-1])):
+        print(
+            f"  level {level:g}: p_self={analytic.p_self:.6f} "
+            f"(1-p_self={1.0 - analytic.p_self:.6f})"
+        )
     print(f"  table -> {out}")
     return 0
 
@@ -475,40 +465,37 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
                 (source, quantity, float(analytic), est.p_hat, est.ci_halfwidth, within)
             )
 
-    # Every grid triple comes before any sampling, so a grid over the cell
-    # budget exits 2 at once: each step at the initial level, and the first
-    # step at every level.
-    at_init = BalanceQuery(s_prev=s_init, storage=storage)
-    grid_of = _grid_source(scenario.steps, config.grid_cells)
-    first_grid = _balance_grid(scenario.steps[0], grid_of)
-    step_triples = [self_sufficiency(first_grid, at_init)] + [
-        self_sufficiency(_balance_grid(spec, grid_of), at_init) for spec in scenario.steps[1:]
-    ]
-    level_triples = [
-        self_sufficiency(first_grid, BalanceQuery(s_prev=level, storage=storage))
-        for level in levels
-    ]
+    # Each step at the initial level, and the first step also at every
+    # level: the grid and Monte Carlo both read these lists.
+    level_lists = [(s_init, *levels)] + [(s_init,)] * (scenario.horizon - 1)
 
-    # One Monte Carlo call: every step at the initial level, the first step
-    # also at every level, all from the same seed.
+    # Every grid triple comes before any sampling, so a grid over the cell
+    # budget exits 2 at once.
+    grid_of = _grid_source(scenario.steps, config.grid_cells)
+    grid_triples = []
+    for spec, lv in zip(scenario.steps, level_lists):
+        b = _balance_grid(spec, grid_of)
+        grid_triples.append([self_sufficiency(b, BalanceQuery(s, storage)) for s in lv])
+
+    # One Monte Carlo call for every step and level, all from the same seed.
     mc = estimate_steps(
         [(spec.generation, spec.demand) for spec in scenario.steps],
         storage,
-        [(s_init, *levels)] + [(s_init,)] * (scenario.horizon - 1),
+        level_lists,
         config.n,
         config.seed,
     )
-    for t, (triple, estimates) in enumerate(zip(step_triples, mc), start=1):
-        add_checks(f"step[{t}] grid", triple, estimates[0])
+    for t, (triples, estimates) in enumerate(zip(grid_triples, mc), start=1):
+        add_checks(f"step[{t}] grid", triples[0], estimates[0])
 
     # Battery-level sweep on the first step; closed form joins in when it
     # applies, checked against the same MC estimate as the grid.
-    step_spec = scenario.steps[0]
-    for level, grid_triple, estimate in zip(levels, level_triples, mc[0][1:]):
-        add_checks(f"level[{level:g}] grid", grid_triple, estimate)
-        if _has_closed_form(step_spec):
-            closed = weibull_closed_form(step_spec.generation.value, level, storage, step_spec.demand)
-            add_checks(f"level[{level:g}] closed_form", closed, estimate)
+    closed = _closed_form(scenario.steps[0], storage, levels)
+    for k, level in enumerate(levels):
+        estimate = mc[0][k + 1]
+        add_checks(f"level[{level:g}] grid", grid_triples[0][k + 1], estimate)
+        if closed is not None:
+            add_checks(f"level[{level:g}] closed_form", closed[k], estimate)
 
     caveat = config.n < VALIDATE_CAVEAT_N
     failures = [c for c in checks if not c[5]]
@@ -561,7 +548,7 @@ def run_command(config: RunConfig) -> int:
         return _HANDLERS[config.command](config, scenario)
     # OSError: unreadable --scenario, unwritable --out; CellBudgetError: the
     # inputs' grids refine to more cells than balance.MAX_BALANCE_CELLS, or
-    # an input's quantile window is narrower than float resolution.
+    # an input's quantile window or sample range is too narrow for its cells.
     except (ConfigError, CellBudgetError, OSError) as e:
         _diag(f"config error: {e}")
         return 2

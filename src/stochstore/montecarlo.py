@@ -3,7 +3,9 @@
 This engine is the sampling oracle for the analytic (grid and closed
 form) probability paths: it simulates scenarios trajectory by trajectory
 and estimates event probabilities as frequencies with normal-approximation
-confidence intervals (3 standard errors).
+confidence intervals (3 standard errors).  It takes nothing from the
+analytic routes' module (``balance``): it forms each storage window itself,
+and only the CLI puts its estimates next to theirs.
 
 Reproducibility contract: trajectory ``i`` of a run seeded with ``seed``
 draws from ``numpy.random.default_rng((seed, i))``, consuming generation
@@ -31,8 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .balance import BalanceQuery, ProbabilityTriple, weibull_closed_form
-from .distributions import Deterministic, Distribution, Weibull
+from .distributions import Deterministic, Distribution
 from .scenario import Scenario
 from .storage import StorageSpec, Trajectory, evolve
 
@@ -41,7 +42,6 @@ __all__ = [
     "ProbabilityEstimate",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
-    "SweepRow",
     "simulate_trajectory",
     "simulate_ensemble",
     "estimate_self_sufficiency",
@@ -496,18 +496,19 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     draw set's raw draws (at most 2n values), are all the arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
-    queries = [[BalanceQuery(s_prev=s, storage=storage) for s in lv] for lv in levels]
-    if len(queries) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} level lists, got {len(queries)}")
+    levels = [[storage.check_level(s) for s in lv] for lv in levels]
+    if len(levels) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} level lists, got {len(levels)}")
     n = int(n)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    deficits = [np.zeros(len(qs), dtype=np.int64) for qs in queries]
-    overflows = [np.zeros(len(qs), dtype=np.int64) for qs in queries]
+    deficits = [np.zeros(len(lv), dtype=np.int64) for lv in levels]
+    overflows = [np.zeros(len(lv), dtype=np.int64) for lv in levels]
     groups: dict = {}
-    for (gen, dem), qs, deficit, overflow in zip(pairs, queries, deficits, overflows):
-        lo = np.array([q.lo for q in qs])
-        hi = np.array([q.hi for q in qs] + [np.inf])
+    for (gen, dem), lv, deficit, overflow in zip(pairs, levels, deficits, overflows):
+        # The window (s_min - s, s_max - s] seen from each level s.
+        lo = np.array([storage.s_min - s for s in lv])
+        hi = np.array([storage.s_max - s for s in lv] + [np.inf])
         member = (gen, dem, lo, hi, deficit, overflow)
         groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(member)
     for (draw_g, draw_d), members in groups.items():
@@ -526,32 +527,23 @@ def _estimate(n_deficit: int, n_overflow: int, n: int) -> SelfSufficiencyEstimat
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    level: float
-    analytic: ProbabilityTriple
-    mc: SelfSufficiencyEstimate
-
-
 def sweep_battery_levels(
     gen_value: float,
-    dem: Weibull,
+    dem: Distribution,
     storage: StorageSpec,
     levels,
     n: int,
     seed: int,
-) -> tuple[SweepRow, ...]:
-    """Pair the closed-form triple with an MC estimate at each level.
+) -> tuple[SelfSufficiencyEstimate, ...]:
+    """The estimate at each level for generation ``gen_value`` against ``dem``.
 
     One demand sample from ``seed`` (Deterministic generation consumes no
-    random state) is counted at every level: each row's estimate equals
+    random state) is counted at every level: each estimate equals
     ``estimate_self_sufficiency`` at its level exactly, and across levels
     the comparison uses common random numbers.
     """
     levels = [float(s) for s in levels]
     if not levels:
         raise ValueError("levels must be a nonempty sequence")
-    gen = Deterministic(gen_value)
-    analytic = [weibull_closed_form(gen_value, level, storage, dem) for level in levels]
-    (mc,) = estimate_steps([(gen, dem)], storage, [levels], n, seed)
-    return tuple(SweepRow(*row) for row in zip(levels, analytic, mc))
+    (estimates,) = estimate_steps([(Deterministic(gen_value), dem)], storage, [levels], n, seed)
+    return estimates

@@ -191,7 +191,7 @@ def test_criterion_5_moment_fidelity():
 def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
     t0 = time.perf_counter()
     levels = [float(v) for v in np.linspace(0.0, 5.0, 51)]
-    rows = sweep_battery_levels(
+    estimates = sweep_battery_levels(
         gen_value=FIG2_GEN,
         dem=FIG2_DEM,
         storage=SPEC_0_5,
@@ -199,8 +199,9 @@ def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
         n=1_000,
         seed=0,
     )
-    p_a = [r.analytic.p_deficit for r in rows]
-    p_b = [r.analytic.p_overflow for r in rows]
+    closed = [weibull_closed_form(FIG2_GEN, level, SPEC_0_5, FIG2_DEM) for level in levels]
+    p_a = [t.p_deficit for t in closed]
+    p_b = [t.p_overflow for t in closed]
     # Deficit decreases strictly everywhere (its threshold is active at every
     # level); overflow is flat at zero until g + s clears the cap, then rises
     # strictly.
@@ -219,7 +220,13 @@ def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
     )
     gate_code = run_command(config)
     elapsed = time.perf_counter() - t0
-    ok = a_ok and b_flat_then_strict and gate_code == 0 and elapsed < 30.0
+    ok = (
+        len(estimates) == len(levels)
+        and a_ok
+        and b_flat_then_strict
+        and gate_code == 0
+        and elapsed < 30.0
+    )
     _report(
         6,
         ok,

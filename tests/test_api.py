@@ -1,7 +1,8 @@
 """The public surface: every exported name exists, the package re-exports
-only names that a library submodule exports itself, and README's examples
-run against it."""
+only names that a library submodule exports itself, README's examples run
+against it, and the three routes meet only in the CLI."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -47,3 +48,36 @@ def test_readme_examples_run(capsys):
     p_grid, p_exact = map(float, capsys.readouterr().out.split())
     assert p_grid == pytest.approx(p_exact, abs=1e-3)
     assert stochstore.parse_scenario(_readme_block("json")).name == "fig2_battery"
+
+
+def _module_tree(name):
+    path = Path(importlib.import_module(f"stochstore.{name}").__file__)
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_routes_meet_only_in_the_cli():
+    # The sampler forms its own storage windows: it imports nothing of the
+    # grid or the closed form, so a fault there cannot move it too.
+    imports = [
+        node
+        for node in ast.walk(_module_tree("montecarlo"))
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("balance"))
+        or (isinstance(node, ast.Import) and any(a.name.endswith("balance") for a in node.names))
+    ]
+    assert not imports, "montecarlo imports from balance"
+    # No grid-route code calls the closed form.
+    grid_route = {
+        "discretize",
+        "difference_density",
+        "self_sufficiency",
+        "resample",
+        "_GridMeasure",
+        "DensityGrid",
+        "_CellBalance",
+    }
+    tree = _module_tree("balance")
+    defs = [node for node in tree.body if getattr(node, "name", None) in grid_route]
+    assert len(defs) == len(grid_route)
+    for node in defs:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        assert "weibull_closed_form" not in names, node.name

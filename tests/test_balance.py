@@ -156,6 +156,70 @@ def test_discretize_degenerate_empirical_is_an_atom():
     assert grid.origin == 1.5
 
 
+@pytest.mark.parametrize(
+    "samples, cells",
+    [((1.0, 1.0000000000001), 4096), ((1.0, 1.000000000001), 65536), ((0.0, 5e-324), 2)],
+)
+def test_discretize_refuses_an_empirical_range_without_float_cells(samples, cells):
+    # np.histogram raises its own ValueError for these edges.
+    with pytest.raises(CellBudgetError, match=f"no {cells} float cells"):
+        discretize(Empirical(samples=samples), cells=cells)
+
+
+def test_discretize_grids_a_narrow_empirical_range_that_has_float_cells():
+    # About 450 ulps wide: 64 cells have increasing edges.
+    samples = (1.0, 1.0, 1.0000000000001)
+    grid = discretize(Empirical(samples=samples), cells=64)
+    counts, _ = np.histogram(samples, bins=64, range=(1.0, 1.0000000000001))
+    assert np.array_equal(grid.masses, counts / 3)
+
+
+def _interp_points(grid):
+    """Every edge, one ulp either side of it, the cell midpoints, and points outside."""
+    edges = grid.edges
+    outside = [-math.inf, edges[0] - 1.0, -0.0, 0.0, edges[-1] + 1.0, math.inf]
+    return np.concatenate(
+        [
+            edges,
+            np.nextafter(edges, -math.inf),
+            np.nextafter(edges, math.inf),
+            0.5 * (edges[:-1] + edges[1:]),
+            outside,
+        ]
+    )
+
+
+def _fig2_balance():
+    grid = difference_density(discretize(Deterministic(2.0)), discretize(FIG2_DEM, 4096))
+    assert isinstance(grid, DensityGrid) and grid.n_cells == 4096
+    return grid
+
+
+def _resampled_lognormal():
+    grid = discretize(LogNormal(0.0, 1.0), 512)
+    return resample(grid, 0.3 * grid.step)
+
+
+@pytest.mark.parametrize(
+    "make_grid",
+    [
+        lambda: DensityGrid(origin=0.5, step=0.75, masses=[0.3, 0.6]),
+        _fig2_balance,
+        _resampled_lognormal,
+        # Cells far below an ulp of the origin: runs of edges round together.
+        lambda: DensityGrid(origin=1e6, step=1e-11, masses=np.full(64, 1 / 64)),
+    ],
+    ids=["two_cells", "fig2_atom_shifted_4096", "resampled", "edges_that_round_together"],
+)
+def test_grid_cdf_is_np_interp_bit_for_bit(make_grid):
+    grid = make_grid()
+    edges, cum = grid.edges, grid._cum
+    xs = _interp_points(grid).tolist()
+    got = np.array([grid.cdf(x) for x in xs])
+    expected = np.array([np.interp(x, edges, cum) for x in xs])
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_discretize_validation():
     with pytest.raises(ValueError):
         discretize(FIG2_DEM, cells=1)

@@ -722,6 +722,52 @@ def test_a_lognormal_narrower_than_float_resolution_exits_2(tmp_path, capsys):
         out.unlink()
 
 
+def test_a_lognormal_mean_whose_square_underflows_exits_3_in_every_command(tmp_path, capsys):
+    path = tmp_path / "tiny_mean.json"
+    path.write_text(
+        FIG2_TEXT.replace(
+            '{"kind": "deterministic", "value": 2.0}',
+            '{"kind": "lognormal", "mean": 1e-300, "variance": 1e-300}',
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    for command in ("simulate", "analyze", "sweep", "validate"):
+        argv = [command, "--scenario", str(path), "--out", str(out)]
+        if command == "analyze":
+            argv += ["--s-prev", "0"]
+        assert main(argv) == 3, command
+        err = capsys.readouterr().err
+        assert "scenario error: scenario.steps[0].generation:" in err, command
+        assert "underflows" in err, command
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "samples, cells",
+    [("[1.0, 1.0000000000001]", 4096), ("[1.0, 1.000000000001]", 65536), ("[0.0, 5e-324]", 2)],
+)
+def test_an_empirical_range_without_float_cells_exits_2(tmp_path, capsys, samples, cells):
+    path = tmp_path / "narrow.json"
+    path.write_text(
+        FIG2_TEXT.replace(
+            '{"kind": "deterministic", "value": 2.0}',
+            f'{{"kind": "empirical", "samples": {samples}}}',
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "o.csv"
+    for command in ("analyze", "validate"):
+        argv = [command, "--scenario", str(path), "--grid-cells", str(cells), "--out", str(out)]
+        if command == "analyze":
+            argv += ["--s-prev", "0"]
+        assert main(argv) == 2, command
+        err = capsys.readouterr().err
+        assert "config error: cannot grid Empirical" in err, command
+        assert not out.exists()
+    assert main(["simulate", "--scenario", str(path), "--n", "100", "--out", str(out)]) == 0
+
+
 def test_exit_2_when_the_ensemble_balance_total_overflows(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(

@@ -342,6 +342,7 @@ def test_lognormal_from_moments_frozen_values():
         lambda: lognormal_from_moments(0.0, 1.0),
         lambda: lognormal_from_moments(1.0, 0.0),
         lambda: lognormal_from_moments(-1.0, 1.0),
+        lambda: lognormal_from_moments(1e-300, 1e-300),  # mean**2 underflows to 0
     ],
 )
 def test_invalid_parameters_are_rejected(factory):

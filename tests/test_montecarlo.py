@@ -678,7 +678,7 @@ def test_ensemble_frequencies_match_closed_form(fig2_scenario):
 
 def test_sweep_matches_single_estimates_exactly():
     levels = [0.0, 2.5, 5.0]
-    rows = sweep_battery_levels(
+    estimates = sweep_battery_levels(
         gen_value=2.0,
         dem=FIG2_DEM,
         storage=SPEC_0_5,
@@ -686,10 +686,10 @@ def test_sweep_matches_single_estimates_exactly():
         n=10_000,
         seed=123,
     )
-    assert [row.level for row in rows] == levels
-    for row in rows:
-        solo = estimate_reference(Deterministic(2.0), FIG2_DEM, SPEC_0_5, row.level, 10_000, 123)
-        assert row.mc == solo
+    assert len(estimates) == len(levels)
+    for level, estimate in zip(levels, estimates):
+        solo = estimate_reference(Deterministic(2.0), FIG2_DEM, SPEC_0_5, level, 10_000, 123)
+        assert estimate == solo
 
 
 def test_sweep_draws_its_demand_once_for_all_levels(monkeypatch):
@@ -716,36 +716,29 @@ def test_sweep_holds_one_n_length_array():
 
 def test_sweep_analytic_columns_are_monotone():
     levels = np.linspace(0.0, 5.0, 11)
-    rows = sweep_battery_levels(
-        gen_value=2.0,
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        levels=levels,
-        n=1_000,
-        seed=1,
-    )
-    p_def = [row.analytic.p_deficit for row in rows]
-    p_over = [row.analytic.p_overflow for row in rows]
+    closed = [weibull_closed_form(2.0, level, SPEC_0_5, FIG2_DEM) for level in levels]
+    p_def = [t.p_deficit for t in closed]
+    p_over = [t.p_overflow for t in closed]
     assert all(a >= b for a, b in zip(p_def, p_def[1:]))
     assert all(a <= b for a, b in zip(p_over, p_over[1:]))
 
 
 def test_sweep_estimates_cover_analytics():
-    rows = sweep_battery_levels(
+    levels = [0.0, 4.0, 5.0]
+    estimates = sweep_battery_levels(
         gen_value=2.0,
         dem=FIG2_DEM,
         storage=SPEC_0_5,
-        levels=[0.0, 4.0, 5.0],
+        levels=levels,
         n=100_000,
         seed=0,
     )
-    for row in rows:
-        floor = 3.0 / row.mc.n
-        assert abs(row.mc.deficit.p_hat - row.analytic.p_deficit) <= max(
-            row.mc.deficit.ci_halfwidth, floor
-        )
-        assert abs(row.mc.overflow.p_hat - row.analytic.p_overflow) <= max(
-            row.mc.overflow.ci_halfwidth, floor
+    for level, mc in zip(levels, estimates, strict=True):
+        analytic = weibull_closed_form(2.0, level, SPEC_0_5, FIG2_DEM)
+        floor = 3.0 / mc.n
+        assert abs(mc.deficit.p_hat - analytic.p_deficit) <= max(mc.deficit.ci_halfwidth, floor)
+        assert abs(mc.overflow.p_hat - analytic.p_overflow) <= max(
+            mc.overflow.ci_halfwidth, floor
         )
 
 
