@@ -12,7 +12,6 @@ from .balance import (
     DEFAULT_COVERAGE,
     MASS_TRUNCATION_BUDGET,
     MAX_BALANCE_CELLS,
-    BalanceQuery,
     CellBudgetError,
     DensityGrid,
     ProbabilityTriple,
@@ -76,7 +75,6 @@ __all__ = [
     "MASS_TRUNCATION_BUDGET",
     "MAX_BALANCE_CELLS",
     "DensityGrid",
-    "BalanceQuery",
     "ProbabilityTriple",
     "TruncationBudgetError",
     "CellBudgetError",

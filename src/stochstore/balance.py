@@ -24,8 +24,10 @@ pure shifts, and are never smeared across cells.
 
 Probability conventions
 -----------------------
-Window queries use a half-open interval: deficit counts ``B <= lo``
-(closed) and overflow counts ``B > hi`` (open).  The distinction is
+``self_sufficiency(b, s_prev, storage)`` checks ``s_prev`` against the
+storage window and forms its own half-open query window ``(lo, hi] =
+(s_min - s_prev, s_max - s_prev]``: deficit counts ``B <= lo`` (closed)
+and overflow counts ``B > hi`` (open).  The distinction is
 immaterial for continuous balances but fixes deterministic tie-breaking
 when the balance carries atoms.
 
@@ -54,7 +56,6 @@ __all__ = [
     "DEFAULT_COVERAGE",
     "MASS_TRUNCATION_BUDGET",
     "DensityGrid",
-    "BalanceQuery",
     "ProbabilityTriple",
     "TruncationBudgetError",
     "MAX_BALANCE_CELLS",
@@ -200,29 +201,6 @@ class DensityGrid(_GridMeasure):
 
     def _cum_pair(self, k: int) -> tuple[float, float]:
         return float(self._cum[k]), float(self._cum[k + 1])
-
-
-@dataclass(frozen=True)
-class BalanceQuery:
-    """A self-sufficiency question: storage window seen from level ``s_prev``.
-
-    The step stays in the window iff the balance lands in
-    ``(lo, hi] = (s_min - s_prev, s_max - s_prev]``.
-    """
-
-    s_prev: float
-    storage: StorageSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_prev", self.storage.check_level(self.s_prev))
-
-    @property
-    def lo(self) -> float:
-        return self.storage.s_min - self.s_prev
-
-    @property
-    def hi(self) -> float:
-        return self.storage.s_max - self.s_prev
 
 
 @dataclass(frozen=True)
@@ -409,25 +387,36 @@ class _CellBalance(_GridMeasure):
         return 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
 
 
-def self_sufficiency(b: _GridMeasure, q: BalanceQuery) -> ProbabilityTriple:
+def self_sufficiency(b: _GridMeasure, s_prev: float, storage: StorageSpec) -> ProbabilityTriple:
     """Deficit / overflow / self-sufficiency probabilities of a balance grid.
 
-    ``p_deficit = Pr[B <= lo]``, ``p_overflow = Pr[B > hi]``, and
-    ``p_self`` is the grid mass of ``(lo, hi]``, so the triple sums to the
-    grid's total mass exactly; any truncated tail mass is accounted
-    against ``p_self``'s error budget.  Raises
-    :class:`TruncationBudgetError` when the grid truncated more than
+    The step starts at level ``s_prev``, checked against the storage window,
+    and stays in the window iff the balance lands in ``(lo, hi] =
+    (s_min - s_prev, s_max - s_prev]``.  ``p_deficit = Pr[B <= lo]``,
+    ``p_overflow = Pr[B > hi]``, and ``p_self`` is the grid mass of
+    ``(lo, hi]``, so the triple sums to the grid's total mass exactly; any
+    truncated tail mass is accounted against ``p_self``'s error budget.
+    Raises :class:`TruncationBudgetError` when the grid truncated more than
     ``MASS_TRUNCATION_BUDGET`` of its distribution.
     """
+    s_prev = storage.check_level(s_prev)
     if b.truncated_mass > MASS_TRUNCATION_BUDGET:
         raise TruncationBudgetError(
             f"grid truncated {b.truncated_mass:.3e} of its mass, "
             f"exceeding the evaluation budget {MASS_TRUNCATION_BUDGET:.3e}"
         )
-    below_lo, below_hi = b.cdf(q.lo), b.cdf(q.hi)
+    below_lo, below_hi = b.cdf(storage.s_min - s_prev), b.cdf(storage.s_max - s_prev)
     p_overflow = max(0.0, b.total_mass - below_hi)
     # ProbabilityTriple clamps p_self to [0, 1].
     return ProbabilityTriple(p_deficit=below_lo, p_overflow=p_overflow, p_self=below_hi - below_lo)
+
+
+def _weibull_power(x: float, dem: Weibull) -> float:
+    """``(x / scale) ** shape``; inf past the float range, as ``Weibull.cdf`` reads it."""
+    try:
+        return (x / dem.scale) ** dem.shape
+    except OverflowError:
+        return math.inf
 
 
 def weibull_closed_form(
@@ -460,8 +449,8 @@ def weibull_closed_form(
 
     x_a = g_next + s_prev - storage.s_min
     x_b = g_next + s_prev - storage.s_max
-    p_deficit = 1.0 if x_a <= 0.0 else math.exp(-((x_a / dem.scale) ** dem.shape))
-    p_overflow = 0.0 if x_b <= 0.0 else -math.expm1(-((x_b / dem.scale) ** dem.shape))
+    p_deficit = 1.0 if x_a <= 0.0 else math.exp(-_weibull_power(x_a, dem))
+    p_overflow = 0.0 if x_b <= 0.0 else -math.expm1(-_weibull_power(x_b, dem))
     return ProbabilityTriple(
         p_deficit=p_deficit,
         p_overflow=p_overflow,

@@ -15,8 +15,11 @@ input's quantile window or sample range too narrow for its float cells, an
 unreadable scenario and an unwritable or directory output path); 3 scenario
 error; 4 numeric truncation budget exceeded.
 
-This is the one module where the routes meet: ``sweep`` and ``validate``
-put the closed form, the grid and the Monte Carlo estimates side by side.
+This is the one module where the routes meet.  Each route is one function
+of the same shape, a triple per (step, level): ``_grid`` for the grid,
+``_closed_form`` for the closed form and the sampler's ``estimate_steps``
+(``sweep_battery_levels`` for ``sweep``) for Monte Carlo.  ``analyze``,
+``sweep`` and ``validate`` build their rows from them as tables.
 
 ``main`` builds its parser on the first call and reuses it in the process.
 On glibc the first call also keeps freed memory for reuse in the process
@@ -41,7 +44,6 @@ import numpy as np
 from . import __version__
 from .balance import (
     DEFAULT_CELLS,
-    BalanceQuery,
     CellBudgetError,
     TruncationBudgetError,
     difference_density,
@@ -144,6 +146,8 @@ class RunConfig:
             raise ConfigError("analyze requires a battery level (--s-prev)")
         if self.levels is not None:
             object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+            if not self.levels:
+                raise ConfigError("--levels must name at least one level")
 
 
 def _parse_levels_arg(text: str) -> tuple[float, ...]:
@@ -294,15 +298,13 @@ def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
         )
 
 
-def _balance_grid(step_spec, grid_of):
-    return difference_density(grid_of(step_spec.generation), grid_of(step_spec.demand))
+def _grid(steps, storage, level_lists, cells: int):
+    """The grid route: yield each step's balance grid, one alive at a time,
+    with its triple at each of its levels.
 
-
-def _grid_source(steps, cells: int):
-    """``discretize`` at ``cells``, run once per distinct distribution of ``steps``.
-
-    A grid is kept from its first use to its last, so a quantity that recurs
-    across steps (day24's generation) is gridded once.
+    ``discretize`` runs once per distinct distribution of ``steps``, at
+    ``cells``; a grid is kept from its first use to its last, so a quantity
+    that recurs across steps (day24's generation) is gridded once.
     """
     uses = collections.Counter(d for spec in steps for d in (spec.generation, spec.demand))
     grids = {}
@@ -313,7 +315,9 @@ def _grid_source(steps, cells: int):
         uses[dist] -= 1
         return grids[dist] if uses[dist] else grids.pop(dist)
 
-    return grid_of
+    for spec, levels in zip(steps, level_lists):
+        b = difference_density(grid_of(spec.generation), grid_of(spec.demand))
+        yield b, [self_sufficiency(b, s, storage) for s in levels]
 
 
 # --- commands ----------------------------------------------------------------
@@ -370,22 +374,13 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
         )
     s_prev = _check_window(scenario.storage, config.s_prev, "--s-prev")
     step_spec = scenario.steps[config.step - 1]
-    b = _balance_grid(step_spec, _grid_source([step_spec], config.grid_cells))
-    triple = self_sufficiency(b, BalanceQuery(s_prev=s_prev, storage=scenario.storage))
+    [(b, [triple])] = _grid([step_spec], scenario.storage, [(s_prev,)], config.grid_cells)
 
     table = ResultTable(
         columns=("step", "s_prev", "p_deficit", "p_overflow", "p_self", "p_not_self", "truncated_mass"),
-        rows=(
-            (
-                config.step,
-                s_prev,
-                triple.p_deficit,
-                triple.p_overflow,
-                triple.p_self,
-                1.0 - triple.p_self,
-                float(f"{b.truncated_mass:.3e}"),  # the rest is rounding noise of 1 - total mass
-            ),
-        ),
+        # The truncated mass past 3 digits is rounding noise of 1 - total mass.
+        rows=((config.step, s_prev, triple.p_deficit, triple.p_overflow, triple.p_self,
+               1.0 - triple.p_self, float(f"{b.truncated_mass:.3e}")),),
         metadata=_metadata(config, scenario, grid_cells=config.grid_cells),
     )
     out = _write_table(config, table)
@@ -413,23 +408,16 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
     estimates = sweep_battery_levels(
         step_spec.generation.value, step_spec.demand, storage, levels, config.n, config.seed
     )
-    rows = []
-    for level, triple, mc in zip(levels, closed, estimates):
-        mcs = (mc.deficit, mc.overflow, mc.self_sufficient)
-        rows.append((level, triple.p_deficit, triple.p_overflow, triple.p_self,
-                     *(e.p_hat for e in mcs), max(e.ci_halfwidth for e in mcs)))
+    rows = tuple(
+        (level, t.p_deficit, t.p_overflow, t.p_self,
+         mc.deficit.p_hat, mc.overflow.p_hat, mc.self_sufficient.p_hat,
+         max(mc.deficit.ci_halfwidth, mc.overflow.ci_halfwidth, mc.self_sufficient.ci_halfwidth))
+        for level, t, mc in zip(levels, closed, estimates)
+    )
     table = ResultTable(
-        columns=(
-            "level",
-            "p_A_analytic",
-            "p_B_analytic",
-            "p_self_analytic",
-            "p_A_mc",
-            "p_B_mc",
-            "p_self_mc",
-            "ci_halfwidth",
-        ),
-        rows=tuple(rows),
+        columns=("level", "p_A_analytic", "p_B_analytic", "p_self_analytic",
+                 "p_A_mc", "p_B_mc", "p_self_mc", "ci_halfwidth"),
+        rows=rows,
         metadata=_metadata(config, scenario),
     )
     out = _write_table(config, table)
@@ -446,56 +434,39 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
 def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     _check_sample_budget(config, 1)
     storage = scenario.storage
-    s_init = storage.s_init
     levels = _levels(config, storage, 6)
+    # Each step at the initial level, and the first step also at every
+    # level: the grid and Monte Carlo both read these lists.
+    level_lists = [(storage.s_init, *levels)] + [(storage.s_init,)] * (scenario.horizon - 1)
+    # Every grid triple comes before any sampling, so a grid over the cell
+    # budget exits 2 at once.
+    grid = [triples for _, triples in _grid(scenario.steps, storage, level_lists, config.grid_cells)]
+    # One Monte Carlo call for every step and level, all from the same seed.
+    pairs = [(spec.generation, spec.demand) for spec in scenario.steps]
+    mc = estimate_steps(pairs, storage, level_lists, config.n, config.seed)
+    closed = _closed_form(scenario.steps[0], storage, levels)
+
+    # (source, analytic triple, Monte Carlo estimate): each step at the
+    # initial level, then the first step at every level, where the closed
+    # form joins in when it applies against the same estimate as the grid.
+    rows = [(f"step[{t}] grid", g[0], m[0]) for t, (g, m) in enumerate(zip(grid, mc), start=1)]
+    for k, level in enumerate(levels):
+        rows.append((f"level[{level:g}] grid", grid[0][k + 1], mc[0][k + 1]))
+        if closed is not None:
+            rows.append((f"level[{level:g}] closed_form", closed[k], mc[0][k + 1]))
     # Frequency 0/1 gives a zero-width interval; a true probability may
     # still be (tiny but) nonzero, so checks never use a tolerance below
     # the rule-of-three bound 3/n.
     floor = 3.0 / config.n
-    checks: list[tuple[str, str, float, float, float, bool]] = []
-
-    def add_checks(source, analytic_triple, mc) -> None:
-        for quantity, analytic, est in (
-            ("p_deficit", analytic_triple.p_deficit, mc.deficit),
-            ("p_overflow", analytic_triple.p_overflow, mc.overflow),
-            ("p_self", analytic_triple.p_self, mc.self_sufficient),
-        ):
-            within = abs(analytic - est.p_hat) <= max(est.ci_halfwidth, floor)
-            checks.append(
-                (source, quantity, float(analytic), est.p_hat, est.ci_halfwidth, within)
-            )
-
-    # Each step at the initial level, and the first step also at every
-    # level: the grid and Monte Carlo both read these lists.
-    level_lists = [(s_init, *levels)] + [(s_init,)] * (scenario.horizon - 1)
-
-    # Every grid triple comes before any sampling, so a grid over the cell
-    # budget exits 2 at once.
-    grid_of = _grid_source(scenario.steps, config.grid_cells)
-    grid_triples = []
-    for spec, lv in zip(scenario.steps, level_lists):
-        b = _balance_grid(spec, grid_of)
-        grid_triples.append([self_sufficiency(b, BalanceQuery(s, storage)) for s in lv])
-
-    # One Monte Carlo call for every step and level, all from the same seed.
-    mc = estimate_steps(
-        [(spec.generation, spec.demand) for spec in scenario.steps],
-        storage,
-        level_lists,
-        config.n,
-        config.seed,
-    )
-    for t, (triples, estimates) in enumerate(zip(grid_triples, mc), start=1):
-        add_checks(f"step[{t}] grid", triples[0], estimates[0])
-
-    # Battery-level sweep on the first step; closed form joins in when it
-    # applies, checked against the same MC estimate as the grid.
-    closed = _closed_form(scenario.steps[0], storage, levels)
-    for k, level in enumerate(levels):
-        estimate = mc[0][k + 1]
-        add_checks(f"level[{level:g}] grid", grid_triples[0][k + 1], estimate)
-        if closed is not None:
-            add_checks(f"level[{level:g}] closed_form", closed[k], estimate)
+    checks = [
+        (source, quantity, a, e.p_hat, e.ci_halfwidth, abs(a - e.p_hat) <= max(e.ci_halfwidth, floor))
+        for source, triple, est in rows
+        for quantity, a, e in (
+            ("p_deficit", triple.p_deficit, est.deficit),
+            ("p_overflow", triple.p_overflow, est.overflow),
+            ("p_self", triple.p_self, est.self_sufficient),
+        )
+    ]
 
     caveat = config.n < VALIDATE_CAVEAT_N
     failures = [c for c in checks if not c[5]]

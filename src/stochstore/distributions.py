@@ -21,6 +21,7 @@ afterwards.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -315,8 +316,8 @@ def lognormal_from_moments(mean: float, variance: float) -> LogNormal:
         raise ValueError(f"target mean must be finite and > 0, got {mean!r}")
     if not (math.isfinite(variance) and variance > 0.0):
         raise ValueError(f"target variance must be finite and > 0, got {variance!r}")
-    if mean**2 == 0.0:
-        raise ValueError(f"target mean {mean!r} is too small: its square underflows to 0")
+    if mean**2 < sys.float_info.min:
+        raise ValueError(f"target mean {mean!r} is too small: its square underflows")
     sigma_sq = math.log1p(variance / mean**2)
     mu = math.log(mean) - 0.5 * sigma_sq
     return LogNormal(mu=mu, sigma=math.sqrt(sigma_sq))

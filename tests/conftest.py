@@ -7,7 +7,6 @@ import pytest
 import stochstore.distributions as dist
 
 from stochstore import (
-    BalanceQuery,
     ProbabilityEstimate,
     Scenario,
     SelfSufficiencyEstimate,
@@ -69,11 +68,11 @@ def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, se
     ``sample_n`` from ``default_rng(seed)``, and counts the balance against
     the window of ``s_prev`` (deficit closed, overflow open).
     """
-    query = BalanceQuery(s_prev=s_prev, storage=storage)
+    s_prev = storage.check_level(s_prev)
     rng = np.random.default_rng(seed)
     b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
-    n_deficit = int(np.count_nonzero(b <= query.lo))
-    n_overflow = int(np.count_nonzero(b > query.hi))
+    n_deficit = int(np.count_nonzero(b <= storage.s_min - s_prev))
+    n_overflow = int(np.count_nonzero(b > storage.s_max - s_prev))
     return SelfSufficiencyEstimate(
         deficit=ProbabilityEstimate.from_count(n_deficit, n),
         overflow=ProbabilityEstimate.from_count(n_overflow, n),

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from stochstore import (
-    BalanceQuery,
     Deterministic,
     LogNormal,
     StorageSpec,
@@ -79,7 +78,7 @@ def test_criterion_2_grid_matches_closed_form():
     )
     worst = 0.0
     for s_prev in np.arange(0.0, 5.01, 0.5):
-        grid_t = self_sufficiency(b, BalanceQuery(s_prev=float(s_prev), storage=SPEC_0_5))
+        grid_t = self_sufficiency(b, float(s_prev), SPEC_0_5)
         closed_t = weibull_closed_form(FIG2_GEN, float(s_prev), SPEC_0_5, FIG2_DEM)
         worst = max(
             worst,

@@ -81,3 +81,14 @@ def test_routes_meet_only_in_the_cli():
     for node in defs:
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         assert "weibull_closed_form" not in names, node.name
+    # The CLI reaches each analytic route through one function: the grid's
+    # kernels are named only in _grid, the closed form only in _closed_form.
+    named_in = {}
+    for node in _module_tree("cli").body:
+        if isinstance(node, ast.FunctionDef):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    named_in.setdefault(n.id, set()).add(node.name)
+    for kernel in ("discretize", "difference_density", "self_sufficiency"):
+        assert named_in.get(kernel) == {"_grid"}, (kernel, named_in.get(kernel))
+    assert named_in.get("weibull_closed_form") == {"_closed_form"}

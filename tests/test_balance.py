@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import stochstore.balance as balance
 from stochstore import (
-    BalanceQuery,
     CellBudgetError,
     DensityGrid,
     Deterministic,
@@ -353,8 +352,8 @@ def test_fixture_balances_match_the_direct_correlation(storage, step_spec):
         # The triples the CLI writes, read from the inputs; measured <= 1.8e-14 off.
         levels = np.linspace(storage.s_min, storage.s_max, 11)
         for s_prev in levels:
-            q = BalanceQuery(s_prev=float(s_prev), storage=storage)
-            got, ref = self_sufficiency(b, q), self_sufficiency(direct, q)
+            got = self_sufficiency(b, float(s_prev), storage)
+            ref = self_sufficiency(direct, float(s_prev), storage)
             assert got.p_deficit == pytest.approx(ref.p_deficit, abs=1e-12)
             assert got.p_overflow == pytest.approx(ref.p_overflow, abs=1e-12)
             assert got.p_self == pytest.approx(ref.p_self, abs=1e-12)
@@ -377,7 +376,7 @@ def test_window_query_on_two_cell_grids_runs_no_fft(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", no_fft)
     monkeypatch.setattr(np.fft, "irfft", no_fft)
-    triple = self_sufficiency(difference_density(gen, dem), BalanceQuery(1.0, SPEC_0_5))
+    triple = self_sufficiency(difference_density(gen, dem), 1.0, SPEC_0_5)
     assert triple.p_self > 0.0
 
 
@@ -460,48 +459,57 @@ def test_interval_probability_stable_under_refinement():
 def test_self_sufficiency_triple_sums_to_total_mass():
     b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
     for s_prev in (0.0, 1.5, 4.0, 5.0):
-        t = self_sufficiency(b, BalanceQuery(s_prev=s_prev, storage=SPEC_0_5))
+        t = self_sufficiency(b, s_prev, SPEC_0_5)
         assert abs((t.p_deficit + t.p_overflow + t.p_self) - b.total_mass) < 1e-9
 
 
 def test_self_sufficiency_atom_examples():
     mid = self_sufficiency(
-        DensityGrid(origin=0.0, step=1.0, masses=np.array([1.0])),
-        BalanceQuery(s_prev=2.5, storage=SPEC_0_5),
+        DensityGrid(origin=0.0, step=1.0, masses=np.array([1.0])), 2.5, SPEC_0_5
     )
     assert (mid.p_deficit, mid.p_overflow, mid.p_self) == (0.0, 0.0, 1.0)
 
     spec = StorageSpec(0.0, 5.0, 5.0)
     surplus = self_sufficiency(
-        DensityGrid(origin=1.0, step=1.0, masses=np.array([1.0])),
-        BalanceQuery(s_prev=5.0, storage=spec),
+        DensityGrid(origin=1.0, step=1.0, masses=np.array([1.0])), 5.0, spec
     )
     assert (surplus.p_deficit, surplus.p_overflow, surplus.p_self) == (0.0, 1.0, 0.0)
 
 
 def test_self_sufficiency_fig2_checkpoint():
     b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
-    t = self_sufficiency(b, BalanceQuery(s_prev=0.0, storage=SPEC_0_5))
+    t = self_sufficiency(b, 0.0, SPEC_0_5)
     assert t.p_deficit == pytest.approx(E_MINUS_1, abs=1e-3)
     assert t.p_overflow == 0.0
 
 
 def test_self_sufficiency_rejects_over_budget_truncation():
     grid = discretize(FIG2_DEM, cells=256)
-    query = BalanceQuery(s_prev=0.0, storage=SPEC_0_5)
-    assert self_sufficiency(grid, query).p_self <= grid.total_mass
+    assert self_sufficiency(grid, 0.0, SPEC_0_5).p_self <= grid.total_mass
     truncated = DensityGrid(origin=grid.origin, step=grid.step, masses=0.9 * grid.masses)
     with pytest.raises(TruncationBudgetError):
-        self_sufficiency(truncated, query)
+        self_sufficiency(truncated, 0.0, SPEC_0_5)
 
 
-def test_balance_query_validation():
-    with pytest.raises(ValueError):
-        BalanceQuery(s_prev=-0.5, storage=SPEC_0_5)
-    with pytest.raises(ValueError):
-        BalanceQuery(s_prev=5.5, storage=SPEC_0_5)
-    q = BalanceQuery(s_prev=1.0, storage=SPEC_0_5)
-    assert (q.lo, q.hi) == (-1.0, 4.0)
+def test_self_sufficiency_checks_the_level_and_forms_the_window():
+    def atom(x):
+        return DensityGrid(origin=x, step=1.0, masses=np.array([1.0]))
+
+    for level in (-0.5, 5.5, math.nan):
+        with pytest.raises(ValueError, match="outside the storage window"):
+            self_sufficiency(atom(0.0), level, SPEC_0_5)
+    # From s_prev = 1 the window is (lo, hi] = (-1, 4]: an atom on lo is a
+    # deficit, one an ulp above lo or on hi stays in, and one an ulp past hi
+    # overflows.
+    cases = {
+        -1.0: (1.0, 0.0, 0.0),
+        np.nextafter(-1.0, 0.0): (0.0, 0.0, 1.0),
+        4.0: (0.0, 0.0, 1.0),
+        np.nextafter(4.0, 5.0): (0.0, 1.0, 0.0),
+    }
+    for x, expected in cases.items():
+        t = self_sufficiency(atom(x), 1.0, SPEC_0_5)
+        assert (t.p_deficit, t.p_overflow, t.p_self) == expected, x
 
 
 # --- weibull_closed_form -----------------------------------------------------
@@ -526,6 +534,10 @@ def test_closed_form_clamps():
     assert t.p_deficit == 1.0
     assert t.p_overflow == 0.0
     assert t.p_self == 0.0
+    # (x / scale) ** shape past the float range reads as inf, as in Weibull.cdf:
+    # all the demand mass lies below x_B, so the step overflows.
+    t = weibull_closed_form(1e300, 0.0, SPEC_0_5, Weibull(scale=1e154, shape=1e154))
+    assert (t.p_deficit, t.p_overflow, t.p_self) == (0.0, 1.0, 0.0)
 
 
 @given(
@@ -570,7 +582,7 @@ def test_closed_form_validation():
 def test_grid_path_matches_closed_form_across_levels():
     b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
     for s_prev in np.arange(0.0, 5.01, 0.5):
-        grid_t = self_sufficiency(b, BalanceQuery(s_prev=float(s_prev), storage=SPEC_0_5))
+        grid_t = self_sufficiency(b, float(s_prev), SPEC_0_5)
         closed_t = weibull_closed_form(2.0, float(s_prev), SPEC_0_5, FIG2_DEM)
         assert grid_t.p_deficit == pytest.approx(closed_t.p_deficit, abs=1e-3)
         assert grid_t.p_overflow == pytest.approx(closed_t.p_overflow, abs=1e-3)
@@ -581,7 +593,7 @@ def test_grid_path_matches_closed_form_across_levels():
 @given(value=st.floats(0.0, 6.0), s_prev=st.floats(0.0, 5.0))
 def test_grid_path_matches_closed_form_random_points(value, s_prev):
     b = difference_density(discretize(Deterministic(value), 2048), discretize(FIG2_DEM, 2048))
-    grid_t = self_sufficiency(b, BalanceQuery(s_prev=s_prev, storage=SPEC_0_5))
+    grid_t = self_sufficiency(b, s_prev, SPEC_0_5)
     closed_t = weibull_closed_form(value, s_prev, SPEC_0_5, FIG2_DEM)
     assert grid_t.p_deficit == pytest.approx(closed_t.p_deficit, abs=1e-3)
     assert grid_t.p_overflow == pytest.approx(closed_t.p_overflow, abs=1e-3)

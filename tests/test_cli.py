@@ -19,7 +19,6 @@ import stochstore
 import stochstore.cli as cli
 from stochstore import (
     MAX_BALANCE_CELLS,
-    BalanceQuery,
     DensityGrid,
     Deterministic,
     ProbabilityTriple,
@@ -316,9 +315,7 @@ def test_sweep_single_level_agrees_with_analyze(tmp_path):
         discretize(Deterministic(2.0), 4096),
         discretize(Weibull(scale=2.0, shape=5.0), 4096),
     )
-    triple = self_sufficiency(
-        b, BalanceQuery(s_prev=2.5, storage=StorageSpec(0.0, 5.0, 0.0))
-    )
+    triple = self_sufficiency(b, 2.5, StorageSpec(0.0, 5.0, 0.0))
     assert p_a_closed == pytest.approx(triple.p_deficit, abs=1e-3)
 
     # Third route: analyze at the same stored level must tell the same story.
@@ -847,6 +844,11 @@ def test_run_config_validation():
             s_prev=0.0,
             format="yaml",
         )
+    # An empty level list has no command-line spelling; run_command must
+    # never see one.
+    for command in ("sweep", "validate"):
+        with pytest.raises(ConfigError, match="at least one level"):
+            RunConfig(command=command, scenario_path="fig2_battery", output_path="x", levels=())
 
 
 def test_version_flag():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochstore.distributions as distributions
@@ -307,6 +307,8 @@ def test_empirical_order_statistics_are_read_only():
     mean=st.floats(0.05, 50.0),
     variance=st.floats(0.01, 40.0),
 )
+# mean**2 just above the smallest normal float: still parsed, to full precision.
+@example(mean=1.5e-154, variance=1e-300)
 def test_lognormal_from_moments_round_trips(mean, variance):
     dist = lognormal_from_moments(mean, variance)
     # The log-normal's moments in closed form.
@@ -343,6 +345,7 @@ def test_lognormal_from_moments_frozen_values():
         lambda: lognormal_from_moments(1.0, 0.0),
         lambda: lognormal_from_moments(-1.0, 1.0),
         lambda: lognormal_from_moments(1e-300, 1e-300),  # mean**2 underflows to 0
+        lambda: lognormal_from_moments(1.7e-161, 1e-300),  # mean**2 is subnormal
     ],
 )
 def test_invalid_parameters_are_rejected(factory):

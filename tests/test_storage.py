@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochstore import BalanceQuery, StorageSpec, evolve
+from stochstore import StorageSpec, evolve
 
 from conftest import evolve_one_step, step
 
@@ -64,13 +64,13 @@ def test_step_is_monotone_in_both_arguments(s1, s2, b1, b2):
 
 
 def test_step_rejects_bad_inputs():
-    # A level enters as a store's s_init or as a query's s_prev; a balance
-    # enters through evolve.
+    # A level enters as a store's s_init or through check_level (a grid
+    # query's s_prev); a balance enters through evolve.
     for level in (-0.1, 5.1):
         with pytest.raises(ValueError, match="outside the storage window"):
             StorageSpec(0.0, 5.0, level)
         with pytest.raises(ValueError, match="outside the storage window"):
-            BalanceQuery(s_prev=level, storage=SPEC_0_5)
+            SPEC_0_5.check_level(level)
     for b in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             evolve(SPEC_0_5, np.array([2.0, b]))
