@@ -83,7 +83,8 @@ class CellBudgetError(ValueError):
     """A grid cannot be built within the cell budget.
 
     Either a balance grid would need more than ``MAX_BALANCE_CELLS`` cells,
-    or a distribution's quantile window is too narrow for any float step.
+    or a distribution's quantile window is too narrow for any float step or
+    for its cells to hold all but ``MASS_TRUNCATION_BUDGET`` of its mass.
     """
 
 
@@ -227,7 +228,9 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     ``Deterministic`` becomes an atom; ``Empirical`` becomes a normalized
     histogram over its sample range (no truncation).  A quantile window or a
     sample range too narrow to cut into ``cells`` increasing float edges has
-    no step to grid it with and raises :class:`CellBudgetError`.
+    no step to grid it with and raises :class:`CellBudgetError`, as does a
+    continuous grid whose cells hold less than ``1 - MASS_TRUNCATION_BUDGET``
+    of the mass (a window a few ulps wide, whose quantiles round together).
     """
     cells = int(cells)
     if cells < 2:
@@ -256,7 +259,13 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
         )
     step = (hi - lo) / cells
     grid_edges = lo + step * np.arange(cells + 1)
-    return DensityGrid(origin=lo, step=step, masses=np.diff(spec.cdf(grid_edges)))
+    grid = DensityGrid(origin=lo, step=step, masses=np.diff(spec.cdf(grid_edges)))
+    if grid.truncated_mass > MASS_TRUNCATION_BUDGET:
+        raise CellBudgetError(
+            f"cannot grid {type(spec).__name__}: its cells on the quantile window "
+            f"[{lo}, {hi}] hold only {grid.total_mass:.6g} of its mass"
+        )
+    return grid
 
 
 def resample(grid: DensityGrid, step: float) -> DensityGrid:

@@ -11,9 +11,10 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
 ``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, an
-input's quantile window or sample range too narrow for its float cells, an
-unreadable scenario and an unwritable or directory output path); 3 scenario
-error; 4 numeric truncation budget exceeded.
+input's quantile window or sample range too narrow for its float cells or a
+continuous input's cells holding less than ``1 - MASS_TRUNCATION_BUDGET`` of
+its mass, an unreadable scenario and an unwritable or directory output
+path); 3 scenario error; 4 numeric truncation budget exceeded.
 
 This is the one module where the routes meet.  Each route is one function
 of the same shape, a triple per (step, level): ``_grid`` for the grid,
@@ -83,9 +84,10 @@ COMMANDS = ("simulate", "analyze", "sweep", "validate")
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix, or one n-length raw draw array of validate
-# or sweep (each holds at most two at a time and forms the balance in blocks).
-# A larger --n is refused before anything is sampled.
+# (n, horizon) ensemble matrix, or validate's n-length raw generation draw
+# (it holds at most one and draws the other side a block at a time).  sweep
+# holds no n-length array, so for it the budget bounds run time, not
+# memory.  A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
 # Largest --grid-cells.  The grid route grows about linearly (one array cdf

@@ -18,11 +18,13 @@ building one ``Generator`` per trajectory; a test pins them to
 ``default_rng(seed)``.  Every estimate is made by ``estimate_steps``, which
 counts one draw set at all the levels and for all the pairs that share it:
 a sweep draws its demand once for every level, and a generation that
-recurs from step to step is transformed once per block of draws.  The
-transforms read the raw draws and write a block of values; a pair counted
-at many levels (a sweep's 51) sorts each block once and reads every
-level's counts by binary search, and any other pair compares the block
-with each level's window edges.
+recurs from step to step is transformed once per block of draws.  The side
+drawn last is drawn a block at a time, so a draw set holds at most one
+n-length array: the generation's draws, when a demand draws after them.
+The transforms read the raw draws and write a block of values; a pair
+counted at many levels (a sweep's 51) sorts each block once and reads
+every level's counts by binary search, and any other pair compares the
+block with each level's window edges.
 """
 
 from __future__ import annotations
@@ -410,8 +412,8 @@ def estimate_self_sufficiency(
     return estimate_steps([(gen, dem)], storage, [(s_prev,)], n, seed)[0][0]
 
 
-def _block_values(q: Distribution, raw, part: slice, out: np.ndarray):
-    """``q``'s values for the draws ``raw[part]``, leaving ``raw`` as is.
+def _block_values(q: Distribution, raw, out: np.ndarray):
+    """``q``'s values for the block of draws ``raw``, leaving ``raw`` as is.
 
     A Deterministic quantity (``raw`` is ``None``) gives its value as a
     scalar, a quantity without a ``transform`` its draws themselves, and any
@@ -420,8 +422,8 @@ def _block_values(q: Distribution, raw, part: slice, out: np.ndarray):
     if raw is None:
         return q.value
     if q.primitive is None:
-        return raw[part]
-    return q.transform(raw[part], out)
+        return raw
+    return q.transform(raw, out)
 
 
 # Balance values formed and counted at a time by ``estimate_steps``.
@@ -451,30 +453,49 @@ def _count(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask, deficit, overflo
         overflow[j] += np.count_nonzero(np.greater(b, hi[j], out=mask))
 
 
+def _draw_block(draw, rng, size: int):
+    return None if draw is None else draw(rng, size)
+
+
+def _count_block(members, raw_g, raw_d, g_out, b_out, mask) -> None:
+    """Count the balances of one block of raw draws for each member."""
+    previous = None
+    for gen, dem, lo, hi, deficit, overflow in members:
+        # An equal generation maps the group's raw draws to the same values
+        # (0.0 for a -0.0 changes no count).
+        if previous is None or gen != previous:
+            g = _block_values(gen, raw_g, g_out)
+        previous = gen
+        d = _block_values(dem, raw_d, b_out)
+        b = np.subtract(g, d, out=b_out)
+        _count(b, lo, hi, mask, deficit, overflow)
+
+
 def _count_draw_set(draw_g, draw_d, members, n: int, seed: int) -> None:
     """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
 
-    The blocks are made after the raw draws, and every array and view of
-    them is freed on return, before the next draw set is drawn.
+    The side drawn last, the demand or else the generation, is drawn one
+    block at a time just before the block is counted, and that block's
+    draws are freed before the next are drawn; a generation followed by a
+    drawn demand is drawn whole first, as the contract orders it.  Every
+    array and view is freed on return, before the next draw set is drawn.
     """
     rng = np.random.default_rng(seed)
-    raw_g = None if draw_g is None else draw_g(rng, n)
-    raw_d = None if draw_d is None else draw_d(rng, n)
+    raw_g = None if draw_g is None or draw_d is None else draw_g(rng, n)
     size = min(n, ESTIMATE_BLOCK)
     g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for start in range(0, n, ESTIMATE_BLOCK):
-        part = slice(start, min(start + ESTIMATE_BLOCK, n))
-        size = part.stop - start
-        previous = None
-        for gen, dem, lo, hi, deficit, overflow in members:
-            # An equal generation maps the group's raw draws to the same
-            # values (0.0 for a -0.0 changes no count).
-            if previous is None or gen != previous:
-                g = _block_values(gen, raw_g, part, g_block[:size])
-            previous = gen
-            d = _block_values(dem, raw_d, part, b_block[:size])
-            b = np.subtract(g, d, out=b_block[:size])
-            _count(b, lo, hi, mask_block[:size], deficit, overflow)
+        stop = min(start + ESTIMATE_BLOCK, n)
+        size = stop - start
+        # At most one side draws here, so the stream keeps its order.
+        _count_block(
+            members,
+            raw_g[start:stop] if raw_g is not None else _draw_block(draw_g, rng, size),
+            _draw_block(draw_d, rng, size),
+            g_block[:size],
+            b_block[:size],
+            mask_block[:size],
+        )
 
 
 def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
@@ -491,9 +512,13 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     whose generation equals the previous pair's reuses the generation values
     already in the block.  A pair with more than ``SORT_ABOVE_LEVELS`` levels
     sorts its balance block and reads every level's counts by binary search;
-    any other compares the block against each level's window edges.  A
-    block of generation, one of balance and one bool mask, made after one
-    draw set's raw draws (at most 2n values), are all the arrays held.
+    any other compares the block against each level's window edges.  The
+    side drawn last (the demand, or a generation against a Deterministic
+    demand) is drawn one block at a time, which leaves the same values and
+    generator state as one whole draw.  One draw set's whole generation
+    draw (at most n values, and only when a demand draws after it), a block
+    of raw draws, one of generation, one of balance and one bool mask are
+    all the arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]

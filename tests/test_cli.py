@@ -691,10 +691,10 @@ def test_exit_2_when_refinement_exceeds_the_cell_budget(tmp_path, capsys, comman
 
 def test_a_lognormal_narrower_than_float_resolution_exits_2(tmp_path, capsys):
     # At sigma 1e-300 the quantile window rounds to [1.0, 1.0]: no float step
-    # grids it.  At 1e-17 it is a few ulps wide and over the cell budget.
+    # grids it.  At 1e-17 it is one ulp wide, and its cells hold half the mass.
     for sigma, message in (
         ("1e-300", "degenerate quantile window [1.0, 1.0]"),
-        ("1e-17", str(MAX_BALANCE_CELLS)),
+        ("1e-17", "[0.9999999999999999, 1.0] hold only 0.5 of its mass"),
     ):
         path = tmp_path / f"sigma{sigma}.json"
         path.write_text(
@@ -717,6 +717,31 @@ def test_a_lognormal_narrower_than_float_resolution_exits_2(tmp_path, capsys):
         assert main(["simulate", "--scenario", str(path), "--n", "1000", "--out", str(out)]) == 0
         capsys.readouterr()
         out.unlink()
+
+
+def test_a_weibull_window_of_a_few_ulps_exits_2(tmp_path, capsys):
+    # At shape 3.6e16 both quantiles of the window round to within 5 ulps of
+    # the scale, and the cells hold only 1 - 1/e of the mass: discretize
+    # refuses the grid (exit 2) at any --grid-cells, before a query sees it.
+    doc = json.loads(FIG2_TEXT)
+    doc["storage"]["s_init"] = 0.0
+    doc["steps"][0] = {
+        "generation": {"kind": "weibull", "scale": 1e12, "shape": 3.5945323362896544e16},
+        "demand": {"kind": "deterministic", "value": 0.0},
+    }
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    runs = [
+        ["analyze", "--s-prev", "0", "--grid-cells", "2"],
+        ["analyze", "--s-prev", "0"],
+        ["validate", "--n", "1000", "--grid-cells", "65536"],
+    ]
+    for argv in runs:
+        assert main([*argv, "--scenario", str(path), "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "config error: cannot grid Weibull" in err and "hold only 0.632121" in err, argv
+        assert not out.exists()
 
 
 def test_a_lognormal_mean_whose_square_underflows_exits_3_in_every_command(tmp_path, capsys):

@@ -7,19 +7,24 @@ spreads; ``--n`` and ``--grid-cells`` range up to and just past their
 budgets.  Each run goes through ``cli.main`` in this process, and no
 exception may escape it: it exits 0, 2 (configuration) or 3 (scenario).
 ``validate`` may also exit 1 (a failed gate), and the two commands that
-query a grid, ``analyze`` and ``validate``, may exit 4: a distribution
-narrower than float resolution near its quantiles (a Weibull of shape
-4e16) grids with a third of its mass lost, and the query refuses it.
+query a grid, ``analyze`` and ``validate``, may exit 4 if a balance of two
+input grids, each within the mass budget, loses more than it in all.  A
+distribution narrower than float resolution near its quantiles (a Weibull
+of shape 4e16, whose cells hold 63% of its mass) is refused when it is
+gridded, with exit 2; a pinned example expects that code.
 
 The sample and balance-grid budgets are scaled down for the test so that
 a draw at the budget holds a few hundred kilobytes, not gigabytes; the
-checks that refuse past them are the same.
+checks that refuse past them are the same.  Each run's ``tracemalloc``
+peak must stay under what those budgets let a command hold (see
+``PEAK_BYTES``); pinned examples run at each budget.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +37,15 @@ import stochstore.cli as cli
 # Values a run may hold in one sample array, and cells in one balance grid.
 SAMPLE_VALUES = 2**15
 BALANCE_CELLS = 2**18
+
+# The most a run may hold at once (tracemalloc peak), from the budgets: 8
+# sample-sized arrays (simulate's states and one-step balances, or
+# validate's whole generation and an empirical draw's indices, plus
+# temporaries; 6.4 measured), 4 balance-sized ones (the two refined inputs
+# and their cumulative masses; 3.6 measured) and 16 arrays of the largest
+# --grid-cells for gridding an input (a log-normal's cdf temporaries; 11.3
+# measured).
+PEAK_BYTES = 8 * (8 * SAMPLE_VALUES + 4 * BALANCE_CELLS + 16 * cli.MAX_GRID_CELLS)
 
 EXITS = {"simulate": {0, 2, 3}, "analyze": {0, 2, 3, 4}, "sweep": {0, 2, 3}, "validate": {0, 1, 2, 3, 4}}
 
@@ -93,34 +107,67 @@ def runs(draw):
     return document, argv
 
 
-def _run(storage, generation, demand, argv):
-    document = {"name": "pinned", "energy_unit": "kWh", "horizon": 1, "storage": storage,
-                "steps": [{"generation": generation, "demand": demand}]}
+def _run(storage, generation, demand, argv, horizon=1):
+    document = {"name": "pinned", "energy_unit": "kWh", "horizon": horizon, "storage": storage,
+                "steps": [{"generation": generation, "demand": demand}] * horizon}
     return document, argv
 
 
 FIG2_STORAGE = {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0}
+MID_STORAGE = {"s_min": 0.0, "s_max": 5.0, "s_init": 2.0}
 HUGE_POWER = ({"kind": "deterministic", "value": 1e300}, {"kind": "weibull", "scale": 2.0, "shape": 5.0})
+EMPIRICAL = {"kind": "empirical", "samples": [1.0, 2.0, 3.0]}
+LOGNORMAL = {"kind": "lognormal", "mean": 1.0, "variance": 0.5}
 
 
 # (x / scale) ** shape overflowed a Python float in the closed form
 # (OverflowError out of main); it now reads as inf.
-@example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["sweep", "--n", "8", "--levels", "0"]))
-@example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["validate", "--n", "8"]))
-# A Weibull of shape 3.6e16 grids with 37% of its mass lost: exit 4.
-@example(run=_run(
-    FIG2_STORAGE,
-    {"kind": "weibull", "scale": 1e12, "shape": 3.5945323362896544e16},
-    {"kind": "deterministic", "value": 0.0},
-    ["analyze", "--grid-cells", "2", "--s-prev", "0"],
-))
+@example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["sweep", "--n", "8", "--levels", "0"]), expected=0)
+@example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["validate", "--n", "8"]), expected=0)
+# A Weibull of shape 3.6e16 whose cells hold 63% of its mass: refused when
+# it is gridded (exit 2).
+@example(
+    run=_run(
+        FIG2_STORAGE,
+        {"kind": "weibull", "scale": 1e12, "shape": 3.5945323362896544e16},
+        {"kind": "deterministic", "value": 0.0},
+        ["analyze", "--grid-cells", "2", "--s-prev", "0"],
+    ),
+    expected=2,
+)
+# At each budget: a whole empirical generation draw, an ensemble matrix of
+# 16 steps (few trajectories, which are slow under tracemalloc), a balance
+# refined to 2.3e5 cells, and two log-normals at the largest --grid-cells.
+@example(run=_run(MID_STORAGE, EMPIRICAL, LOGNORMAL, ["validate", "--n", str(SAMPLE_VALUES)]), expected=0)
+@example(
+    run=_run(MID_STORAGE, LOGNORMAL, LOGNORMAL, ["simulate", "--n", str(SAMPLE_VALUES // 16)], 16),
+    expected=0,
+)
+@example(
+    run=_run(
+        MID_STORAGE,
+        {"kind": "weibull", "scale": 2.0, "shape": 5.0},
+        {"kind": "lognormal", "mean": 1.0, "variance": 3e-5},
+        ["analyze", "--grid-cells", "4096", "--s-prev", "2"],
+    ),
+    expected=0,
+)
+@example(
+    run=_run(
+        MID_STORAGE,
+        LOGNORMAL,
+        {"kind": "lognormal", "mean": 1.0, "variance": 0.6},
+        ["analyze", "--grid-cells", str(cli.MAX_GRID_CELLS), "--s-prev", "2"],
+    ),
+    expected=0,
+)
 @settings(
     derandomize=True,
     max_examples=300,
     deadline=None,
 )
-@given(run=runs())
-def test_every_command_exits_through_the_taxonomy(run):
+@given(run=runs(), expected=st.none())
+def test_every_command_exits_through_the_taxonomy(run, expected):
     document, argv = run
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(cli, "MAX_SAMPLE_BYTES", 8 * SAMPLE_VALUES))
@@ -130,5 +177,12 @@ def test_every_command_exits_through_the_taxonomy(run):
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(document), encoding="utf-8")
         argv = [*argv, "--scenario", str(scenario), "--out", str(Path(tmp) / "out")]
-        code = cli.main(argv)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert code in EXITS[argv[0]], argv
+    assert expected is None or code == expected, argv
+    assert peak < PEAK_BYTES, argv

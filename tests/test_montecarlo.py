@@ -392,9 +392,25 @@ def test_shared_estimates_hold_one_draw_set_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Two raw draw arrays plus one draw's choice indices, as for a single
-    # estimate; a second draw set kept alive would add two more.
-    assert peak < 3.5 * 8 * n
+    # The whole generation draw plus its choice indices (2.41 * 8n measured):
+    # the demand is drawn a block at a time, and an n-length demand draw or
+    # a second draw set kept alive would add another 8n.
+    assert peak < 2.5 * 8 * n
+
+
+def test_a_drawn_demand_is_held_a_block_at_a_time():
+    n = 200_000
+    pair = [(LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6))]
+    estimate_steps(pair, SPEC_MIXED, [(2.0,)], 100, 0)
+    tracemalloc.start()
+    try:
+        estimate_steps(pair, SPEC_MIXED, [(2.0,)], n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole generation draw plus the blocks (1.26 * 8n measured); an
+    # n-length demand draw next to it would add another 8n.
+    assert peak < 1.5 * 8 * n
 
 
 def test_shared_estimates_validate_inputs():
@@ -407,11 +423,22 @@ def test_shared_estimates_validate_inputs():
 
 # --- the sort path: a pair counted at many levels ---------------------------------
 
+# Every family on each side, and each kind of draw set: a whole generation
+# draw before a demand drawn by block, and a demand or a generation (against
+# a deterministic demand) drawn alone, a block at a time.
 SORT_PAIRS = [
     (LogNormal(0.1, 0.4), Weibull(2.0, 5.0)),
     (LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)),
+    (Weibull(2.0, 5.0), LogNormal(0.0, 0.5)),
     (EMPIRICAL_A, Weibull(1.0, 0.5)),
+    (EMPIRICAL_A, EMPIRICAL_B),
+    (LogNormal(0.2, 0.8), EMPIRICAL_A),
     (Deterministic(1.5), EMPIRICAL_B),
+    (Deterministic(1.5), LogNormal(0.0, 1.0)),
+    (Deterministic(2.5), Weibull(1.2, 2.0)),
+    (LogNormal(0.3, 0.7), Deterministic(0.5)),
+    (Weibull(3.0, 1.5), Deterministic(1.0)),
+    (EMPIRICAL_B, Deterministic(0.5)),
     (Deterministic(2.0), Deterministic(0.5)),
 ]
 MANY_LEVELS = tuple(np.linspace(0.5, 4.0, montecarlo.SORT_ABOVE_LEVELS + 1))
@@ -699,19 +726,21 @@ def test_sweep_draws_its_demand_once_for_all_levels(monkeypatch):
     assert calls[0] == 1
 
 
-def test_sweep_holds_one_n_length_array():
-    n = 200_000
+def test_sweep_holds_no_n_length_array():
     levels = np.linspace(0.0, 5.0, 51)
     sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, 100, 0)
-    tracemalloc.start()
-    try:
-        sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, n, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The demand draws plus two blocks; an n-length generation or balance
-    # array next to them would add another 8n.
-    assert peak < 1.5 * 8 * n
+    peaks = []
+    for n in (200_000, 800_000):
+        tracemalloc.start()
+        try:
+            sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, n, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # The demand is drawn a block at a time, so the peak is a few blocks
+    # (0.42 MB measured) at any n; an n-length array would add 8n.
+    assert max(peaks) < 4 * 8 * montecarlo.ESTIMATE_BLOCK
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
 
 def test_sweep_analytic_columns_are_monotone():
