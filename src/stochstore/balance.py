@@ -17,7 +17,11 @@ Grid conventions
 ----------------
 Cell ``i`` of a grid covers ``[origin + i*step, origin + (i+1)*step)`` and
 carries a probability mass.  Mass is treated as uniform within its cell,
-so the grid cdf is piecewise linear between cell edges.  A grid with a
+so the grid cdf is piecewise linear between cell edges.  A grid is stored
+as its cumulative masses at its edges, which that cdf interpolates;
+``discretize`` keeps ``cdf(edges) - cdf(edges[0])`` and ``resample`` the
+interpolated cdf at its new edges, and the cell masses are their
+differences, formed only where a dot product needs them.  A grid with a
 single cell is a point mass (atom) at ``origin``: its width is zero and
 its ``step`` is a placeholder.  Atoms enter the difference exactly, as
 pure shifts, and are never smeared across cells.
@@ -33,9 +37,11 @@ when the balance carries atoms.
 
 Mass accounting
 ---------------
-Discretization truncates far tails, so a grid's total mass may fall
-slightly below one; the shortfall is reported (``truncated_mass``), never
-silently renormalized.  Probability evaluation refuses grids whose
+Discretization truncates far tails, so a grid's total mass, its last
+cumulative mass, may fall slightly below one; the shortfall is reported
+(``truncated_mass``), never silently renormalized.  Every grid passes one
+check: finite masses, none below -1e-12 (rounding dust, read as 0) and a
+total of at most 1 + 1e-9.  Probability evaluation refuses grids whose
 shortfall exceeds ``MASS_TRUNCATION_BUDGET``.  The self-sufficiency
 triple returned from a grid sums to the grid's total mass exactly; the
 truncated remainder is accounted against ``p_self``'s error budget.
@@ -144,57 +150,84 @@ class _GridMeasure:
         return (above - below) / (origin + step * (k + 1) - left) * (x - left) + below
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DensityGrid(_GridMeasure):
-    """Uniform-grid probability masses for one scalar random quantity.
+    """A probability measure on a uniform grid, held as its cumulative masses.
 
-    ``masses[i]`` is the probability of ``[origin + i*step,
-    origin + (i+1)*step)``.  A single-cell grid is an atom at ``origin``.
+    ``_cum[k]`` is the mass below edge ``origin + k*step`` (``_cum[0]`` is 0),
+    and ``masses[i] = _cum[i + 1] - _cum[i]`` is the probability of
+    ``[origin + i*step, origin + (i+1)*step)``.  A single-cell grid is an
+    atom at ``origin``.  ``DensityGrid(origin, step, masses)`` sums the
+    masses it is given and keeps them as ``masses``; ``discretize`` and
+    ``resample`` build a grid from its cumulative masses (``_from_cum``),
+    and ``masses`` then forms their differences on each read.
     """
 
     origin: float
     step: float
-    masses: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum: np.ndarray = field(repr=False)
+    _masses: np.ndarray | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        origin, step = float(self.origin), float(self.step)
-        masses = np.array(self.masses, dtype=float)
+    def __init__(self, origin: float, step: float, masses) -> None:
+        masses = np.array(masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must form a nonempty 1-d array")
+        if -1e-12 <= masses.min() < 0.0:  # rounding dust; _hold refuses anything below it
+            np.maximum(masses, 0.0, out=masses)
+        cum = np.empty(masses.size + 1)
+        cum[0] = 0.0
+        np.cumsum(masses, out=cum[1:])
+        self._hold(origin, step, cum)
+        masses.flags.writeable = False
+        object.__setattr__(self, "_masses", masses)
+
+    @classmethod
+    def _from_cum(cls, origin: float, step: float, cum: np.ndarray) -> DensityGrid:
+        """The grid whose cumulative masses at its edges are ``cum`` (``cum[0] == 0``), kept as given."""
+        grid = cls.__new__(cls)
+        grid._hold(origin, step, cum)
+        object.__setattr__(grid, "_masses", None)
+        return grid
+
+    def _hold(self, origin: float, step: float, cum: np.ndarray) -> None:
+        """Check a grid and keep it: finite masses, none below -1e-12, a total of at most 1 + 1e-9."""
+        origin, step = float(origin), float(step)
         if not math.isfinite(origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"step must be finite and > 0, got {step!r}")
-        if not np.all(np.isfinite(masses)):
-            raise ValueError("masses must all be finite")
-        low = float(masses.min())
-        if low < 0.0:
-            # Tolerate only rounding dust from upstream arithmetic.
-            if low < -1e-12:
-                raise ValueError(f"masses must be >= 0, found {low!r}")
-            masses = np.clip(masses, 0.0, None)
-        total = float(masses.sum())
-        if total > 1.0 + 1e-9:
+        # A NaN or infinite cumulative mass gives a NaN or -inf difference,
+        # or an infinite total, so these two tests also refuse non-finite masses.
+        low = float(np.diff(cum).min())
+        if not low >= -1e-12:  # only rounding dust from upstream arithmetic passes
+            raise ValueError(f"masses must be finite and >= 0, found {low!r}")
+        total = float(cum[-1])
+        if not total <= 1.0 + 1e-9:
             raise ValueError(f"total mass must not exceed 1, got {total!r}")
-        masses.flags.writeable = False
-        cum = np.empty(masses.size + 1)
-        cum[0] = 0.0
-        np.cumsum(masses, out=cum[1:])
         cum.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "_cum", cum)
 
     @property
+    def masses(self) -> np.ndarray:
+        """Cell masses (read-only): the differences of ``_cum``, rounding dust clipped to 0."""
+        if self._masses is not None:
+            return self._masses
+        masses = np.diff(self._cum)
+        if masses.min() < 0.0:
+            np.maximum(masses, 0.0, out=masses)
+        masses.flags.writeable = False
+        return masses
+
+    @property
     def n_cells(self) -> int:
-        return self.masses.size
+        return self._cum.size - 1
 
     @property
     def is_atom(self) -> bool:
         """True when this grid is a point mass at ``origin``."""
-        return self.masses.size == 1
+        return self._cum.size == 2
 
     @property
     def total_mass(self) -> float:
@@ -258,8 +291,13 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
             f"cannot grid {type(spec).__name__}: degenerate quantile window [{lo}, {hi}]"
         )
     step = (hi - lo) / cells
-    grid_edges = lo + step * np.arange(cells + 1)
-    grid = DensityGrid(origin=lo, step=step, masses=np.diff(spec.cdf(grid_edges)))
+    # One name for the edges and then their cdf values, so the edges are
+    # freed before the grid is checked; the cumulative masses are measured
+    # from the first edge.
+    cum = lo + step * np.arange(cells + 1)
+    cum = spec.cdf(cum)
+    cum -= cum[0]
+    grid = DensityGrid._from_cum(lo, step, cum)
     if grid.truncated_mass > MASS_TRUNCATION_BUDGET:
         raise CellBudgetError(
             f"cannot grid {type(spec).__name__}: its cells on the quantile window "
@@ -281,10 +319,10 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
     if grid.is_atom or step == grid.step:
         return grid
     # One name for the new edges and then their cumulative masses, so the
-    # edges are freed before np.diff allocates.
+    # edges are freed before the grid is checked.
     cum = grid.origin + step * np.arange(_resampled_cells(grid, step) + 1)
     cum = np.interp(cum, grid.edges, grid._cum)
-    return DensityGrid(origin=grid.origin, step=step, masses=np.diff(cum))
+    return DensityGrid._from_cum(grid.origin, step, cum)
 
 
 def _resampled_cells(grid: DensityGrid, step: float) -> int:
@@ -354,11 +392,14 @@ class _CellBalance(_GridMeasure):
 
     gen: DensityGrid
     dem: DensityGrid
-    # _tail[m] is the demand mass of cells m and up: the reversed cumsum.
+    # The generation masses, formed once for the queries' dot products.
+    _gen_masses: np.ndarray = field(init=False, repr=False)
+    # _tail[m] is the demand mass of cells m and up.
     _tail: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_tail", np.cumsum(self.dem.masses[::-1])[::-1].copy())
+        object.__setattr__(self, "_gen_masses", self.gen.masses)
+        object.__setattr__(self, "_tail", self.dem._cum[-1] - self.dem._cum[:-1])
 
     @property
     def origin(self) -> float:
@@ -388,7 +429,7 @@ class _CellBalance(_GridMeasure):
         lo = min(max(j - n_dem + 2, 0), n_gen)
         hi = min(j + 1, n_gen)
         shift = n_dem - 1 - j
-        partial = np.dot(self.gen.masses[lo:hi], self._tail[lo + shift : hi + shift])
+        partial = np.dot(self._gen_masses[lo:hi], self._tail[lo + shift : hi + shift])
         return float(self._tail[0] * self.gen._cum[lo] + partial)
 
     def _cum_pair(self, k: int) -> tuple[float, float]:

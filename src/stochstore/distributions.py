@@ -64,33 +64,59 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
 def _rational(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
-    """Cody's nested ratio: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` close."""
+    """Cody's nested ratio: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` close.
+
+    The result is a new array, summed in place; ``t`` is left as it is.
+    """
     xnum, xden = num[-1] * t, t.copy()
     for a, b in zip(num[:-2], den[:-1]):
         xnum += a
         xnum *= t
         xden += b
         xden *= t
-    return (xnum + num[-2]) / (xden + den[-1])
+    xnum += num[-2]
+    xden += den[-1]
+    xnum /= xden
+    return xnum
 
 
 def _erfc(y: np.ndarray) -> np.ndarray:
-    """``erfc(y)`` where ``y > 0.46875`` or NaN (NaN gives NaN).
+    """``erfc(y)`` where ``y > 0.46875`` or NaN (NaN gives NaN), as a new array.
 
     The (0.46875, 4] rational runs over the whole array and the tail's formula
-    over the elements past 4 only; an element at or below 0.46875 gets a
-    finite value that the caller overwrites.
+    over the elements past 4 only, when there are any; an element at or below
+    0.46875 gets a finite value that the caller overwrites.  The first step
+    copies ``y``, and every later one writes into an array of this call, so
+    ``y`` is left as it is.
     """
     y = np.minimum(y, _ERFC_ZERO)  # keeps inf (inf - inf) out of the split below
     out = _rational(_ERFC_C, _ERFC_D, y)
     tail = y > _ERFC_MID
-    y_tail = y[tail]
-    inv_sq = 1.0 / (y_tail * y_tail)
-    out[tail] = (_INV_SQRT_PI - inv_sq * _rational(_ERFC_P, _ERFC_Q, inv_sq)) / y_tail
+    if tail.any():
+        y_tail = y[tail]
+        inv_sq = 1.0 / (y_tail * y_tail)
+        r = _rational(_ERFC_P, _ERFC_Q, inv_sq)
+        r *= inv_sq
+        np.subtract(_INV_SQRT_PI, r, out=r)
+        r /= y_tail
+        out[tail] = r
+    zero = y == _ERFC_ZERO
     # exp(-y*y) in two factors: y cut to a multiple of 1/16 squares exactly.
-    y16 = np.trunc(y * 16.0) / 16.0
-    out *= np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16))
-    out[y == _ERFC_ZERO] = 0.0
+    y16 = np.multiply(y, 16.0)
+    np.trunc(y16, out=y16)
+    y16 /= 16.0
+    factor = np.subtract(y, y16)
+    np.negative(factor, out=factor)
+    y += y16
+    factor *= y
+    np.exp(factor, out=factor)  # exp(-(y - y16) * (y + y16))
+    np.multiply(y16, y16, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)  # exp(-y16 * y16)
+    y *= factor
+    out *= y
+    if zero.any():
+        out[zero] = 0.0
     return out
 
 
@@ -100,16 +126,23 @@ def _normal_cdf(z) -> np.ndarray:
     ``0.5 * (1 + erf(z / sqrt 2))`` near 0; elsewhere ``0.5 * erfc(|z| / sqrt 2)``
     for ``z < 0`` and one minus that for ``z > 0``, so the lower tail keeps its
     relative accuracy down to the underflow.  The erfc form is evaluated over
-    the whole array, and the few elements near 0 are then overwritten.
+    the whole array, and the few elements near 0, if any, are then
+    overwritten.  The result is a new array; ``z`` is left as it is.
     """
     z = np.asarray(z, dtype=float)
     x = z.reshape(-1) / _SQRT2  # a 0-d z as one element, so the masks index it
     y = np.abs(x)
-    half_erfc = 0.5 * _erfc(y)
-    out = np.where(x < 0.0, half_erfc, 1.0 - half_erfc)
+    out = _erfc(y)
+    out *= 0.5
+    np.subtract(1.0, out, out=out, where=~(x < 0.0))
     small = y <= _ERF_SMALL
-    x_small = x[small]
-    out[small] = 0.5 * (1.0 + x_small * _rational(_ERF_A, _ERF_B, x_small * x_small))
+    if small.any():
+        x_small = x[small]
+        r = _rational(_ERF_A, _ERF_B, x_small * x_small)
+        r *= x_small
+        r += 1.0
+        r *= 0.5
+        out[small] = r
     return out.reshape(z.shape)
 
 
@@ -254,7 +287,9 @@ class LogNormal(Distribution):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
         x = np.maximum(x, 0.0)
         with np.errstate(divide="ignore"):  # log(0) = -inf gives cdf 0
-            z = (np.log(x) - self.mu) / self.sigma
+            z = np.log(x)
+        z -= self.mu
+        z /= self.sigma
         return _elementwise(_normal_cdf(z))
 
     def quantile(self, p: float) -> float:

@@ -1,6 +1,7 @@
 """Grid arithmetic and closed forms, cross-checked against scipy oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stochstore import (
     Weibull,
     difference_density,
     discretize,
+    lognormal_from_moments,
     parse_scenario,
     self_sufficiency,
     weibull_closed_form,
@@ -108,6 +110,22 @@ def test_grid_masses_are_read_only():
 def test_grid_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         DensityGrid(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "cum",
+    [[0.0, math.inf, 1.0], [0.0, 0.5, math.inf], [0.0, -math.inf, 0.5], [0.0, math.nan, 1.0],
+     [0.0, 0.5, 0.2], [0.0, 0.5, 1.5]],
+)
+def test_a_grid_from_cumulative_masses_goes_through_the_same_check(cum):
+    with pytest.raises(ValueError):
+        DensityGrid._from_cum(0.0, 1.0, np.array(cum))
+
+
+def test_cumulative_rounding_dust_reads_as_zero_mass():
+    grid = DensityGrid._from_cum(0.0, 1.0, np.array([0.0, 0.5, 0.5 - 1e-13, 1.0]))
+    assert grid.masses.tolist() == [0.5, 0.0, 1.0 - (0.5 - 1e-13)]
+    assert grid.total_mass == 1.0
 
 
 # --- discretize --------------------------------------------------------------
@@ -241,6 +259,127 @@ def test_resample_atom_and_same_step_are_identity():
     assert resample(atom, 0.01) is atom
     grid = discretize(FIG2_DEM, cells=128)
     assert resample(grid, grid.step) is grid
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+# --- the stored measure: cumulative masses at the edges ----------------------
+
+
+@pytest.mark.parametrize("spec", [FIG2_DEM, LogNormal(0.2, 0.5), LogNormal(-1.3, 0.15)])
+@pytest.mark.parametrize("cells", [2, 700, 4096])
+def test_discretize_keeps_the_cdf_above_the_first_edge(spec, cells):
+    grid = discretize(spec, cells)
+    expected = spec.cdf(grid.edges) - spec.cdf(grid.edges[0])
+    np.testing.assert_array_equal(_bits(grid._cum), _bits(expected))
+    np.testing.assert_array_equal(grid.masses, np.maximum(np.diff(grid._cum), 0.0))
+
+
+def test_resample_keeps_the_interpolated_cumulative_masses():
+    grid = discretize(LogNormal(0.0, 1.0), 512)
+    for step in (0.3 * grid.step, grid.step / 7.0, 2.5 * grid.step):
+        finer = resample(grid, step)
+        new_edges = grid.origin + step * np.arange(finer.n_cells + 1)
+        expected = np.interp(new_edges, grid.edges, grid._cum)
+        np.testing.assert_array_equal(_bits(finer._cum), _bits(expected))
+
+
+def test_a_refined_balance_query_holds_two_refined_arrays():
+    # CI's near-budget analyze, scaled down: refined to the log-normal
+    # demand's step, the Weibull generation spans about 2.3e5 cells.  The
+    # refinement holds its edges and then their cumulative masses, and the
+    # query's dot products the generation masses next to those: two arrays
+    # of the refined size (2.05 measured).  Refined masses summed into a
+    # second cumulative array, or copied, made four.
+    gen, dem = discretize(Weibull(2.0, 5.0)), discretize(lognormal_from_moments(1.0, 3e-5))
+    refined_bytes = 8 * balance._resampled_cells(gen, dem.step)
+    assert refined_bytes > 1_000_000
+    tracemalloc.start()
+    try:
+        triple = self_sufficiency(difference_density(gen, dem), 2.0, SPEC_0_5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert triple.p_self > 0.0
+    assert peak < 2.5 * refined_bytes
+
+
+# The triples the grid route gave before its grids were stored as cumulative
+# masses.  fig2's balance is its demand grid shifted, and its triples are
+# unchanged bit for bit.  Day24's cell masses are now differences of
+# ``cdf(edges) - cdf(edges[0])`` instead of ``cdf(edges)``, which moved its
+# triples by at most 1.6e-15.
+FIG2_TRIPLES = {
+    (4096, 0.0): (0.36787944629709396, 0.0, 0.6321205437029056),
+    (4096, 1.0): (0.0005035849522294698, 0.0, 0.9994964050477702),
+    (4096, 2.5): (0.0, 0.0, 0.9999999899999996),
+    (4096, 4.0): (0.0, 0.030766789932732075, 0.9692332000672675),
+    (4096, 5.0): (0.0, 0.6321205437029056, 0.36787944629709396),
+    (16384, 0.0): (0.3678794382043584, 0.0, 0.6321205517956395),
+    (16384, 1.0): (0.0005035842517570142, 0.0, 0.999496405748241),
+    (16384, 2.5): (0.0, 0.0, 0.999999989999998),
+    (16384, 4.0): (0.0, 0.030766763718154677, 0.9692332262818433),
+    (16384, 5.0): (0.0, 0.6321205517956395, 0.3678794382043584),
+    (65536, 0.0): (0.367879436174824, 0.0, 0.6321205538251693),
+    (65536, 1.0): (0.0005035840761719608, 0.0, 0.9994964059238213),
+    (65536, 2.5): (0.0, 0.0, 0.9999999899999933),
+    (65536, 4.0): (0.0, 0.030766760737635068, 0.9692332292623582),
+    (65536, 5.0): (0.0, 0.6321205538251693, 0.367879436174824),
+}
+DAY24_TRIPLES = {
+    (4096, 1, 0.0): (0.37166410876127887, 0.0003155055419111763, 0.62802036569681),
+    (4096, 1, 5.0): (0.002886493508066417, 0.005800430399460321, 0.9913130560924732),
+    (4096, 1, 10.0): (0.00020114814976042634, 0.6283358712387211, 0.37146296061151846),
+    (4096, 7, 0.0): (0.5199100194868259, 0.0002731887510745157, 0.47981677176209947),
+    (4096, 7, 5.0): (0.0033403722413500644, 0.004741129735871041, 0.9919184780227788),
+    (4096, 7, 10.0): (0.0001306057600726047, 0.480089960513174, 0.5197794137267533),
+    (4096, 12, 0.0): (0.624666286334193, 0.000242523360274971, 0.37509117030553185),
+    (4096, 12, 5.0): (0.004061849170482094, 0.004015583164650671, 0.991922547664867),
+    (4096, 12, 10.0): (0.00010335328654794405, 0.3753336936658068, 0.624562933047645),
+    (4096, 18, 0.0): (0.7243766375426796, 0.00021054273983711624, 0.2754127997174832),
+    (4096, 18, 5.0): (0.005530673401854303, 0.0032998345476835667, 0.991169472050462),
+    (4096, 18, 10.0): (9.017552458055798e-05, 0.27562334245732034, 0.724286462018099),
+    (4096, 24, 0.0): (0.7986163606410653, 0.00018310613571137502, 0.20120051322322297),
+    (4096, 24, 5.0): (0.007975640024430313, 0.002721456941682132, 0.9893028830338872),
+    (4096, 24, 10.0): (9.008277725746553e-05, 0.20138361935893434, 0.7985262778638079),
+    (16384, 1, 0.0): (0.3716405487952189, 0.00031550098939781, 0.6280439302153827),
+    (16384, 1, 5.0): (0.002886394027344229, 0.005800258514580547, 0.9913133274580747),
+    (16384, 1, 10.0): (0.00020114530055861027, 0.6283594312047805, 0.3714394034946603),
+    (16384, 7, 0.0): (0.5199135340913746, 0.0002731859512002943, 0.4798132599574254),
+    (16384, 7, 5.0): (0.0033402718345259246, 0.0047410435628088, 0.9919186646026656),
+    (16384, 7, 10.0): (0.00013060415081583474, 0.4800864459086257, 0.5197829299405589),
+    (16384, 12, 0.0): (0.6246749078188024, 0.0002425212661963938, 0.37508255091500087),
+    (16384, 12, 5.0): (0.0040617347283499385, 0.004015510861190008, 0.9919227344104597),
+    (16384, 12, 10.0): (0.000103351788579955, 0.37532507218119726, 0.6245715560302224),
+    (16384, 18, 0.0): (0.7243847185973742, 0.00021054131945219545, 0.2754047200831752),
+    (16384, 18, 5.0): (0.005530539229623322, 0.003299786477592548, 0.9911696542927857),
+    (16384, 18, 10.0): (9.017433916564457e-05, 0.2756152614026274, 0.7242945442582085),
+    (16384, 24, 0.0): (0.7986225380137405, 0.00018310500135765295, 0.20119433698490174),
+    (16384, 24, 5.0): (0.007975410834001398, 0.002721427261543785, 0.9893031419044547),
+    (16384, 24, 10.0): (9.008141738989579e-05, 0.2013774419862594, 0.7985324565963506),
+}
+
+
+def _fixture_triple(name, cells, step, s_prev):
+    scenario = parse_scenario(read_fixture_text(name))
+    spec = scenario.steps[step - 1]
+    b = difference_density(discretize(spec.generation, cells), discretize(spec.demand, cells))
+    t = self_sufficiency(b, s_prev, scenario.storage)
+    return t.p_deficit, t.p_overflow, t.p_self
+
+
+def test_fig2_triples_are_unchanged_bit_for_bit():
+    for (cells, s_prev), expected in FIG2_TRIPLES.items():
+        got = _fixture_triple("fig2_battery", cells, 1, s_prev)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def test_day24_triples_stay_within_1e_14():
+    for (cells, step, s_prev), expected in DAY24_TRIPLES.items():
+        got = _fixture_triple("day24_lognormal", cells, step, s_prev)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
 # --- difference_density ------------------------------------------------------
