@@ -17,14 +17,16 @@ Grid conventions
 ----------------
 Cell ``i`` of a grid covers ``[origin + i*step, origin + (i+1)*step)`` and
 carries a probability mass.  Mass is treated as uniform within its cell,
-so the grid cdf is piecewise linear between cell edges.  A grid is stored
-as its cumulative masses at its edges, which that cdf interpolates;
-``discretize`` keeps ``cdf(edges) - cdf(edges[0])`` and ``resample`` the
-interpolated cdf at its new edges, and the cell masses are their
-differences, formed only where a dot product needs them.  A grid with a
-single cell is a point mass (atom) at ``origin``: its width is zero and
-its ``step`` is a placeholder.  Atoms enter the difference exactly, as
-pure shifts, and are never smeared across cells.
+so the grid cdf is piecewise linear between cell edges.  A grid is its
+cumulative masses at its edges, which that cdf interpolates, and
+``DensityGrid(origin, step, cum)`` is its one constructor: ``discretize``
+passes ``cdf(edges) - cdf(edges[0])``, ``resample`` the interpolated cdf
+at its new edges, a histogram or an atom the running sum of its cell
+masses.  The cell masses are their differences, formed only where a dot
+product needs them.  A grid with a single cell is a point mass (atom) at
+``origin``: its width is zero and its ``step`` is a placeholder.  Atoms
+enter the difference exactly, as pure shifts, and are never smeared
+across cells.
 
 Probability conventions
 -----------------------
@@ -40,11 +42,13 @@ Mass accounting
 Discretization truncates far tails, so a grid's total mass, its last
 cumulative mass, may fall slightly below one; the shortfall is reported
 (``truncated_mass``), never silently renormalized.  Every grid passes one
-check: finite masses, none below -1e-12 (rounding dust, read as 0) and a
-total of at most 1 + 1e-9.  Probability evaluation refuses grids whose
-shortfall exceeds ``MASS_TRUNCATION_BUDGET``.  The self-sufficiency
-triple returned from a grid sums to the grid's total mass exactly; the
-truncated remainder is accounted against ``p_self``'s error budget.
+check, in its constructor: ``cum`` is 1-d, has at least two values and
+starts at 0, and its masses are finite, none below -1e-12 (rounding dust,
+read as 0), with a total of at most 1 + 1e-9.  Probability evaluation
+refuses grids whose shortfall exceeds ``MASS_TRUNCATION_BUDGET``.  The
+self-sufficiency triple returned from a grid sums to the grid's total
+mass exactly; the truncated remainder is accounted against ``p_self``'s
+error budget.
 """
 
 from __future__ import annotations
@@ -150,52 +154,38 @@ class _GridMeasure:
         return (above - below) / (origin + step * (k + 1) - left) * (x - left) + below
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class DensityGrid(_GridMeasure):
-    """A probability measure on a uniform grid, held as its cumulative masses.
+    """A probability measure on a uniform grid: its cumulative masses at its edges.
 
-    ``_cum[k]`` is the mass below edge ``origin + k*step`` (``_cum[0]`` is 0),
-    and ``masses[i] = _cum[i + 1] - _cum[i]`` is the probability of
-    ``[origin + i*step, origin + (i+1)*step)``.  A single-cell grid is an
-    atom at ``origin``.  ``DensityGrid(origin, step, masses)`` sums the
-    masses it is given and keeps them as ``masses``; ``discretize`` and
-    ``resample`` build a grid from its cumulative masses (``_from_cum``),
-    and ``masses`` then forms their differences on each read.
+    ``DensityGrid(origin, step, cum)`` is the one constructor.  ``cum[k]`` is
+    the mass below edge ``origin + k*step`` (``cum[0]`` is 0), and
+    ``masses[i] = cum[i + 1] - cum[i]`` is the probability of
+    ``[origin + i*step, origin + (i+1)*step)``.  ``cum`` is read, not copied,
+    through a read-only view.  A grid with two cumulative masses (one cell)
+    is an atom at ``origin``.
     """
 
     origin: float
     step: float
-    _cum: np.ndarray = field(repr=False)
-    _masses: np.ndarray | None = field(repr=False)
+    cum: np.ndarray = field(repr=False)
 
-    def __init__(self, origin: float, step: float, masses) -> None:
-        masses = np.array(masses, dtype=float)
-        if masses.ndim != 1 or masses.size == 0:
-            raise ValueError("masses must form a nonempty 1-d array")
-        if -1e-12 <= masses.min() < 0.0:  # rounding dust; _hold refuses anything below it
-            np.maximum(masses, 0.0, out=masses)
-        cum = np.empty(masses.size + 1)
-        cum[0] = 0.0
-        np.cumsum(masses, out=cum[1:])
-        self._hold(origin, step, cum)
-        masses.flags.writeable = False
-        object.__setattr__(self, "_masses", masses)
+    def __post_init__(self) -> None:
+        """Check the grid and keep ``cum`` read-only.
 
-    @classmethod
-    def _from_cum(cls, origin: float, step: float, cum: np.ndarray) -> DensityGrid:
-        """The grid whose cumulative masses at its edges are ``cum`` (``cum[0] == 0``), kept as given."""
-        grid = cls.__new__(cls)
-        grid._hold(origin, step, cum)
-        object.__setattr__(grid, "_masses", None)
-        return grid
-
-    def _hold(self, origin: float, step: float, cum: np.ndarray) -> None:
-        """Check a grid and keep it: finite masses, none below -1e-12, a total of at most 1 + 1e-9."""
-        origin, step = float(origin), float(step)
+        ``cum`` is 1-d, has at least 2 values and starts at 0; its masses are
+        finite, none below -1e-12, and its total is at most 1 + 1e-9.
+        """
+        origin, step = float(self.origin), float(self.step)
         if not math.isfinite(origin):
             raise ValueError(f"origin must be finite, got {origin!r}")
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"step must be finite and > 0, got {step!r}")
+        cum = np.asarray(self.cum, dtype=float).view()
+        if cum.ndim != 1 or cum.size < 2:
+            raise ValueError("cum must be a 1-d array of at least 2 cumulative masses")
+        if not cum[0] == 0.0:
+            raise ValueError(f"cum must start at 0, got {float(cum[0])!r}")
         # A NaN or infinite cumulative mass gives a NaN or -inf difference,
         # or an infinite total, so these two tests also refuse non-finite masses.
         low = float(np.diff(cum).min())
@@ -207,14 +197,12 @@ class DensityGrid(_GridMeasure):
         cum.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "cum", cum)
 
     @property
     def masses(self) -> np.ndarray:
-        """Cell masses (read-only): the differences of ``_cum``, rounding dust clipped to 0."""
-        if self._masses is not None:
-            return self._masses
-        masses = np.diff(self._cum)
+        """Cell masses (read-only): the differences of ``cum``, rounding dust clipped to 0."""
+        masses = np.diff(self.cum)
         if masses.min() < 0.0:
             np.maximum(masses, 0.0, out=masses)
         masses.flags.writeable = False
@@ -222,19 +210,19 @@ class DensityGrid(_GridMeasure):
 
     @property
     def n_cells(self) -> int:
-        return self._cum.size - 1
+        return self.cum.size - 1
 
     @property
     def is_atom(self) -> bool:
         """True when this grid is a point mass at ``origin``."""
-        return self._cum.size == 2
+        return self.cum.size == 2
 
     @property
     def total_mass(self) -> float:
-        return float(self._cum[-1])
+        return float(self.cum[-1])
 
     def _cum_pair(self, k: int) -> tuple[float, float]:
-        return float(self._cum[k]), float(self._cum[k + 1])
+        return float(self.cum[k]), float(self.cum[k + 1])
 
 
 @dataclass(frozen=True)
@@ -270,19 +258,19 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
         raise ValueError(f"cell count must be >= 2, got {cells}")
 
     if isinstance(spec, Deterministic):
-        return DensityGrid(origin=spec.value, step=1.0, masses=np.ones(1))
+        return DensityGrid(spec.value, 1.0, [0.0, 1.0])
 
     if isinstance(spec, Empirical):
         values = np.asarray(spec.samples, dtype=float)
         lo, hi = float(values.min()), float(values.max())
         if lo == hi:
-            return DensityGrid(origin=lo, step=1.0, masses=np.ones(1))
+            return DensityGrid(lo, 1.0, [0.0, 1.0])
         # np.histogram's own edges, which it refuses unless they increase.
         edges = np.linspace(lo, hi, cells + 1)
         if np.any(edges[:-1] >= edges[1:]):
             raise CellBudgetError(f"cannot grid Empirical: no {cells} float cells in [{lo}, {hi}]")
         counts, _ = np.histogram(values, bins=cells, range=(lo, hi))
-        return DensityGrid(origin=lo, step=(hi - lo) / cells, masses=counts / values.size)
+        return DensityGrid(lo, (hi - lo) / cells, np.append(0.0, np.cumsum(counts / values.size)))
 
     tail = (1.0 - DEFAULT_COVERAGE) / 2.0
     lo, hi = spec.quantile(tail), spec.quantile(1.0 - tail)
@@ -297,7 +285,7 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     cum = lo + step * np.arange(cells + 1)
     cum = spec.cdf(cum)
     cum -= cum[0]
-    grid = DensityGrid._from_cum(lo, step, cum)
+    grid = DensityGrid(lo, step, cum)
     if grid.truncated_mass > MASS_TRUNCATION_BUDGET:
         raise CellBudgetError(
             f"cannot grid {type(spec).__name__}: its cells on the quantile window "
@@ -321,8 +309,8 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
     # One name for the new edges and then their cumulative masses, so the
     # edges are freed before the grid is checked.
     cum = grid.origin + step * np.arange(_resampled_cells(grid, step) + 1)
-    cum = np.interp(cum, grid.edges, grid._cum)
-    return DensityGrid._from_cum(grid.origin, step, cum)
+    cum = np.interp(cum, grid.edges, grid.cum)
+    return DensityGrid(grid.origin, step, cum)
 
 
 def _resampled_cells(grid: DensityGrid, step: float) -> int:
@@ -362,9 +350,9 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid | _Cel
     """
     if gen.is_atom or dem.is_atom:
         return DensityGrid(
-            origin=gen.origin - (dem.origin + dem.width),
-            step=dem.step if gen.is_atom else gen.step,
-            masses=np.outer(gen.masses, dem.masses[::-1]).ravel(),
+            gen.origin - (dem.origin + dem.width),
+            dem.step if gen.is_atom else gen.step,
+            np.append(0.0, np.cumsum(np.outer(gen.masses, dem.masses[::-1]))),
         )
 
     h = min(gen.step, dem.step)
@@ -392,14 +380,14 @@ class _CellBalance(_GridMeasure):
 
     gen: DensityGrid
     dem: DensityGrid
-    # The generation masses, formed once for the queries' dot products.
-    _gen_masses: np.ndarray = field(init=False, repr=False)
+    # The generation cell masses, formed once for the queries' dot products.
+    _gen_mass: np.ndarray = field(init=False, repr=False)
     # _tail[m] is the demand mass of cells m and up.
     _tail: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_gen_masses", self.gen.masses)
-        object.__setattr__(self, "_tail", self.dem._cum[-1] - self.dem._cum[:-1])
+        object.__setattr__(self, "_gen_mass", self.gen.masses)
+        object.__setattr__(self, "_tail", self.dem.cum[-1] - self.dem.cum[:-1])
 
     @property
     def origin(self) -> float:
@@ -429,8 +417,8 @@ class _CellBalance(_GridMeasure):
         lo = min(max(j - n_dem + 2, 0), n_gen)
         hi = min(j + 1, n_gen)
         shift = n_dem - 1 - j
-        partial = np.dot(self._gen_masses[lo:hi], self._tail[lo + shift : hi + shift])
-        return float(self._tail[0] * self.gen._cum[lo] + partial)
+        partial = np.dot(self._gen_mass[lo:hi], self._tail[lo + shift : hi + shift])
+        return float(self._tail[0] * self.gen.cum[lo] + partial)
 
     def _cum_pair(self, k: int) -> tuple[float, float]:
         c = [self._corr_cum(j) for j in (k - 2, k - 1, k)]

@@ -54,7 +54,6 @@ from .balance import (
 )
 from .distributions import Deterministic, Weibull
 from .montecarlo import (
-    QUANTILE_LEVELS,
     estimate_steps,
     simulate_ensemble,
     sweep_battery_levels,
@@ -159,8 +158,6 @@ def _parse_levels_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated list of numbers, got {text!r}"
         ) from None
-    if not levels:
-        raise argparse.ArgumentTypeError("expected at least one level")
     return levels
 
 
@@ -347,7 +344,7 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
         ),
         metadata=_metadata(config, scenario, s_init=scenario.storage.s_init, trajectory_index=0),
     )
-    quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in QUANTILE_LEVELS)
+    quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in stats.quantile_levels)
     ensemble_table = ResultTable(
         columns=("step", "s_mean", *quantile_names, "b_mean", "spill_freq", "deficit_freq"),
         rows=_step_rows(

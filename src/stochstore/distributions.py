@@ -285,9 +285,10 @@ class LogNormal(Distribution):
 
     def cdf(self, x):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
-        x = np.maximum(x, 0.0)
+        # The log is taken in place in the clipped copy, never in the caller's x.
+        z = np.maximum(x, 0.0, out=np.empty(np.shape(x)))
         with np.errstate(divide="ignore"):  # log(0) = -inf gives cdf 0
-            z = np.log(x)
+            np.log(z, out=z)
         z -= self.mu
         z /= self.sigma
         return _elementwise(_normal_cdf(z))

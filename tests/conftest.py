@@ -7,6 +7,7 @@ import pytest
 import stochstore.distributions as dist
 
 from stochstore import (
+    DensityGrid,
     ProbabilityEstimate,
     Scenario,
     SelfSufficiencyEstimate,
@@ -14,6 +15,11 @@ from stochstore import (
     evolve,
     parse_scenario,
 )
+
+
+def grid_from_masses(origin: float, step: float, masses) -> DensityGrid:
+    """The grid with cell masses ``masses``: its cumulative masses are their running sum from 0."""
+    return DensityGrid(origin, step, np.append(0.0, np.cumsum(masses)))
 
 
 def read_fixture_text(name: str) -> str:

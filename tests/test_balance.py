@@ -29,7 +29,7 @@ from stochstore import (
 )
 from stochstore.balance import resample
 
-from conftest import read_fixture_text
+from conftest import grid_from_masses, read_fixture_text
 
 SPEC_0_5 = StorageSpec(s_min=0.0, s_max=5.0, s_init=0.0)
 FIG2_DEM = Weibull(scale=2.0, shape=5.0)
@@ -61,14 +61,14 @@ def _direct_masses(gen, dem):
 def _direct_balance(gen, dem):
     """The balance of ``gen`` and ``dem`` as a grid of the reference masses."""
     b = difference_density(gen, dem)
-    return DensityGrid(origin=b.origin, step=b.step, masses=_direct_masses(gen, dem))
+    return grid_from_masses(b.origin, b.step, _direct_masses(gen, dem))
 
 
 # --- DensityGrid -------------------------------------------------------------
 
 
 def test_grid_cdf_is_piecewise_linear():
-    grid = DensityGrid(origin=0.0, step=0.5, masses=np.array([0.5, 0.5]))
+    grid = grid_from_masses(0.0, 0.5, [0.5, 0.5])
     assert grid.cdf(-1.0) == 0.0
     assert grid.cdf(0.25) == pytest.approx(0.25, abs=1e-15)
     assert grid.cdf(0.5) == pytest.approx(0.5, abs=1e-15)
@@ -81,7 +81,7 @@ def test_grid_cdf_is_piecewise_linear():
 
 
 def test_atom_grid_semantics():
-    atom = DensityGrid(origin=2.0, step=1.0, masses=np.array([1.0]))
+    atom = grid_from_masses(2.0, 1.0, [1.0])
     assert atom.is_atom
     assert atom.width == 0.0
     assert atom.cdf(1.9999) == 0.0
@@ -90,7 +90,7 @@ def test_atom_grid_semantics():
 
 
 def test_grid_masses_are_read_only():
-    grid = DensityGrid(origin=0.0, step=1.0, masses=np.array([0.4, 0.6]))
+    grid = grid_from_masses(0.0, 1.0, [0.4, 0.6])
     with pytest.raises(ValueError):
         grid.masses[0] = 1.0
 
@@ -98,13 +98,22 @@ def test_grid_masses_are_read_only():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(origin=0.0, step=0.0, masses=np.array([1.0])),
-        dict(origin=0.0, step=-1.0, masses=np.array([1.0])),
-        dict(origin=math.nan, step=1.0, masses=np.array([1.0])),
-        dict(origin=0.0, step=1.0, masses=np.array([])),
-        dict(origin=0.0, step=1.0, masses=np.array([0.5, -0.2])),
-        dict(origin=0.0, step=1.0, masses=np.array([0.8, 0.8])),
-        dict(origin=0.0, step=1.0, masses=np.array([math.nan])),
+        dict(origin=0.0, step=0.0, cum=[0.0, 1.0]),
+        dict(origin=0.0, step=-1.0, cum=[0.0, 1.0]),
+        dict(origin=math.nan, step=1.0, cum=[0.0, 1.0]),
+        dict(origin=0.0, step=1.0, cum=[0.0]),
+        dict(origin=0.0, step=1.0, cum=[0.0, 0.5, 0.3]),
+        dict(origin=0.0, step=1.0, cum=[0.0, 0.8, 1.6]),
+        dict(origin=0.0, step=1.0, cum=[0.0, math.nan]),
+        dict(origin=0.0, step=1.0, cum=[0.0, math.inf, 1.0]),
+        dict(origin=0.0, step=1.0, cum=[0.0, 0.5, math.inf]),
+        dict(origin=0.0, step=1.0, cum=[0.0, -math.inf, 0.5]),
+        dict(origin=0.0, step=1.0, cum=[0.0, math.nan, 1.0]),
+        dict(origin=0.0, step=1.0, cum=[0.0, 0.5, 0.2]),
+        dict(origin=0.0, step=1.0, cum=[0.0, 0.5, 1.5]),
+        dict(origin=0.0, step=1.0, cum=[[0.0, 1.0]]),
+        dict(origin=0.0, step=1.0, cum=[0.5, 1.0]),
+        dict(origin=0.0, step=1.0, cum=[math.nan, 1.0]),
     ],
 )
 def test_grid_validation_rejects(kwargs):
@@ -112,18 +121,8 @@ def test_grid_validation_rejects(kwargs):
         DensityGrid(**kwargs)
 
 
-@pytest.mark.parametrize(
-    "cum",
-    [[0.0, math.inf, 1.0], [0.0, 0.5, math.inf], [0.0, -math.inf, 0.5], [0.0, math.nan, 1.0],
-     [0.0, 0.5, 0.2], [0.0, 0.5, 1.5]],
-)
-def test_a_grid_from_cumulative_masses_goes_through_the_same_check(cum):
-    with pytest.raises(ValueError):
-        DensityGrid._from_cum(0.0, 1.0, np.array(cum))
-
-
 def test_cumulative_rounding_dust_reads_as_zero_mass():
-    grid = DensityGrid._from_cum(0.0, 1.0, np.array([0.0, 0.5, 0.5 - 1e-13, 1.0]))
+    grid = DensityGrid(0.0, 1.0, [0.0, 0.5, 0.5 - 1e-13, 1.0])
     assert grid.masses.tolist() == [0.5, 0.0, 1.0 - (0.5 - 1e-13)]
     assert grid.total_mass == 1.0
 
@@ -188,7 +187,8 @@ def test_discretize_grids_a_narrow_empirical_range_that_has_float_cells():
     samples = (1.0, 1.0, 1.0000000000001)
     grid = discretize(Empirical(samples=samples), cells=64)
     counts, _ = np.histogram(samples, bins=64, range=(1.0, 1.0000000000001))
-    assert np.array_equal(grid.masses, counts / 3)
+    np.testing.assert_array_equal(_bits(grid.cum), _bits(np.append(0.0, np.cumsum(counts / 3))))
+    np.testing.assert_allclose(grid.masses, counts / 3, rtol=0.0, atol=1e-16)
 
 
 def _interp_points(grid):
@@ -220,17 +220,17 @@ def _resampled_lognormal():
 @pytest.mark.parametrize(
     "make_grid",
     [
-        lambda: DensityGrid(origin=0.5, step=0.75, masses=[0.3, 0.6]),
+        lambda: grid_from_masses(0.5, 0.75, [0.3, 0.6]),
         _fig2_balance,
         _resampled_lognormal,
         # Cells far below an ulp of the origin: runs of edges round together.
-        lambda: DensityGrid(origin=1e6, step=1e-11, masses=np.full(64, 1 / 64)),
+        lambda: grid_from_masses(1e6, 1e-11, np.full(64, 1 / 64)),
     ],
     ids=["two_cells", "fig2_atom_shifted_4096", "resampled", "edges_that_round_together"],
 )
 def test_grid_cdf_is_np_interp_bit_for_bit(make_grid):
     grid = make_grid()
-    edges, cum = grid.edges, grid._cum
+    edges, cum = grid.edges, grid.cum
     xs = _interp_points(grid).tolist()
     got = np.array([grid.cdf(x) for x in xs])
     expected = np.array([np.interp(x, edges, cum) for x in xs])
@@ -273,8 +273,8 @@ def _bits(values) -> np.ndarray:
 def test_discretize_keeps_the_cdf_above_the_first_edge(spec, cells):
     grid = discretize(spec, cells)
     expected = spec.cdf(grid.edges) - spec.cdf(grid.edges[0])
-    np.testing.assert_array_equal(_bits(grid._cum), _bits(expected))
-    np.testing.assert_array_equal(grid.masses, np.maximum(np.diff(grid._cum), 0.0))
+    np.testing.assert_array_equal(_bits(grid.cum), _bits(expected))
+    np.testing.assert_array_equal(grid.masses, np.maximum(np.diff(grid.cum), 0.0))
 
 
 def test_resample_keeps_the_interpolated_cumulative_masses():
@@ -282,8 +282,8 @@ def test_resample_keeps_the_interpolated_cumulative_masses():
     for step in (0.3 * grid.step, grid.step / 7.0, 2.5 * grid.step):
         finer = resample(grid, step)
         new_edges = grid.origin + step * np.arange(finer.n_cells + 1)
-        expected = np.interp(new_edges, grid.edges, grid._cum)
-        np.testing.assert_array_equal(_bits(finer._cum), _bits(expected))
+        expected = np.interp(new_edges, grid.edges, grid.cum)
+        np.testing.assert_array_equal(_bits(finer.cum), _bits(expected))
 
 
 def test_a_refined_balance_query_holds_two_refined_arrays():
@@ -304,6 +304,21 @@ def test_a_refined_balance_query_holds_two_refined_arrays():
         tracemalloc.stop()
     assert triple.p_self > 0.0
     assert peak < 2.5 * refined_bytes
+
+
+def test_gridding_a_lognormal_peaks_under_nine_grid_arrays():
+    # The cdf's log is taken in place in its clipped copy of the edges
+    # (8.4 grid-size arrays measured); a log into a fresh array made 9.4.
+    spec, cells = lognormal_from_moments(1.0, 0.5), 65536
+    grid_bytes = 8 * (cells + 1)
+    tracemalloc.start()
+    try:
+        grid = discretize(spec, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.n_cells == cells
+    assert peak < 9 * grid_bytes
 
 
 # The triples the grid route gave before its grids were stored as cumulative
@@ -382,6 +397,43 @@ def test_day24_triples_stay_within_1e_14():
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
 
 
+# An Empirical generation: 300 values in [0, 6), denser near 0.
+EMPIRICAL_GEN = Empirical(tuple(6.0 * ((k * 0.618034) % 1.0) ** 2 for k in range(1, 301)))
+EMPIRICAL_DEMANDS = {"weibull": FIG2_DEM, "lognormal": lognormal_from_moments(1.0, 0.5)}
+
+# Written at full precision when an Empirical grid's masses were its
+# histogram's counts / size; they are now the differences of its cumulative
+# masses, which moved these by at most 1e-15.
+EMPIRICAL_TRIPLES = {
+    ("weibull", 64, 0.0): (0.5488872057058942, 0.000398247135172336, 0.45071453715893395),
+    ("weibull", 64, 2.5): (0.005886792701463798, 0.15025894719740995, 0.8438542501011268),
+    ("weibull", 64, 5.0): (0.0, 0.4511127842941063, 0.5488872057058942),
+    ("weibull", 4096, 0.0): (0.5486776968513284, 0.0004128945466010947, 0.4509093986020667),
+    ("weibull", 4096, 2.5): (0.006319128294848699, 0.15041595119876283, 0.8432649105063846),
+    ("weibull", 4096, 5.0): (0.0, 0.4513222931486678, 0.5486776968513284),
+    ("lognormal", 64, 0.0): (0.37919592676905356, 0.022420785131199827, 0.598383278099747),
+    ("lognormal", 64, 2.5): (0.013096783109563382, 0.2408619371382138, 0.7460412697522232),
+    ("lognormal", 64, 5.0): (0.0008491655683938099, 0.6208040632309468, 0.37834676120065974),
+    ("lognormal", 4096, 0.0): (0.3867490150105728, 0.020740956736771676, 0.5925100182526516),
+    ("lognormal", 4096, 2.5): (0.012714288092995702, 0.24045542639567985, 0.7468302755113205),
+    ("lognormal", 4096, 5.0): (0.0008350736261359929, 0.6132509749894233, 0.3859139413844368),
+}
+
+
+def test_empirical_triples_stay_within_1e_14():
+    values = np.array(EMPIRICAL_GEN.samples)
+    for (demand, cells, s_prev), expected in EMPIRICAL_TRIPLES.items():
+        gen, dem = discretize(EMPIRICAL_GEN, cells), discretize(EMPIRICAL_DEMANDS[demand], cells)
+        # The grid is the running sum of its histogram's counts / size.
+        counts, _ = np.histogram(values, bins=cells, range=(values.min(), values.max()))
+        running_sum = np.append(0.0, np.cumsum(counts / values.size))
+        np.testing.assert_array_equal(_bits(gen.cum), _bits(running_sum))
+        t = self_sufficiency(difference_density(gen, dem), s_prev, SPEC_0_5)
+        np.testing.assert_allclose(
+            (t.p_deficit, t.p_overflow, t.p_self), expected, rtol=0.0, atol=1e-14
+        )
+
+
 # --- difference_density ------------------------------------------------------
 
 
@@ -417,11 +469,11 @@ def test_difference_grid_geometry_and_mass():
 
 
 def _two_cells(origin, step, masses):
-    return DensityGrid(origin=origin, step=step, masses=np.array(masses))
+    return grid_from_masses(origin, step, masses)
 
 
 def _atom(origin, mass=0.7):
-    return DensityGrid(origin=origin, step=1.0, masses=np.array([mass]))
+    return grid_from_masses(origin, 1.0, [mass])
 
 
 # The cdf's dot products round differently from the running sum of the
@@ -499,7 +551,7 @@ def test_fixture_balances_match_the_direct_correlation(storage, step_spec):
         # The cdf at 301 evenly spaced edges and at every window bound.
         k = np.linspace(0, b.n_cells, 301).round().astype(int)
         cdf_at_edges = [b.cdf(x) for x in b.edges[k]]
-        np.testing.assert_allclose(cdf_at_edges, direct._cum[k], rtol=0.0, atol=CUM_TOL)
+        np.testing.assert_allclose(cdf_at_edges, direct.cum[k], rtol=0.0, atol=CUM_TOL)
         bounds = np.concatenate([storage.s_min - levels, storage.s_max - levels])
         cdf_at_bounds = [b.cdf(x) for x in bounds]
         np.testing.assert_allclose(
@@ -604,13 +656,13 @@ def test_self_sufficiency_triple_sums_to_total_mass():
 
 def test_self_sufficiency_atom_examples():
     mid = self_sufficiency(
-        DensityGrid(origin=0.0, step=1.0, masses=np.array([1.0])), 2.5, SPEC_0_5
+        grid_from_masses(0.0, 1.0, [1.0]), 2.5, SPEC_0_5
     )
     assert (mid.p_deficit, mid.p_overflow, mid.p_self) == (0.0, 0.0, 1.0)
 
     spec = StorageSpec(0.0, 5.0, 5.0)
     surplus = self_sufficiency(
-        DensityGrid(origin=1.0, step=1.0, masses=np.array([1.0])), 5.0, spec
+        grid_from_masses(1.0, 1.0, [1.0]), 5.0, spec
     )
     assert (surplus.p_deficit, surplus.p_overflow, surplus.p_self) == (0.0, 1.0, 0.0)
 
@@ -625,14 +677,14 @@ def test_self_sufficiency_fig2_checkpoint():
 def test_self_sufficiency_rejects_over_budget_truncation():
     grid = discretize(FIG2_DEM, cells=256)
     assert self_sufficiency(grid, 0.0, SPEC_0_5).p_self <= grid.total_mass
-    truncated = DensityGrid(origin=grid.origin, step=grid.step, masses=0.9 * grid.masses)
+    truncated = grid_from_masses(grid.origin, grid.step, 0.9 * grid.masses)
     with pytest.raises(TruncationBudgetError):
         self_sufficiency(truncated, 0.0, SPEC_0_5)
 
 
 def test_self_sufficiency_checks_the_level_and_forms_the_window():
     def atom(x):
-        return DensityGrid(origin=x, step=1.0, masses=np.array([1.0]))
+        return grid_from_masses(x, 1.0, [1.0])
 
     for level in (-0.5, 5.5, math.nan):
         with pytest.raises(ValueError, match="outside the storage window"):

@@ -19,7 +19,6 @@ import stochstore
 import stochstore.cli as cli
 from stochstore import (
     MAX_BALANCE_CELLS,
-    DensityGrid,
     Deterministic,
     ProbabilityTriple,
     StorageSpec,
@@ -30,7 +29,7 @@ from stochstore import (
 )
 from stochstore.cli import ConfigError, RunConfig, main
 
-from conftest import read_fixture_text
+from conftest import grid_from_masses, read_fixture_text
 
 E_MINUS_1 = 0.36787944117144233
 P_B_AT_4 = 0.03076676552365592
@@ -556,6 +555,14 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", ["", "1,,2", "x"])
+def test_levels_that_are_not_a_list_of_numbers_exit_2(capsys, levels):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--scenario", "fig2_battery", "--levels", levels, "--out", "x.csv"])
+    assert info.value.code == 2
+    assert f"expected a comma-separated list of numbers, got {levels!r}" in capsys.readouterr().err
+
+
 def test_exit_3_on_scenario_errors(tmp_path, capsys):
     bad_window = tmp_path / "bad.json"
     doc = json.loads(read_fixture_text("fig2_battery"))
@@ -834,7 +841,7 @@ def test_validate_refuses_an_over_budget_grid_before_sampling(tmp_path, capsys, 
 def test_exit_4_when_truncation_budget_is_exceeded(tmp_path, capsys, monkeypatch):
     def truncated(dist, cells):
         grid = discretize(dist, cells)
-        return DensityGrid(origin=grid.origin, step=grid.step, masses=0.9 * grid.masses)
+        return grid_from_masses(grid.origin, grid.step, 0.9 * grid.masses)
 
     monkeypatch.setattr(cli, "discretize", truncated)
     code = main(

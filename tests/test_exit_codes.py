@@ -47,7 +47,7 @@ BALANCE_CELLS = 2**18
 # temporaries; 6.4 measured), 2.5 balance-sized ones (a refined input's
 # cumulative masses and the masses its query reads, their differences; 1.9
 # measured) and 16 arrays of the largest --grid-cells for gridding an input
-# (a log-normal's cdf temporaries; 9.4 measured).
+# (a log-normal's cdf temporaries; 8.4 measured).
 PEAK_BYTES = 8 * (8 * SAMPLE_VALUES + 2.5 * BALANCE_CELLS + 16 * cli.MAX_GRID_CELLS)
 
 EXITS = {"simulate": {0, 2, 3}, "analyze": {0, 2, 3, 4}, "sweep": {0, 2, 3}, "validate": {0, 1, 2, 3, 4}}
