@@ -31,7 +31,6 @@ from .distributions import (
 )
 from .montecarlo import (
     EnsembleStats,
-    ProbabilityEstimate,
     SelfSufficiencyEstimate,
     estimate_self_sufficiency,
     estimate_steps,
@@ -83,7 +82,6 @@ __all__ = [
     "self_sufficiency",
     "weibull_closed_form",
     # monte carlo
-    "ProbabilityEstimate",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
     "simulate_trajectory",

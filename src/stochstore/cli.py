@@ -14,7 +14,8 @@ Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 input's quantile window or sample range too narrow for its float cells or a
 continuous input's cells holding less than ``1 - MASS_TRUNCATION_BUDGET`` of
 its mass, an unreadable scenario and an unwritable or directory output
-path); 3 scenario error; 4 numeric truncation budget exceeded.
+path); 3 scenario error; 4 numeric truncation budget exceeded.  A closed
+stdout is none of these: the command keeps its own exit code.
 
 This is the one module where the routes meet.  Each route is one function
 of the same shape, a triple per (step, level): ``_grid`` for the grid,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import ctypes
 import functools
 import os
@@ -235,6 +237,28 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _say(message: str) -> None:
+    """Print ``message`` to stdout at once.  A closed stdout (its reader gone)
+    is pointed at ``os.devnull``, as the Python docs advise, so the rest of
+    the run and the flush at exit write nowhere and keep the exit code."""
+    try:
+        print(message, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+@contextlib.contextmanager
+def _config_os_errors():
+    """An OSError here (an unreadable ``--scenario``, an unwritable ``--out``)
+    is a configuration error; one elsewhere is not."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+
+
 def _metadata(config: RunConfig, scenario: Scenario, **extra) -> dict:
     md = {
         "scenario": scenario.name,
@@ -258,7 +282,7 @@ def _write_table(config: RunConfig, table: ResultTable, path: str | Path | None 
     """
     target = Path(path if path is not None else config.output_path)
     data = write_results(table, config.format)
-    with open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+    with _config_os_errors(), open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(data)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
             f.truncate()
@@ -357,12 +381,12 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
     ensemble_out = _ensemble_path(out)
     _write_table(config, traj_table, out)
     _write_table(config, ensemble_table, ensemble_out)
-    print(
+    _say(
         f"simulate {scenario.name}: {scenario.horizon} step(s), seed={config.seed}, "
         f"ensemble n={config.n}"
     )
-    print(f"  realization -> {out}")
-    print(f"  ensemble    -> {ensemble_out}")
+    _say(f"  realization -> {out}")
+    _say(f"  ensemble    -> {ensemble_out}")
     return 0
 
 
@@ -383,13 +407,13 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
         metadata=_metadata(config, scenario, grid_cells=config.grid_cells),
     )
     out = _write_table(config, table)
-    print(f"analyze {scenario.name} step {config.step} at s_prev={s_prev:g}:")
-    print(f"  p_deficit={triple.p_deficit:.6f}  p_overflow={triple.p_overflow:.6f}")
-    print(
+    _say(f"analyze {scenario.name} step {config.step} at s_prev={s_prev:g}:")
+    _say(f"  p_deficit={triple.p_deficit:.6f}  p_overflow={triple.p_overflow:.6f}")
+    _say(
         f"  self-sufficient: p_self={triple.p_self:.6f}  "
         f"(not self-sufficient: 1-p_self={1.0 - triple.p_self:.6f})"
     )
-    print(f"  truncated mass {b.truncated_mass:.3e} -> {out}")
+    _say(f"  truncated mass {b.truncated_mass:.3e} -> {out}")
     return 0
 
 
@@ -408,9 +432,8 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
         step_spec.generation.value, step_spec.demand, storage, levels, config.n, config.seed
     )
     rows = tuple(
-        (level, t.p_deficit, t.p_overflow, t.p_self,
-         mc.deficit.p_hat, mc.overflow.p_hat, mc.self_sufficient.p_hat,
-         max(mc.deficit.ci_halfwidth, mc.overflow.ci_halfwidth, mc.self_sufficient.ci_halfwidth))
+        (level, t.p_deficit, t.p_overflow, t.p_self, mc.p_deficit, mc.p_overflow, mc.p_self,
+         max(map(mc.halfwidth, (mc.p_deficit, mc.p_overflow, mc.p_self))))
         for level, t, mc in zip(levels, closed, estimates)
     )
     table = ResultTable(
@@ -420,13 +443,13 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
         metadata=_metadata(config, scenario),
     )
     out = _write_table(config, table)
-    print(f"sweep {scenario.name}: {len(levels)} level(s), n={config.n}, seed={config.seed}")
+    _say(f"sweep {scenario.name}: {len(levels)} level(s), n={config.n}, seed={config.seed}")
     for level, analytic in ((levels[0], closed[0]), (levels[-1], closed[-1])):
-        print(
+        _say(
             f"  level {level:g}: p_self={analytic.p_self:.6f} "
             f"(1-p_self={1.0 - analytic.p_self:.6f})"
         )
-    print(f"  table -> {out}")
+    _say(f"  table -> {out}")
     return 0
 
 
@@ -457,15 +480,12 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     # still be (tiny but) nonzero, so checks never use a tolerance below
     # the rule-of-three bound 3/n.
     floor = 3.0 / config.n
-    checks = [
-        (source, quantity, a, e.p_hat, e.ci_halfwidth, abs(a - e.p_hat) <= max(e.ci_halfwidth, floor))
-        for source, triple, est in rows
-        for quantity, a, e in (
-            ("p_deficit", triple.p_deficit, est.deficit),
-            ("p_overflow", triple.p_overflow, est.overflow),
-            ("p_self", triple.p_self, est.self_sufficient),
-        )
-    ]
+    checks = []
+    for source, triple, est in rows:
+        for quantity in ("p_deficit", "p_overflow", "p_self"):
+            a, p = getattr(triple, quantity), getattr(est, quantity)
+            ci = est.halfwidth(p)
+            checks.append((source, quantity, a, p, ci, abs(a - p) <= max(ci, floor)))
 
     caveat = config.n < VALIDATE_CAVEAT_N
     failures = [c for c in checks if not c[5]]
@@ -476,9 +496,9 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
             metadata=_metadata(config, scenario, grid_cells=config.grid_cells, caveat=caveat),
         )
         out = _write_table(config, table)
-        print(f"  report -> {out}")
+        _say(f"  report -> {out}")
 
-    print(
+    _say(
         f"validate {scenario.name}: {len(checks) - len(failures)}/{len(checks)} analytic "
         f"values within MC confidence intervals (n={config.n}, seed={config.seed})"
     )
@@ -488,7 +508,7 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
             f"wide for a meaningful gate (caveat recorded in the report)"
         )
     for source, quantity, analytic, p_hat, ci, _ in failures:
-        print(
+        _say(
             f"  FAIL {source} {quantity}: analytic={analytic:.9g} "
             f"mc={p_hat:.9g} ci_halfwidth={ci:.3g}"
         )
@@ -506,20 +526,21 @@ _HANDLERS = {
 def run_command(config: RunConfig) -> int:
     """Execute a configured run, mapping failures to the exit-code taxonomy."""
     try:
-        if config.output_path:
-            out = Path(config.output_path)
-            if not out.parent.is_dir():
-                raise ConfigError(f"--out {out}: no such directory")
-            targets = (out, _ensemble_path(out)) if config.command == "simulate" else (out,)
-            for target in targets:
-                if target.is_dir():
-                    raise ConfigError(f"--out: {target} is a directory")
-        scenario = _load_scenario(config)
+        with _config_os_errors():
+            if config.output_path:
+                out = Path(config.output_path)
+                if not out.parent.is_dir():
+                    raise ConfigError(f"--out {out}: no such directory")
+                targets = (out, _ensemble_path(out)) if config.command == "simulate" else (out,)
+                for target in targets:
+                    if target.is_dir():
+                        raise ConfigError(f"--out: {target} is a directory")
+            scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
-    # OSError: unreadable --scenario, unwritable --out; CellBudgetError: the
-    # inputs' grids refine to more cells than balance.MAX_BALANCE_CELLS, or
-    # an input's quantile window or sample range is too narrow for its cells.
-    except (ConfigError, CellBudgetError, OSError) as e:
+    # CellBudgetError: the inputs' grids refine to more cells than
+    # balance.MAX_BALANCE_CELLS, or an input's quantile window or sample
+    # range is too narrow for its cells.
+    except (ConfigError, CellBudgetError) as e:
         _diag(f"config error: {e}")
         return 2
     except ScenarioError as e:

@@ -2,10 +2,12 @@
 
 This engine is the sampling oracle for the analytic (grid and closed
 form) probability paths: it simulates scenarios trajectory by trajectory
-and estimates event probabilities as frequencies with normal-approximation
-confidence intervals (3 standard errors).  It takes nothing from the
-analytic routes' module (``balance``): it forms each storage window itself,
-and only the CLI puts its estimates next to theirs.
+and estimates each step triple as one flat ``SelfSufficiencyEstimate``:
+the frequencies ``p_deficit``, ``p_overflow`` and ``p_self``, under the
+analytic triple's names, and ``n``, whose ``halfwidth(p)`` is a frequency's
+normal-approximation confidence halfwidth (3 standard errors).  It takes
+nothing from the analytic routes' module (``balance``): it forms each
+storage window itself, and only the CLI puts its estimates next to theirs.
 
 Reproducibility contract: trajectory ``i`` of a run seeded with ``seed``
 draws from ``numpy.random.default_rng((seed, i))``, consuming generation
@@ -41,7 +43,6 @@ from .storage import StorageSpec, Trajectory, evolve
 
 __all__ = [
     "QUANTILE_LEVELS",
-    "ProbabilityEstimate",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
     "simulate_trajectory",
@@ -55,43 +56,22 @@ QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
 
 @dataclass(frozen=True)
-class ProbabilityEstimate:
-    """A frequency estimate with its 3-standard-error halfwidth."""
-
-    p_hat: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
-
-    @property
-    def ci_halfwidth(self) -> float:
-        p = self.p_hat
-        return 3.0 * math.sqrt(p * (1.0 - p) / self.n)
-
-    @classmethod
-    def from_count(cls, count: int, n: int) -> "ProbabilityEstimate":
-        return cls(p_hat=count / n, n=n)
-
-
-@dataclass(frozen=True)
 class SelfSufficiencyEstimate:
     """Frequency estimates of the deficit / overflow / self triple.
 
-    Built from one shared sample, so the three underlying counts
-    partition ``n`` and the estimates sum to 1 exactly.
+    The fields carry the analytic triple's names.  Each frequency is a
+    count of one shared sample of ``n`` draws divided by ``n``, and the
+    three counts partition ``n``.
     """
 
-    deficit: ProbabilityEstimate
-    overflow: ProbabilityEstimate
-    self_sufficient: ProbabilityEstimate
+    p_deficit: float
+    p_overflow: float
+    p_self: float
+    n: int
 
-    @property
-    def n(self) -> int:
-        return self.deficit.n
+    def halfwidth(self, p: float) -> float:
+        """The 3-standard-error halfwidth of a frequency ``p`` over ``n`` draws."""
+        return 3.0 * math.sqrt(p * (1.0 - p) / self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +83,6 @@ class EnsembleStats:
     ``realization`` is trajectory 0, with its generation and demand.
     """
 
-    n_trajectories: int
-    seed: int
     quantile_levels: tuple[float, ...]
     s_mean: np.ndarray
     s_quantiles: np.ndarray
@@ -379,8 +357,6 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
         b_total = _sum_rows(balances)
     s_mean = states.mean(axis=0)
     return EnsembleStats(
-        n_trajectories=n,
-        seed=int(seed),
         quantile_levels=QUANTILE_LEVELS,
         s_mean=s_mean,
         # Partitions the states in place rather than a copy of them.
@@ -502,7 +478,8 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     """Estimate the triple of each ``(gen, dem)`` pair at each of its levels.
 
     ``levels[k]`` lists the levels of ``pairs[k]``; the result holds one
-    tuple per pair of one estimate per level.  Each estimate counts ``n``
+    tuple per pair of one ``SelfSufficiencyEstimate`` per level, whose
+    frequencies are counts divided by ``n``.  Each estimate counts ``n``
     draws of the balance, generation drawn before demand from
     ``default_rng(seed)``, so its raw draws depend only on ``(seed, n)`` and
     on each side's ``_raw_draw``: pairs with equal draw callables share one
@@ -545,11 +522,8 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
 
 
 def _estimate(n_deficit: int, n_overflow: int, n: int) -> SelfSufficiencyEstimate:
-    return SelfSufficiencyEstimate(
-        deficit=ProbabilityEstimate.from_count(n_deficit, n),
-        overflow=ProbabilityEstimate.from_count(n_overflow, n),
-        self_sufficient=ProbabilityEstimate.from_count(n - n_deficit - n_overflow, n),
-    )
+    n_self = n - n_deficit - n_overflow
+    return SelfSufficiencyEstimate(n_deficit / n, n_overflow / n, n_self / n, n)
 
 
 def sweep_battery_levels(

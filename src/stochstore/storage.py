@@ -57,10 +57,6 @@ class StorageSpec:
             )
         return value
 
-    @property
-    def capacity(self) -> float:
-        return self.s_max - self.s_min
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:

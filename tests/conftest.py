@@ -8,7 +8,6 @@ import stochstore.distributions as dist
 
 from stochstore import (
     DensityGrid,
-    ProbabilityEstimate,
     Scenario,
     SelfSufficiencyEstimate,
     StorageSpec,
@@ -80,9 +79,10 @@ def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, se
     n_deficit = int(np.count_nonzero(b <= storage.s_min - s_prev))
     n_overflow = int(np.count_nonzero(b > storage.s_max - s_prev))
     return SelfSufficiencyEstimate(
-        deficit=ProbabilityEstimate.from_count(n_deficit, n),
-        overflow=ProbabilityEstimate.from_count(n_overflow, n),
-        self_sufficient=ProbabilityEstimate.from_count(n - n_deficit - n_overflow, n),
+        p_deficit=n_deficit / n,
+        p_overflow=n_overflow / n,
+        p_self=(n - n_deficit - n_overflow) / n,
+        n=n,
     )
 
 

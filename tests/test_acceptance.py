@@ -59,7 +59,7 @@ def test_criterion_1_closed_form_checkpoint():
         seed=0,
     )
     bound = 3.0 * math.sqrt(E_MINUS_1 * (1.0 - E_MINUS_1) / 1_000_000)
-    mc_ok = abs(est.deficit.p_hat - E_MINUS_1) <= bound
+    mc_ok = abs(est.p_deficit - E_MINUS_1) <= bound
     elapsed = time.perf_counter() - t0
     ok = analytic_ok and mc_ok and elapsed < 5.0
     _report(
@@ -67,7 +67,7 @@ def test_criterion_1_closed_form_checkpoint():
         ok,
         f"deficit probability at an empty 5-unit battery: analytic "
         f"{triple.p_deficit:.9f} vs exp(-1) (tol 1e-6), MC n=1e6 seed 0 "
-        f"p_hat={est.deficit.p_hat:.6f} within {bound:.5f}; {elapsed:.2f}s < 5s",
+        f"p_hat={est.p_deficit:.6f} within {bound:.5f}; {elapsed:.2f}s < 5s",
     )
 
 
@@ -152,13 +152,13 @@ def test_criterion_4_iid_symmetry():
         n=1_000_000,
         seed=0,
     )
-    mc_ok = abs(est.deficit.p_hat - 0.5) <= est.deficit.ci_halfwidth
+    mc_ok = abs(est.p_deficit - 0.5) <= est.halfwidth(est.p_deficit)
     _report(
         4,
         grid_ok and mc_ok,
         f"iid generation and demand: grid Pr[B<=0]={grid_p:.6f} within 1e-3 of "
-        f"0.5, MC p_hat={est.deficit.p_hat:.6f} within its interval "
-        f"(±{est.deficit.ci_halfwidth:.5f})",
+        f"0.5, MC p_hat={est.p_deficit:.6f} within its interval "
+        f"(±{est.halfwidth(est.p_deficit):.5f})",
     )
 
 
@@ -298,19 +298,19 @@ def test_criterion_8_threshold_convention_arbitration():
         )
         shipped = weibull_closed_form(FIG2_GEN, level, SPEC_0_5, FIG2_DEM)
         floor = 3.0 / est.n
-        for value, mc in (
-            (shipped.p_deficit, est.deficit),
-            (shipped.p_overflow, est.overflow),
+        for value, p_hat in (
+            (shipped.p_deficit, est.p_deficit),
+            (shipped.p_overflow, est.p_overflow),
         ):
-            if abs(value - mc.p_hat) > max(mc.ci_halfwidth, floor):
+            if abs(value - p_hat) > max(est.halfwidth(p_hat), floor):
                 shipped_ok = False
 
-        for alt_value, mc in (
-            (alt_p_deficit(FIG2_GEN, level), est.deficit),
-            (alt_p_overflow(FIG2_GEN, level), est.overflow),
+        for alt_value, p_hat in (
+            (alt_p_deficit(FIG2_GEN, level), est.p_deficit),
+            (alt_p_overflow(FIG2_GEN, level), est.p_overflow),
         ):
             invalid = not (0.0 <= alt_value <= 1.0) or not math.isfinite(alt_value)
-            off = abs(alt_value - mc.p_hat) > max(mc.ci_halfwidth, floor)
+            off = abs(alt_value - p_hat) > max(est.halfwidth(p_hat), floor)
             if not (invalid or off):
                 alternative_rejected = False
             details.append(f"s={level:g}: alt={alt_value:.4g}")

@@ -788,3 +788,24 @@ def test_grid_path_matches_closed_form_random_points(value, s_prev):
     closed_t = weibull_closed_form(value, s_prev, SPEC_0_5, FIG2_DEM)
     assert grid_t.p_deficit == pytest.approx(closed_t.p_deficit, abs=1e-3)
     assert grid_t.p_overflow == pytest.approx(closed_t.p_overflow, abs=1e-3)
+
+
+# --- known grid defects: each test flips to a plain pass when its defect is mended
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+def test_a_balance_atom_on_the_deficit_edge_counts_as_deficit():
+    # B = 3 - D is 2 or 0 with mass 1/2 each; the deficit edge of an empty
+    # store is B <= 0, so Pr[deficit] = Pr[D >= 3] = 0.5 exactly.
+    b = difference_density(discretize(Deterministic(3.0)), discretize(Empirical((1.0, 3.0))))
+    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_a_store_narrower_than_one_balance_cell_gets_its_exact_deficit():
+    # At 4096 cells the 5-unit store spans about 0.01 of a balance cell.
+    gen = lognormal_from_moments(1.0, 1e6)
+    b = difference_density(discretize(gen, 4096), discretize(Deterministic(1.0), 4096))
+    exact = scipy.stats.lognorm(s=gen.sigma, scale=math.exp(gen.mu)).cdf(1.0)
+    assert exact == pytest.approx(0.968448, abs=1e-6)
+    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == pytest.approx(exact, abs=0.05)

@@ -653,6 +653,50 @@ def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, 
     assert not out.exists()
 
 
+# Deterministic 3 against Empirical [1, 3] in an empty [0, 5] store: the grid
+# gives p_deficit 0 where the balance is 0 half the time, so validate fails.
+TIE_SCENARIO = {
+    "name": "tie", "energy_unit": "kWh", "horizon": 1,
+    "storage": {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0},
+    "steps": [{
+        "generation": {"kind": "deterministic", "value": 3.0},
+        "demand": {"kind": "empirical", "samples": [1.0, 3.0]},
+    }],
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, unbuffered):
+    tie = tmp_path / "tie.json"
+    tie.write_text(json.dumps(TIE_SCENARIO), encoding="utf-8")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    python = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "stochstore"]
+    runs = [
+        (["analyze", "--scenario", "fig2_battery", "--s-prev", "0"], 0),
+        (["validate", "--scenario", "fig2_battery", "--n", "20000"], 0),
+        (["validate", "--scenario", str(tie), "--n", "20000"], 1),
+    ]
+    for k, (argv, code) in enumerate(runs):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [*python, *argv, "--out", str(tmp_path / f"{k}.csv")],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == code, (argv, child.stderr)
+        # Under -X dev a leaked descriptor would be reported here.
+        assert child.stderr == "", (argv, child.stderr)
+        # The same command with an open stdout writes the same --out bytes.
+        assert main([*argv, "--out", str(tmp_path / f"{k}_open.csv")]) == code
+        assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}_open.csv").read_bytes()
+
+
 # analyze takes these documents in test_io_and_parse_failures_exit_with_their_code.
 @pytest.mark.parametrize("command", ["simulate", "sweep", "validate"])
 def test_every_command_refuses_overflowing_parameters_with_exit_3(tmp_path, capsys, command):

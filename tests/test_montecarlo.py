@@ -13,7 +13,7 @@ from stochstore import (
     Distribution,
     Empirical,
     LogNormal,
-    ProbabilityEstimate,
+    SelfSufficiencyEstimate,
     StorageSpec,
     Weibull,
     estimate_self_sufficiency,
@@ -135,31 +135,22 @@ def _contract_trajectory(scenario, seed, index):
     )
 
 
-# --- ProbabilityEstimate ------------------------------------------------------
+# --- SelfSufficiencyEstimate ---------------------------------------------------
 
 
-def test_probability_estimate_from_count():
-    est = ProbabilityEstimate.from_count(250, 1000)
-    assert est.p_hat == 0.25
-    assert est.ci_halfwidth == pytest.approx(
+def test_estimate_frequencies_and_halfwidth():
+    est = montecarlo._estimate(250, 150, 1000)
+    assert est == SelfSufficiencyEstimate(p_deficit=0.25, p_overflow=0.15, p_self=0.6, n=1000)
+    assert est.halfwidth(est.p_deficit) == pytest.approx(
         3.0 * math.sqrt(0.25 * 0.75 / 1000.0), abs=1e-15
     )
     assert est.n == 1000
 
 
-def test_probability_estimate_rejects_invalid_fields():
-    with pytest.raises(ValueError):
-        ProbabilityEstimate(p_hat=1.5, n=1000)
-    with pytest.raises(ValueError):
-        ProbabilityEstimate(p_hat=0.25, n=0)
-    with pytest.raises(ValueError):
-        ProbabilityEstimate.from_count(-1, 1000)
-
-
 def test_degenerate_estimate_has_zero_halfwidth():
-    est = ProbabilityEstimate.from_count(0, 500)
-    assert est.p_hat == 0.0
-    assert est.ci_halfwidth == 0.0
+    est = montecarlo._estimate(0, 0, 500)
+    assert est.p_deficit == 0.0
+    assert est.halfwidth(est.p_deficit) == 0.0
 
 
 # --- estimate_self_sufficiency -------------------------------------------------
@@ -176,12 +167,10 @@ def test_estimate_is_deterministic_and_partitions_n():
     )
     a = estimate_self_sufficiency(**kwargs)
     b = estimate_self_sufficiency(**kwargs)
-    assert a.deficit.p_hat == b.deficit.p_hat
-    assert a.overflow.p_hat == b.overflow.p_hat
-    assert a.self_sufficient.p_hat == b.self_sufficient.p_hat
-    counts = round(a.deficit.p_hat * 20_000) + round(a.overflow.p_hat * 20_000) + round(
-        a.self_sufficient.p_hat * 20_000
-    )
+    assert a.p_deficit == b.p_deficit
+    assert a.p_overflow == b.p_overflow
+    assert a.p_self == b.p_self
+    counts = round(a.p_deficit * 20_000) + round(a.p_overflow * 20_000) + round(a.p_self * 20_000)
     assert counts == 20_000
     assert a.n == 20_000
 
@@ -195,10 +184,10 @@ def test_estimate_covers_closed_form_checkpoint():
         n=100_000,
         seed=0,
     )
-    assert abs(est.deficit.p_hat - E_MINUS_1) <= est.deficit.ci_halfwidth
+    assert abs(est.p_deficit - E_MINUS_1) <= est.halfwidth(est.p_deficit)
     closed = weibull_closed_form(2.0, 0.0, SPEC_0_5, FIG2_DEM)
-    assert abs(est.overflow.p_hat - closed.p_overflow) <= max(
-        est.overflow.ci_halfwidth, 3.0 / est.n
+    assert abs(est.p_overflow - closed.p_overflow) <= max(
+        est.halfwidth(est.p_overflow), 3.0 / est.n
     )
 
 
@@ -211,10 +200,10 @@ def test_estimate_with_balance_inside_window_is_certain():
         n=5_000,
         seed=7,
     )
-    assert est.deficit.p_hat == 0.0
-    assert est.overflow.p_hat == 0.0
-    assert est.self_sufficient.p_hat == 1.0
-    assert est.self_sufficient.ci_halfwidth == 0.0
+    assert est.p_deficit == 0.0
+    assert est.p_overflow == 0.0
+    assert est.p_self == 1.0
+    assert est.halfwidth(est.p_self) == 0.0
 
 
 def test_estimate_validates_inputs():
@@ -272,13 +261,13 @@ def test_shared_estimates_equal_separate_estimates_bit_for_bit():
         assert len(estimates) == len(pair_levels)
         for level, est in zip(pair_levels, estimates):
             solo = estimate_reference(gen, dem, SPEC_MIXED, level, n, seed)
-            assert est.deficit.p_hat == solo.deficit.p_hat
-            assert est.overflow.p_hat == solo.overflow.p_hat
-            assert est.self_sufficient.p_hat == solo.self_sufficient.p_hat
+            assert est.p_deficit == solo.p_deficit
+            assert est.p_overflow == solo.p_overflow
+            assert est.p_self == solo.p_self
             assert est.n == solo.n == n
             assert estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed) == est
-    assert shared[5][1].deficit.p_hat == 1.0  # (1.0 - 2.5) at level 2.0
-    assert shared[6][0].self_sufficient.p_hat == 1.0  # (3.0 - 1.0) at level 2.0
+    assert shared[5][1].p_deficit == 1.0  # (1.0 - 2.5) at level 2.0
+    assert shared[6][0].p_self == 1.0  # (3.0 - 1.0) at level 2.0
 
 
 @dataclass
@@ -490,8 +479,8 @@ def test_balances_on_window_edges_count_as_in_the_reference(levels):
     ]
     n = 2 * montecarlo.ESTIMATE_BLOCK + 3
     shared = _assert_matches_reference(pairs, SPEC_0_5, levels, n, 6)
-    assert shared[3][0].deficit.p_hat == 1.0  # balance 0 on lo = 0 at level 0
-    assert shared[3][-1].self_sufficient.p_hat == 1.0  # balance 0 on hi = 0 at level 5
+    assert shared[3][0].p_deficit == 1.0  # balance 0 on lo = 0 at level 0
+    assert shared[3][-1].p_self == 1.0  # balance 0 on hi = 0 at level 5
 
 
 @pytest.mark.parametrize("levels", [MANY_LEVELS, (2.0, 0.5)], ids=["sort", "compare"])
@@ -503,8 +492,8 @@ def test_nan_balances_count_as_neither_deficit_nor_overflow(levels):
         shared = _assert_matches_reference([(huge, huge)], SPEC_MIXED, levels, n, 2)
     for est in shared[0]:
         # Finite balances this large miss the window; NaNs are neither event.
-        assert 0.03 < est.self_sufficient.p_hat < 0.07
-        assert est.deficit.p_hat > 0.3 and est.overflow.p_hat > 0.3
+        assert 0.03 < est.p_self < 0.07
+        assert est.p_deficit > 0.3 and est.p_overflow > 0.3
 
 
 def test_a_many_level_sweep_makes_no_per_level_passes(monkeypatch):
@@ -765,9 +754,9 @@ def test_sweep_estimates_cover_analytics():
     for level, mc in zip(levels, estimates, strict=True):
         analytic = weibull_closed_form(2.0, level, SPEC_0_5, FIG2_DEM)
         floor = 3.0 / mc.n
-        assert abs(mc.deficit.p_hat - analytic.p_deficit) <= max(mc.deficit.ci_halfwidth, floor)
-        assert abs(mc.overflow.p_hat - analytic.p_overflow) <= max(
-            mc.overflow.ci_halfwidth, floor
+        assert abs(mc.p_deficit - analytic.p_deficit) <= max(mc.halfwidth(mc.p_deficit), floor)
+        assert abs(mc.p_overflow - analytic.p_overflow) <= max(
+            mc.halfwidth(mc.p_overflow), floor
         )
 
 

@@ -216,7 +216,3 @@ def test_evolve_rejects_bad_balance_sequences():
 def test_storage_spec_validation(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
         StorageSpec(**kwargs)
-
-
-def test_storage_spec_capacity():
-    assert StorageSpec(1.0, 5.0, 2.0).capacity == 4.0
