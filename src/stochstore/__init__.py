@@ -18,6 +18,7 @@ from .balance import (
     TruncationBudgetError,
     difference_density,
     discretize,
+    point_mass_balance,
     self_sufficiency,
     weibull_closed_form,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "CellBudgetError",
     "discretize",
     "difference_density",
+    "point_mass_balance",
     "self_sufficiency",
     "weibull_closed_form",
     # monte carlo

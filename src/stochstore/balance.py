@@ -1,41 +1,34 @@
 """Density-grid arithmetic for the per-step energy balance.
 
 The balance of one step is ``B = G - D`` with generation ``G`` and demand
-``D`` independent.  Both are discretized onto uniform mass grids, and the
-window probabilities (deficit / overflow / self-sufficiency) are read from
-the cdf of their difference-convolution.  A window query needs that cdf at
-two points only, so for two cell grids it is summed from the inputs at
-those points and the balance masses are never formed.  Every grid measure
-reads its cdf through one interpolation, ``_GridMeasure.cdf``, from the
-cumulative masses at the two edges around the point.  For deterministic
-generation and Weibull demand the same triple also has a closed form
-(:func:`weibull_closed_form`).  The grid never calls it, and the Monte Carlo
-sampler imports nothing from this module; the routes meet only in the CLI,
-so they can check each other.
+``D`` independent.  A step with a point-mass side (``Deterministic`` or
+``Empirical``) is read exactly: its balance cdf is a finite sum of the
+other side's own cdf (:func:`point_mass_balance`).  Two continuous sides
+are discretized onto uniform mass grids, and the window probabilities
+(deficit / overflow / self-sufficiency) are read from the cdf of their
+difference-convolution at two points, summed from the inputs there through
+one interpolation, ``_GridMeasure.cdf``.  For deterministic generation and
+Weibull demand the triple also has a closed form (:func:`weibull_closed_form`),
+which no other code here calls; the Monte Carlo sampler imports nothing
+from this module.  The routes meet only in the CLI, so they can check each other.
 
 Grid conventions
 ----------------
 Cell ``i`` of a grid covers ``[origin + i*step, origin + (i+1)*step)`` and
-carries a probability mass.  Mass is treated as uniform within its cell,
-so the grid cdf is piecewise linear between cell edges.  A grid is its
-cumulative masses at its edges, which that cdf interpolates, and
-``DensityGrid(origin, step, cum)`` is its one constructor: ``discretize``
-passes ``cdf(edges) - cdf(edges[0])``, ``resample`` the interpolated cdf
-at its new edges, a histogram or an atom the running sum of its cell
-masses.  The cell masses are their differences, formed only where a dot
-product needs them.  A grid with a single cell is a point mass (atom) at
-``origin``: its width is zero and its ``step`` is a placeholder.  Atoms
-enter the difference exactly, as pure shifts, and are never smeared
-across cells.
+carries a probability mass, uniform within its cell, so the grid cdf is
+piecewise linear between cell edges.  A grid is its cumulative masses at
+its edges, and ``DensityGrid(origin, step, cum)`` is its one constructor:
+``discretize`` passes ``cdf(edges) - cdf(edges[0])``, ``resample`` the
+interpolated cdf at its new edges.  The cell masses are their differences,
+formed only where a dot product needs them.
 
 Probability conventions
 -----------------------
 ``self_sufficiency(b, s_prev, storage)`` checks ``s_prev`` against the
 storage window and forms its own half-open query window ``(lo, hi] =
 (s_min - s_prev, s_max - s_prev]``: deficit counts ``B <= lo`` (closed)
-and overflow counts ``B > hi`` (open).  The distinction is
-immaterial for continuous balances but fixes deterministic tie-breaking
-when the balance carries atoms.
+and overflow counts ``B > hi`` (open), which fixes tie-breaking when the
+balance has point masses.
 
 Mass accounting
 ---------------
@@ -46,9 +39,9 @@ check, in its constructor: ``cum`` is 1-d, has at least two values and
 starts at 0, and its masses are finite, none below -1e-12 (rounding dust,
 read as 0), with a total of at most 1 + 1e-9.  Probability evaluation
 refuses grids whose shortfall exceeds ``MASS_TRUNCATION_BUDGET``.  The
-self-sufficiency triple returned from a grid sums to the grid's total
-mass exactly; the truncated remainder is accounted against ``p_self``'s
-error budget.
+self-sufficiency triple sums to the balance's total mass exactly (1 for a
+point-mass balance); the truncated remainder is accounted against
+``p_self``'s error budget.
 """
 
 from __future__ import annotations
@@ -72,6 +65,7 @@ __all__ = [
     "CellBudgetError",
     "discretize",
     "difference_density",
+    "point_mass_balance",
     "self_sufficiency",
     "weibull_closed_form",
 ]
@@ -81,7 +75,7 @@ DEFAULT_COVERAGE = 1.0 - 1e-8
 MASS_TRUNCATION_BUDGET = 1e-6
 # Largest balance grid difference_density builds.  Refining the coarser
 # input to the finer step can ask for far more cells than either input has
-# (a near-atom input against a wide one); past this it refuses instead.
+# (a very narrow input against a wide one); past this it refuses instead.
 MAX_BALANCE_CELLS = 2**22
 
 
@@ -90,26 +84,23 @@ class TruncationBudgetError(ValueError):
 
 
 class CellBudgetError(ValueError):
-    """A grid cannot be built within the cell budget.
-
-    Either a balance grid would need more than ``MAX_BALANCE_CELLS`` cells,
-    or a distribution's quantile window is too narrow for any float step or
-    for its cells to hold all but ``MASS_TRUNCATION_BUDGET`` of its mass.
-    """
+    """A grid cannot be built within the cell budget: a balance grid over
+    ``MAX_BALANCE_CELLS`` cells, or an input whose quantile window is too narrow
+    for its cells to hold all but ``MASS_TRUNCATION_BUDGET`` of its mass."""
 
 
 class _GridMeasure:
     """What a window query reads from a probability measure on a uniform grid.
 
-    Subclasses give ``origin``, ``step``, ``n_cells``, ``is_atom``,
-    ``total_mass`` and ``_cum_pair(k)``, the cumulative masses at edges ``k``
-    and ``k + 1``; the geometry and the cdf follow from them.
+    Subclasses give ``origin``, ``step``, ``n_cells``, ``total_mass`` and
+    ``_cum_pair(k)``, the cumulative masses at edges ``k`` and ``k + 1``; the
+    geometry and the cdf follow from them.
     """
 
     @property
     def width(self) -> float:
-        """Support width; zero for an atom."""
-        return 0.0 if self.is_atom else self.n_cells * self.step
+        """Support width."""
+        return self.n_cells * self.step
 
     @property
     def truncated_mass(self) -> float:
@@ -126,15 +117,12 @@ class _GridMeasure:
 
         0 up to the first edge, the total mass from the last one on (``±inf``
         included), and in between ``np.interp(x, edges, cum)`` bit for bit,
-        without building ``edges``.  An atom's mass sits exactly at
-        ``origin`` (closed on the right, per the window convention).
+        without building ``edges``.
         """
         x = float(x)
         if math.isnan(x):
             raise ValueError("cdf argument must not be NaN")
         origin, step, n = self.origin, self.step, self.n_cells
-        if self.is_atom:
-            return self.total_mass if x >= origin else 0.0
         if x < origin:
             return 0.0
         if not x < origin + step * n:
@@ -162,8 +150,7 @@ class DensityGrid(_GridMeasure):
     the mass below edge ``origin + k*step`` (``cum[0]`` is 0), and
     ``masses[i] = cum[i + 1] - cum[i]`` is the probability of
     ``[origin + i*step, origin + (i+1)*step)``.  ``cum`` is read, not copied,
-    through a read-only view.  A grid with two cumulative masses (one cell)
-    is an atom at ``origin``.
+    through a read-only view.
     """
 
     origin: float
@@ -212,10 +199,9 @@ class DensityGrid(_GridMeasure):
     def n_cells(self) -> int:
         return self.cum.size - 1
 
-    @property
-    def is_atom(self) -> bool:
-        """True when this grid is a point mass at ``origin``."""
-        return self.cum.size == 2
+    # Read by perfbench/spans.py's _convolve_counter on each difference_density
+    # input; nothing in this package reads it.
+    is_atom = False
 
     @property
     def total_mass(self) -> float:
@@ -244,33 +230,17 @@ class ProbabilityTriple:
 def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     """Project a distribution onto a uniform mass grid.
 
-    Continuous families are gridded over their central ``DEFAULT_COVERAGE``
+    A continuous family is gridded over its central ``DEFAULT_COVERAGE``
     quantile window with per-cell mass ``cdf(right) - cdf(left)`` exactly.
-    ``Deterministic`` becomes an atom; ``Empirical`` becomes a normalized
-    histogram over its sample range (no truncation).  A quantile window or a
-    sample range too narrow to cut into ``cells`` increasing float edges has
-    no step to grid it with and raises :class:`CellBudgetError`, as does a
-    continuous grid whose cells hold less than ``1 - MASS_TRUNCATION_BUDGET``
-    of the mass (a window a few ulps wide, whose quantiles round together).
+    A window whose cells hold less than ``1 - MASS_TRUNCATION_BUDGET`` of the
+    mass (degenerate, or a few ulps wide) raises :class:`CellBudgetError`.
+    A point mass raises ``TypeError``: :func:`point_mass_balance` reads it.
     """
     cells = int(cells)
     if cells < 2:
         raise ValueError(f"cell count must be >= 2, got {cells}")
-
-    if isinstance(spec, Deterministic):
-        return DensityGrid(spec.value, 1.0, [0.0, 1.0])
-
-    if isinstance(spec, Empirical):
-        values = np.asarray(spec.samples, dtype=float)
-        lo, hi = float(values.min()), float(values.max())
-        if lo == hi:
-            return DensityGrid(lo, 1.0, [0.0, 1.0])
-        # np.histogram's own edges, which it refuses unless they increase.
-        edges = np.linspace(lo, hi, cells + 1)
-        if np.any(edges[:-1] >= edges[1:]):
-            raise CellBudgetError(f"cannot grid Empirical: no {cells} float cells in [{lo}, {hi}]")
-        counts, _ = np.histogram(values, bins=cells, range=(lo, hi))
-        return DensityGrid(lo, (hi - lo) / cells, np.append(0.0, np.cumsum(counts / values.size)))
+    if isinstance(spec, (Deterministic, Empirical)):
+        raise TypeError(f"{type(spec).__name__} is a point mass: read it with point_mass_balance")
 
     tail = (1.0 - DEFAULT_COVERAGE) / 2.0
     lo, hi = spec.quantile(tail), spec.quantile(1.0 - tail)
@@ -298,13 +268,12 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
     """Rebin a grid onto spacing ``step``, conserving total mass.
 
     Mass moves by piecewise-uniform splitting (linear interpolation of the
-    cumulative masses at the new edges).  Atoms are returned unchanged:
-    their location is exact and must not be smeared.
+    cumulative masses at the new edges).
     """
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
-    if grid.is_atom or step == grid.step:
+    if step == grid.step:
         return grid
     # One name for the new edges and then their cumulative masses, so the
     # edges are freed before the grid is checked.
@@ -315,7 +284,7 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
 
 def _resampled_cells(grid: DensityGrid, step: float) -> int:
     """Cell count of ``resample(grid, step)``; over ``MAX_BALANCE_CELLS`` is refused."""
-    if grid.is_atom or step == grid.step:
+    if step == grid.step:
         return grid.n_cells
     # Compared as a float: a huge grid's ratio may be inf, which has no int.
     cells = grid.width / step - 1e-12
@@ -324,37 +293,27 @@ def _resampled_cells(grid: DensityGrid, step: float) -> int:
             f"a grid {grid.width:.3g} wide needs {cells:.3g} cells at step {step:.3g}, "
             f"over the budget of {MAX_BALANCE_CELLS}"
         )
-    # At least two cells so the result is never mistaken for an atom.
-    return max(2, int(math.ceil(cells)))
+    return int(math.ceil(cells))
 
 
-def difference_density(gen: DensityGrid, dem: DensityGrid) -> DensityGrid | _CellBalance:
-    """Distribution of the balance ``B = G - D`` (independent inputs).
+def difference_density(gen: DensityGrid, dem: DensityGrid) -> _CellBalance:
+    """Distribution of the balance ``B = G - D`` of two independent cell grids.
 
     The result is read through ``origin``, ``step``, ``n_cells``, ``width``,
-    ``edges``, ``is_atom``, ``total_mass``, ``truncated_mass`` and
-    ``cdf(x)``, as on a :class:`DensityGrid`.  It has ``n_gen + n_dem``
-    cells, origin ``gen.origin - (dem.origin + dem.width)``, and total mass
-    equal to the product of the input masses.
+    ``edges``, ``total_mass``, ``truncated_mass`` and ``cdf(x)``, as on a
+    :class:`DensityGrid`.  It has ``n_gen + n_dem`` cells, origin
+    ``gen.origin - (dem.origin + dem.width)``, and total mass equal to the
+    product of the input masses.
 
     Unequal grid spacings are reconciled by refining the coarser grid to
     the finer one first; :class:`CellBudgetError` is raised, before any
     refinement, when the result would have more than ``MAX_BALANCE_CELLS``
-    cells.  For two cell-mass grids the exact difference density of the
-    piecewise-uniform model is the cross-correlation of the masses with
-    each product triangle split evenly between the two cells it straddles.
-    ``cdf`` sums that correlation from the two inputs at the cells it
-    needs, in time linear in the inputs, and no balance-sized array is
-    built.  An atom on either side shifts (and on the demand side, flips)
-    the other grid exactly, and the result is a :class:`DensityGrid`.
+    cells.  The exact difference density of the piecewise-uniform model is
+    the cross-correlation of the masses with each product triangle split
+    evenly between the two cells it straddles.  ``cdf`` sums that
+    correlation from the two inputs at the cells it needs, in time linear
+    in the inputs, and no balance-sized array is built.
     """
-    if gen.is_atom or dem.is_atom:
-        return DensityGrid(
-            gen.origin - (dem.origin + dem.width),
-            dem.step if gen.is_atom else gen.step,
-            np.append(0.0, np.cumsum(np.outer(gen.masses, dem.masses[::-1]))),
-        )
-
     h = min(gen.step, dem.step)
     n_cells = _resampled_cells(gen, h) + _resampled_cells(dem, h)
     if n_cells > MAX_BALANCE_CELLS:
@@ -401,8 +360,6 @@ class _CellBalance(_GridMeasure):
     def n_cells(self) -> int:
         return self.gen.n_cells + self.dem.n_cells
 
-    is_atom = False
-
     @property
     def total_mass(self) -> float:
         return float(self._tail[0] * self.gen.total_mass)
@@ -425,14 +382,52 @@ class _CellBalance(_GridMeasure):
         return 0.5 * (c[0] + c[1]), 0.5 * (c[1] + c[2])
 
 
-def self_sufficiency(b: _GridMeasure, s_prev: float, storage: StorageSpec) -> ProbabilityTriple:
-    """Deficit / overflow / self-sufficiency probabilities of a balance grid.
+@dataclass(frozen=True, eq=False)
+class _PointMassBalance:
+    """The exact balance of a step with a point-mass side, read like a grid
+    balance: ``points`` and ``masses`` are that side's distinct values and
+    their probabilities, ``other`` is the other side.  Nothing is truncated."""
+
+    points: np.ndarray
+    masses: np.ndarray
+    other: Distribution
+    demand_side: bool  # the points are the demand's
+    total_mass = 1.0
+    truncated_mass = 0.0
+
+    def cdf(self, x: float) -> float:
+        if self.demand_side:  # Pr[G <= x + d]: every cdf is closed on the right
+            return float(np.dot(self.masses, self.other.cdf(x + self.points)))
+        # Pr[D >= g - x], which is 1 - cdf(g - x) for a continuous demand.
+        return float(np.dot(self.masses, 1.0 - self.other.cdf(self.points - x)))
+
+
+def point_mass_balance(gen: Distribution, dem: Distribution) -> _PointMassBalance | None:
+    """The exact balance of a step with a ``Deterministic`` or ``Empirical`` side.
+
+    A side's point masses are its distinct values, with counts / size as
+    masses (a ``Deterministic`` is one value of mass 1).  With points ``d``
+    of mass ``m`` on the demand side, ``Pr[B <= x] = sum m * gen.cdf(x + d)``,
+    exact for any generation, ties included.  With points ``g`` on the
+    generation side only, ``Pr[B <= x] = sum m * (1 - dem.cdf(g - x))``,
+    exact for a continuous demand.  ``None`` when both sides are continuous.
+    """
+    for side, other, demand_side in ((dem, gen, True), (gen, dem, False)):
+        if isinstance(side, (Deterministic, Empirical)):
+            values = side.samples if isinstance(side, Empirical) else (side.value,)
+            points, counts = np.unique(values, return_counts=True)
+            return _PointMassBalance(points, counts / counts.sum(), other, demand_side)
+    return None
+
+
+def self_sufficiency(b, s_prev: float, storage: StorageSpec) -> ProbabilityTriple:
+    """Deficit / overflow / self-sufficiency probabilities of a balance (a grid's or an exact one).
 
     The step starts at level ``s_prev``, checked against the storage window,
     and stays in the window iff the balance lands in ``(lo, hi] =
     (s_min - s_prev, s_max - s_prev]``.  ``p_deficit = Pr[B <= lo]``,
-    ``p_overflow = Pr[B > hi]``, and ``p_self`` is the grid mass of
-    ``(lo, hi]``, so the triple sums to the grid's total mass exactly; any
+    ``p_overflow = Pr[B > hi]``, and ``p_self`` is the balance mass of
+    ``(lo, hi]``, so the triple sums to the balance's total mass exactly; any
     truncated tail mass is accounted against ``p_self``'s error budget.
     Raises :class:`TruncationBudgetError` when the grid truncated more than
     ``MASS_TRUNCATION_BUDGET`` of its distribution.

@@ -10,10 +10,9 @@ bundled fixture (``fig2_battery``, ``day24_lognormal``).
 
 Exit codes: 0 success; 1 validation gate failure; 2 configuration error
 (including an ``--n`` over the sample budget, a ``--grid-cells`` over
-``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, an
-input's quantile window or sample range too narrow for its float cells or a
-continuous input's cells holding less than ``1 - MASS_TRUNCATION_BUDGET`` of
-its mass, an unreadable scenario and an unwritable or directory output
+``MAX_GRID_CELLS``, a balance grid over ``balance.MAX_BALANCE_CELLS``, a
+continuous input whose cells hold less than ``1 - MASS_TRUNCATION_BUDGET``
+of its mass, an unreadable scenario and an unwritable or directory output
 path); 3 scenario error; 4 numeric truncation budget exceeded.  A closed
 stdout is none of these: the command keeps its own exit code.
 
@@ -51,6 +50,7 @@ from .balance import (
     TruncationBudgetError,
     difference_density,
     discretize,
+    point_mass_balance,
     self_sufficiency,
     weibull_closed_form,
 )
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output file path" + ("" if name == "validate" else " (required)"))
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         if name in ("analyze", "validate"):
-            p.add_argument("--grid-cells", type=int, help="density grid resolution")
+            p.add_argument("--grid-cells", type=int, help="grid resolution of continuous pairs")
         if name == "analyze":
             p.add_argument("--s-prev", type=float, help="battery level before the step")
             p.add_argument("--step", type=int, help="1-based step to analyze (default 1)")
@@ -322,14 +322,17 @@ def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
 
 
 def _grid(steps, storage, level_lists, cells: int):
-    """The grid route: yield each step's balance grid, one alive at a time,
+    """The grid route: yield each step's balance, one grid alive at a time,
     with its triple at each of its levels.
 
-    ``discretize`` runs once per distinct distribution of ``steps``, at
-    ``cells``; a grid is kept from its first use to its last, so a quantity
-    that recurs across steps (day24's generation) is gridded once.
+    A step with a point-mass side is read exactly (``point_mass_balance``).
+    Of the other steps, ``discretize`` runs once per distinct distribution,
+    at ``cells``; a grid is kept from its first use to its last, so a
+    quantity that recurs across steps (day24's generation) is gridded once.
     """
-    uses = collections.Counter(d for spec in steps for d in (spec.generation, spec.demand))
+    exact = [point_mass_balance(spec.generation, spec.demand) for spec in steps]
+    gridded = [spec for spec, b in zip(steps, exact) if b is None]
+    uses = collections.Counter(d for spec in gridded for d in (spec.generation, spec.demand))
     grids = {}
 
     def grid_of(dist):
@@ -338,8 +341,9 @@ def _grid(steps, storage, level_lists, cells: int):
         uses[dist] -= 1
         return grids[dist] if uses[dist] else grids.pop(dist)
 
-    for spec, levels in zip(steps, level_lists):
-        b = difference_density(grid_of(spec.generation), grid_of(spec.demand))
+    for spec, b, levels in zip(steps, exact, level_lists):
+        if b is None:
+            b = difference_density(grid_of(spec.generation), grid_of(spec.demand))
         yield b, [self_sufficiency(b, s, storage) for s in levels]
 
 
@@ -538,8 +542,7 @@ def run_command(config: RunConfig) -> int:
             scenario = _load_scenario(config)
         return _HANDLERS[config.command](config, scenario)
     # CellBudgetError: the inputs' grids refine to more cells than
-    # balance.MAX_BALANCE_CELLS, or an input's quantile window or sample
-    # range is too narrow for its cells.
+    # balance.MAX_BALANCE_CELLS, or an input's cells hold too little mass.
     except (ConfigError, CellBudgetError) as e:
         _diag(f"config error: {e}")
         return 2

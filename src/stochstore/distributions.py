@@ -4,9 +4,9 @@ Every model describes a nonnegative scalar quantity (an energy amount for
 one time step) and exposes the same small interface: seeded sampling,
 cumulative probability and quantiles.  Sampling goes through
 ``numpy.random.Generator`` so that callers control reproducibility
-explicitly.  The continuous families' ``cdf`` is elementwise: a float in
-gives a float out, an array in gives an array out, so a whole grid of cell
-edges is evaluated in one call.
+explicitly.  Every family's ``cdf`` is elementwise: a float in gives a
+float out, an array in gives an array out, so a whole grid of cell edges or
+a set of shifted points is evaluated in one call.
 
 The continuous families sample in two parts: ``primitive`` names the
 ``Generator`` method they draw from and ``transform(draws, out)`` maps those
@@ -178,8 +178,8 @@ class Distribution:
         """
         raise NotImplementedError
 
-    def cdf(self, x: float) -> float:
-        """Probability that the quantity is <= ``x``."""
+    def cdf(self, x):
+        """Probability that the quantity is <= ``x``, elementwise over a float or an array."""
         raise NotImplementedError
 
     def quantile(self, p: float) -> float:
@@ -209,8 +209,8 @@ class Deterministic(Distribution):
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(self._check_n(n), self.value, dtype=float)
 
-    def cdf(self, x: float) -> float:
-        return 1.0 if x >= self.value else 0.0
+    def cdf(self, x):
+        return _elementwise(np.greater_equal(x, self.value).astype(float))
 
     def quantile(self, p: float) -> float:
         _check_probability(p)
@@ -287,10 +287,10 @@ class LogNormal(Distribution):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
         # The log is taken in place in the clipped copy, never in the caller's x.
         z = np.maximum(x, 0.0, out=np.empty(np.shape(x)))
-        with np.errstate(divide="ignore"):  # log(0) = -inf gives cdf 0
+        with np.errstate(divide="ignore", over="ignore"):  # log(0) or an infinite z: cdf 0 or 1
             np.log(z, out=z)
-        z -= self.mu
-        z /= self.sigma
+            z -= self.mu
+            z /= self.sigma
         return _elementwise(_normal_cdf(z))
 
     def quantile(self, p: float) -> float:
@@ -327,8 +327,8 @@ class Empirical(Distribution):
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(self._sorted, size=self._check_n(n), replace=True)
 
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self._sorted, x, side="right")) / self._sorted.size
+    def cdf(self, x):
+        return _elementwise(np.searchsorted(self._sorted, x, side="right") / self._sorted.size)
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)

@@ -69,11 +69,13 @@ def test_routes_meet_only_in_the_cli():
     grid_route = {
         "discretize",
         "difference_density",
+        "point_mass_balance",
         "self_sufficiency",
         "resample",
         "_GridMeasure",
         "DensityGrid",
         "_CellBalance",
+        "_PointMassBalance",
     }
     tree = _module_tree("balance")
     defs = [node for node in tree.body if getattr(node, "name", None) in grid_route]
@@ -89,6 +91,6 @@ def test_routes_meet_only_in_the_cli():
             for n in ast.walk(node):
                 if isinstance(n, ast.Name):
                     named_in.setdefault(n.id, set()).add(node.name)
-    for kernel in ("discretize", "difference_density", "self_sufficiency"):
+    for kernel in ("discretize", "difference_density", "point_mass_balance", "self_sufficiency"):
         assert named_in.get(kernel) == {"_grid"}, (kernel, named_in.get(kernel))
     assert named_in.get("weibull_closed_form") == {"_closed_form"}

@@ -24,6 +24,7 @@ from stochstore import (
     discretize,
     lognormal_from_moments,
     parse_scenario,
+    point_mass_balance,
     self_sufficiency,
     weibull_closed_form,
 )
@@ -42,8 +43,6 @@ LOGNORMAL_0_1_MEAN = 1.6487212707001282
 
 def _grid_mean(grid):
     """Mean of the normalized grid measure, each cell's mass at its center."""
-    if grid.is_atom:
-        return grid.origin
     edges = grid.edges
     centers = 0.5 * (edges[:-1] + edges[1:])
     return float(np.dot(grid.masses, centers) / grid.total_mass)
@@ -51,8 +50,6 @@ def _grid_mean(grid):
 
 def _direct_masses(gen, dem):
     """Balance masses from the direct ``np.convolve`` correlation: the reference."""
-    if gen.is_atom or dem.is_atom:
-        return np.convolve(gen.masses, dem.masses[::-1])
     h = min(gen.step, dem.step)
     corr = np.convolve(resample(gen, h).masses, resample(dem, h).masses[::-1])
     return 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
@@ -81,12 +78,15 @@ def test_grid_cdf_is_piecewise_linear():
 
 
 def test_atom_grid_semantics():
-    atom = grid_from_masses(2.0, 1.0, [1.0])
-    assert atom.is_atom
-    assert atom.width == 0.0
+    # A point mass is read exactly, not gridded, and a one-cell grid is a
+    # uniform cell.
+    atom = point_mass_balance(Deterministic(2.0), Deterministic(0.0))
     assert atom.cdf(1.9999) == 0.0
     assert atom.cdf(2.0) == 1.0  # closed on the right
-    assert _grid_mean(atom) == 2.0
+    assert (atom.total_mass, atom.truncated_mass) == (1.0, 0.0)
+    cell = grid_from_masses(2.0, 1.0, [1.0])
+    assert (cell.width, cell.cdf(2.0), cell.cdf(2.25), cell.cdf(3.0)) == (1.0, 0.0, 0.25, 1.0)
+    assert _grid_mean(cell) == 2.5
 
 
 def test_grid_masses_are_read_only():
@@ -130,11 +130,9 @@ def test_cumulative_rounding_dust_reads_as_zero_mass():
 # --- discretize --------------------------------------------------------------
 
 
-def test_discretize_deterministic_is_an_atom():
-    grid = discretize(Deterministic(2.0), cells=4096)
-    assert grid.is_atom
-    assert grid.origin == 2.0
-    assert grid.total_mass == 1.0
+def test_discretize_refuses_a_point_mass():
+    with pytest.raises(TypeError, match="point_mass_balance"):
+        discretize(Deterministic(2.0), cells=4096)
 
 
 def test_discretize_weibull_coverage():
@@ -158,18 +156,18 @@ def test_discretize_lognormal_grid_mean():
     assert _grid_mean(grid) == pytest.approx(LOGNORMAL_0_1_MEAN, abs=1e-3)
 
 
-def test_discretize_empirical_histogram_keeps_all_mass():
-    emp = Empirical(samples=(0.5, 1.0, 1.0, 2.5, 4.0))
-    grid = discretize(emp, cells=16)
-    assert grid.total_mass == pytest.approx(1.0, abs=1e-15)
-    assert grid.origin == 0.5
-    assert _grid_mean(grid) == pytest.approx(np.mean(emp.samples), abs=grid.step)
-
-
-def test_discretize_degenerate_empirical_is_an_atom():
-    grid = discretize(Empirical(samples=(1.5, 1.5, 1.5)), cells=32)
-    assert grid.is_atom
-    assert grid.origin == 1.5
+def test_an_empirical_side_keeps_all_its_mass():
+    # Its point masses are its distinct values with counts / size as masses;
+    # a degenerate sample set is one point of mass 1.
+    for samples, points, masses in (
+        ((4.0, 1.0, 0.5, 1.0, 2.5), [0.5, 1.0, 2.5, 4.0], [0.2, 0.4, 0.2, 0.2]),
+        ((1.5, 1.5, 1.5), [1.5], [1.0]),
+    ):
+        for b in (point_mass_balance(Empirical(samples), FIG2_DEM),
+                  point_mass_balance(FIG2_DEM, Empirical(samples))):
+            assert (b.points.tolist(), b.masses.tolist()) == (points, masses)
+            assert (b.total_mass, b.truncated_mass) == (1.0, 0.0)
+            assert (b.cdf(-math.inf), b.cdf(math.inf)) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -177,18 +175,14 @@ def test_discretize_degenerate_empirical_is_an_atom():
     [((1.0, 1.0000000000001), 4096), ((1.0, 1.000000000001), 65536), ((0.0, 5e-324), 2)],
 )
 def test_discretize_refuses_an_empirical_range_without_float_cells(samples, cells):
-    # np.histogram raises its own ValueError for these edges.
-    with pytest.raises(CellBudgetError, match=f"no {cells} float cells"):
+    # No Empirical is gridded, however narrow its range: its values are read
+    # exactly, as two point masses.
+    with pytest.raises(TypeError, match="point_mass_balance"):
         discretize(Empirical(samples=samples), cells=cells)
-
-
-def test_discretize_grids_a_narrow_empirical_range_that_has_float_cells():
-    # About 450 ulps wide: 64 cells have increasing edges.
-    samples = (1.0, 1.0, 1.0000000000001)
-    grid = discretize(Empirical(samples=samples), cells=64)
-    counts, _ = np.histogram(samples, bins=64, range=(1.0, 1.0000000000001))
-    np.testing.assert_array_equal(_bits(grid.cum), _bits(np.append(0.0, np.cumsum(counts / 3))))
-    np.testing.assert_allclose(grid.masses, counts / 3, rtol=0.0, atol=1e-16)
+    b = point_mass_balance(Deterministic(2.0), Empirical(samples=samples))
+    assert b.points.tolist() == list(samples)
+    t = self_sufficiency(b, 0.0, SPEC_0_5)
+    assert (t.p_deficit, t.p_overflow, t.p_self) == (0.0, 0.0, 1.0)
 
 
 def _interp_points(grid):
@@ -207,9 +201,9 @@ def _interp_points(grid):
 
 
 def _fig2_balance():
-    grid = difference_density(discretize(Deterministic(2.0)), discretize(FIG2_DEM, 4096))
-    assert isinstance(grid, DensityGrid) and grid.n_cells == 4096
-    return grid
+    """fig2's demand grid flipped and shifted by the deterministic generation 2."""
+    dem = discretize(FIG2_DEM, 4096)
+    return grid_from_masses(2.0 - (dem.origin + dem.width), dem.step, dem.masses[::-1])
 
 
 def _resampled_lognormal():
@@ -254,9 +248,7 @@ def test_resample_conserves_mass_and_location():
         assert finer.cdf(x) == pytest.approx(grid.cdf(x), abs=1e-12)
 
 
-def test_resample_atom_and_same_step_are_identity():
-    atom = discretize(Deterministic(1.0))
-    assert resample(atom, 0.01) is atom
+def test_resample_at_the_same_step_is_identity():
     grid = discretize(FIG2_DEM, cells=128)
     assert resample(grid, grid.step) is grid
 
@@ -322,27 +314,9 @@ def test_gridding_a_lognormal_peaks_under_nine_grid_arrays():
 
 
 # The triples the grid route gave before its grids were stored as cumulative
-# masses.  fig2's balance is its demand grid shifted, and its triples are
-# unchanged bit for bit.  Day24's cell masses are now differences of
+# masses.  Day24's cell masses are now differences of
 # ``cdf(edges) - cdf(edges[0])`` instead of ``cdf(edges)``, which moved its
 # triples by at most 1.6e-15.
-FIG2_TRIPLES = {
-    (4096, 0.0): (0.36787944629709396, 0.0, 0.6321205437029056),
-    (4096, 1.0): (0.0005035849522294698, 0.0, 0.9994964050477702),
-    (4096, 2.5): (0.0, 0.0, 0.9999999899999996),
-    (4096, 4.0): (0.0, 0.030766789932732075, 0.9692332000672675),
-    (4096, 5.0): (0.0, 0.6321205437029056, 0.36787944629709396),
-    (16384, 0.0): (0.3678794382043584, 0.0, 0.6321205517956395),
-    (16384, 1.0): (0.0005035842517570142, 0.0, 0.999496405748241),
-    (16384, 2.5): (0.0, 0.0, 0.999999989999998),
-    (16384, 4.0): (0.0, 0.030766763718154677, 0.9692332262818433),
-    (16384, 5.0): (0.0, 0.6321205517956395, 0.3678794382043584),
-    (65536, 0.0): (0.367879436174824, 0.0, 0.6321205538251693),
-    (65536, 1.0): (0.0005035840761719608, 0.0, 0.9994964059238213),
-    (65536, 2.5): (0.0, 0.0, 0.9999999899999933),
-    (65536, 4.0): (0.0, 0.030766760737635068, 0.9692332292623582),
-    (65536, 5.0): (0.0, 0.6321205538251693, 0.367879436174824),
-}
 DAY24_TRIPLES = {
     (4096, 1, 0.0): (0.37166410876127887, 0.0003155055419111763, 0.62802036569681),
     (4096, 1, 5.0): (0.002886493508066417, 0.005800430399460321, 0.9913130560924732),
@@ -377,18 +351,25 @@ DAY24_TRIPLES = {
 }
 
 
+def _triple(t):
+    return t.p_deficit, t.p_overflow, t.p_self
+
+
 def _fixture_triple(name, cells, step, s_prev):
     scenario = parse_scenario(read_fixture_text(name))
     spec = scenario.steps[step - 1]
     b = difference_density(discretize(spec.generation, cells), discretize(spec.demand, cells))
-    t = self_sufficiency(b, s_prev, scenario.storage)
-    return t.p_deficit, t.p_overflow, t.p_self
+    return _triple(self_sufficiency(b, s_prev, scenario.storage))
 
 
-def test_fig2_triples_are_unchanged_bit_for_bit():
-    for (cells, s_prev), expected in FIG2_TRIPLES.items():
-        got = _fixture_triple("fig2_battery", cells, 1, s_prev)
-        np.testing.assert_array_equal(_bits(got), _bits(expected))
+def test_fig2_triples_equal_the_closed_form_within_1e_15(fig2_scenario):
+    spec, storage = fig2_scenario.steps[0], fig2_scenario.storage
+    b = point_mass_balance(spec.generation, spec.demand)
+    for s_prev in np.linspace(storage.s_min, storage.s_max, 51).tolist():
+        closed = weibull_closed_form(spec.generation.value, s_prev, storage, spec.demand)
+        np.testing.assert_allclose(
+            _triple(self_sufficiency(b, s_prev, storage)), _triple(closed), rtol=0.0, atol=1e-15
+        )
 
 
 def test_day24_triples_stay_within_1e_14():
@@ -399,38 +380,54 @@ def test_day24_triples_stay_within_1e_14():
 
 # An Empirical generation: 300 values in [0, 6), denser near 0.
 EMPIRICAL_GEN = Empirical(tuple(6.0 * ((k * 0.618034) % 1.0) ** 2 for k in range(1, 301)))
-EMPIRICAL_DEMANDS = {"weibull": FIG2_DEM, "lognormal": lognormal_from_moments(1.0, 0.5)}
-
-# Written at full precision when an Empirical grid's masses were its
-# histogram's counts / size; they are now the differences of its cumulative
-# masses, which moved these by at most 1e-15.
-EMPIRICAL_TRIPLES = {
-    ("weibull", 64, 0.0): (0.5488872057058942, 0.000398247135172336, 0.45071453715893395),
-    ("weibull", 64, 2.5): (0.005886792701463798, 0.15025894719740995, 0.8438542501011268),
-    ("weibull", 64, 5.0): (0.0, 0.4511127842941063, 0.5488872057058942),
-    ("weibull", 4096, 0.0): (0.5486776968513284, 0.0004128945466010947, 0.4509093986020667),
-    ("weibull", 4096, 2.5): (0.006319128294848699, 0.15041595119876283, 0.8432649105063846),
-    ("weibull", 4096, 5.0): (0.0, 0.4513222931486678, 0.5486776968513284),
-    ("lognormal", 64, 0.0): (0.37919592676905356, 0.022420785131199827, 0.598383278099747),
-    ("lognormal", 64, 2.5): (0.013096783109563382, 0.2408619371382138, 0.7460412697522232),
-    ("lognormal", 64, 5.0): (0.0008491655683938099, 0.6208040632309468, 0.37834676120065974),
-    ("lognormal", 4096, 0.0): (0.3867490150105728, 0.020740956736771676, 0.5925100182526516),
-    ("lognormal", 4096, 2.5): (0.012714288092995702, 0.24045542639567985, 0.7468302755113205),
-    ("lognormal", 4096, 5.0): (0.0008350736261359929, 0.6132509749894233, 0.3859139413844368),
+LOGNORMAL_DEM = lognormal_from_moments(1.0, 0.5)
+# scipy's distribution for each continuous family used against point masses.
+SCIPY = {
+    FIG2_DEM: scipy.stats.weibull_min(c=5.0, scale=2.0),
+    LOGNORMAL_DEM: scipy.stats.lognorm(s=LOGNORMAL_DEM.sigma, scale=math.exp(LOGNORMAL_DEM.mu)),
 }
 
 
 def test_empirical_triples_stay_within_1e_14():
-    values = np.array(EMPIRICAL_GEN.samples)
-    for (demand, cells, s_prev), expected in EMPIRICAL_TRIPLES.items():
-        gen, dem = discretize(EMPIRICAL_GEN, cells), discretize(EMPIRICAL_DEMANDS[demand], cells)
-        # The grid is the running sum of its histogram's counts / size.
-        counts, _ = np.histogram(values, bins=cells, range=(values.min(), values.max()))
-        running_sum = np.append(0.0, np.cumsum(counts / values.size))
-        np.testing.assert_array_equal(_bits(gen.cum), _bits(running_sum))
-        t = self_sufficiency(difference_density(gen, dem), s_prev, SPEC_0_5)
+    # Pr[B <= x] is the mean over the samples g of scipy's Pr[D >= g - x].
+    g = np.array(EMPIRICAL_GEN.samples)
+    for dem, oracle in SCIPY.items():
+        b = point_mass_balance(EMPIRICAL_GEN, dem)
+        for s_prev in (0.0, 2.5, 5.0):
+            lo, hi = (float(np.mean(oracle.sf(g - x))) for x in (-s_prev, 5.0 - s_prev))
+            np.testing.assert_allclose(
+                _triple(self_sufficiency(b, s_prev, SPEC_0_5)), (lo, 1.0 - hi, hi - lo),
+                rtol=0.0, atol=1e-14,
+            )
+
+
+@pytest.mark.parametrize("continuous", list(SCIPY), ids=["weibull", "lognormal"])
+@pytest.mark.parametrize(
+    "points, values",
+    [(Deterministic(2.0), [2.0]), (EMPIRICAL_GEN, EMPIRICAL_GEN.samples)],
+    ids=["deterministic", "empirical"],
+)
+def test_a_point_mass_side_against_a_continuous_one_matches_scipy(points, values, continuous):
+    oracle, values = SCIPY[continuous], np.array(values)
+    as_gen = point_mass_balance(points, continuous)
+    as_dem = point_mass_balance(continuous, points)
+    for x in (-3.0, -1.0, 0.0, 0.5, 2.0, 5.0):
+        # Pr[g - D <= x] = Pr[D >= g - x]; Pr[G - d <= x] = Pr[G <= x + d].
+        assert as_gen.cdf(x) == pytest.approx(np.mean(oracle.sf(values - x)), abs=1e-14)
+        assert as_dem.cdf(x) == pytest.approx(np.mean(oracle.cdf(x + values)), abs=1e-14)
+
+
+def test_empirical_against_empirical_is_the_sum_over_all_pairs():
+    # Every g - d is exact in floats, and some land on a window edge: 1 - 1
+    # on lo = 0 from s_prev = 0, 6 - 1 on hi = 5, 0 - 1 on lo = -1 from 1.
+    gen, dem = Empirical((0.0, 1.0, 1.0, 2.5, 4.0, 6.0)), Empirical((0.5, 1.0, 1.0, 3.0))
+    b = point_mass_balance(gen, dem)
+    diffs = np.subtract.outer(gen.samples, dem.samples).ravel()
+    for s_prev in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
+        lo, hi = -s_prev, 5.0 - s_prev
+        expected = (np.mean(diffs <= lo), np.mean(diffs > hi), np.mean((diffs > lo) & (diffs <= hi)))
         np.testing.assert_allclose(
-            (t.p_deficit, t.p_overflow, t.p_self), expected, rtol=0.0, atol=1e-14
+            _triple(self_sufficiency(b, s_prev, SPEC_0_5)), expected, rtol=0.0, atol=1e-15
         )
 
 
@@ -438,9 +435,8 @@ def test_empirical_triples_stay_within_1e_14():
 
 
 def test_difference_of_two_atoms():
-    b = difference_density(discretize(Deterministic(2.0)), discretize(Deterministic(0.5)))
-    assert b.is_atom
-    assert b.origin == 1.5
+    b = point_mass_balance(Deterministic(2.0), Deterministic(0.5))
+    assert (b.cdf(np.nextafter(1.5, 0.0)), b.cdf(1.5)) == (0.0, 1.0)
     assert b.total_mass == 1.0
 
 
@@ -452,9 +448,9 @@ def test_difference_of_iid_grids_is_symmetric():
 
 
 def test_difference_deterministic_minus_weibull_checkpoint():
-    b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
+    b = point_mass_balance(Deterministic(2.0), FIG2_DEM)
     # Pr[B <= 0] = Pr[D >= 2] = exp(-1)
-    assert b.cdf(0.0) == pytest.approx(E_MINUS_1, abs=1e-3)
+    assert b.cdf(0.0) == pytest.approx(E_MINUS_1, abs=1e-15)
 
 
 def test_difference_grid_geometry_and_mass():
@@ -473,7 +469,8 @@ def _two_cells(origin, step, masses):
 
 
 def _atom(origin, mass=0.7):
-    return grid_from_masses(origin, 1.0, [mass])
+    """One cell 1e-3 wide: nearly a point mass, which the grid resolves by refinement."""
+    return grid_from_masses(origin, 1e-3, [mass])
 
 
 # The cdf's dot products round differently from the running sum of the
@@ -520,9 +517,6 @@ CUM_TOL = 1e-13
 def test_difference_masses_match_the_direct_correlation(make_grids):
     gen, dem = make_grids()
     b, direct = difference_density(gen, dem), _direct_masses(gen, dem)
-    if b.is_atom:
-        assert b.masses.tolist() == direct.tolist()
-        return
     cdf_at_edges = [b.cdf(x) for x in b.edges]
     cum = np.concatenate(([0.0], np.cumsum(direct)))
     np.testing.assert_allclose(cdf_at_edges, cum, rtol=0.0, atol=CUM_TOL)
@@ -537,6 +531,15 @@ FIXTURE_STEPS = [
 
 @pytest.mark.parametrize("storage, step_spec", FIXTURE_STEPS)
 def test_fixture_balances_match_the_direct_correlation(storage, step_spec):
+    exact = point_mass_balance(step_spec.generation, step_spec.demand)
+    if exact is not None:
+        # fig2's generation is a point mass g, whose correlation with the
+        # demand is a shift: Pr[B <= x] = Pr[D >= g - x], from scipy here.
+        g, oracle = step_spec.generation.value, SCIPY[step_spec.demand]
+        for x in storage.s_min - np.linspace(storage.s_min, storage.s_max, 11):
+            for bound in (x, x + storage.s_max - storage.s_min):
+                assert exact.cdf(bound) == pytest.approx(oracle.sf(g - bound), abs=1e-15)
+        return
     for cells in (4096, 16384):
         gen, dem = discretize(step_spec.generation, cells), discretize(step_spec.demand, cells)
         b, direct = difference_density(gen, dem), _direct_balance(gen, dem)
@@ -598,16 +601,15 @@ def test_difference_cdf_matches_quadrature_oracle():
 
 
 def test_difference_with_atom_sides_is_an_exact_shift():
-    dem = discretize(FIG2_DEM, cells=512)
-    b = difference_density(discretize(Deterministic(2.0)), dem)
+    b = point_mass_balance(Deterministic(2.0), FIG2_DEM)
     for x in (-1.0, 0.0, 0.5):
-        # Pr[2 - D <= x] = Pr[D >= 2 - x] = 1 - F_D((2-x)^-)
-        assert b.cdf(x) == pytest.approx(dem.total_mass - dem.cdf(2.0 - x), abs=1e-12)
+        # Pr[2 - D <= x] = Pr[D >= 2 - x] = 1 - F_D(2 - x) for a continuous D
+        assert b.cdf(x) == 1.0 - FIG2_DEM.cdf(2.0 - x)
 
-    gen = discretize(LogNormal(0.0, 0.4), cells=512)
-    b2 = difference_density(gen, discretize(Deterministic(0.75)))
+    gen = LogNormal(0.0, 0.4)
+    b2 = point_mass_balance(gen, Deterministic(0.75))
     for x in (-0.5, 0.0, 1.0):
-        assert b2.cdf(x) == pytest.approx(gen.cdf(x + 0.75), abs=1e-12)
+        assert b2.cdf(x) == gen.cdf(x + 0.75)
 
 
 # --- window queries: cdf differences -----------------------------------------
@@ -635,7 +637,7 @@ def test_interval_probability_symmetric_half():
 
 
 def test_interval_probability_stable_under_refinement():
-    for dist_pair in ((Deterministic(2.0), FIG2_DEM), (LogNormal(0.0, 0.8), FIG2_DEM)):
+    for dist_pair in ((Weibull(2.5, 3.0), FIG2_DEM), (LogNormal(0.0, 0.8), FIG2_DEM)):
         coarse = difference_density(*(discretize(d, 4096) for d in dist_pair))
         fine = difference_density(*(discretize(d, 8192) for d in dist_pair))
         for lo, hi in ((-1.0, 0.0), (0.0, 1.5), (-0.25, 2.0)):
@@ -648,29 +650,27 @@ def test_interval_probability_stable_under_refinement():
 
 
 def test_self_sufficiency_triple_sums_to_total_mass():
-    b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
-    for s_prev in (0.0, 1.5, 4.0, 5.0):
-        t = self_sufficiency(b, s_prev, SPEC_0_5)
-        assert abs((t.p_deficit + t.p_overflow + t.p_self) - b.total_mass) < 1e-9
+    for b in (
+        point_mass_balance(Deterministic(2.0), FIG2_DEM),
+        difference_density(discretize(LogNormal(0.0, 0.8), 4096), discretize(FIG2_DEM, 4096)),
+    ):
+        for s_prev in (0.0, 1.5, 4.0, 5.0):
+            t = self_sufficiency(b, s_prev, SPEC_0_5)
+            assert abs((t.p_deficit + t.p_overflow + t.p_self) - b.total_mass) < 1e-9
 
 
 def test_self_sufficiency_atom_examples():
-    mid = self_sufficiency(
-        grid_from_masses(0.0, 1.0, [1.0]), 2.5, SPEC_0_5
-    )
+    mid = self_sufficiency(point_mass_balance(Deterministic(1.0), Deterministic(1.0)), 2.5, SPEC_0_5)
     assert (mid.p_deficit, mid.p_overflow, mid.p_self) == (0.0, 0.0, 1.0)
 
     spec = StorageSpec(0.0, 5.0, 5.0)
-    surplus = self_sufficiency(
-        grid_from_masses(1.0, 1.0, [1.0]), 5.0, spec
-    )
+    surplus = self_sufficiency(point_mass_balance(Deterministic(1.0), Deterministic(0.0)), 5.0, spec)
     assert (surplus.p_deficit, surplus.p_overflow, surplus.p_self) == (0.0, 1.0, 0.0)
 
 
 def test_self_sufficiency_fig2_checkpoint():
-    b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
-    t = self_sufficiency(b, 0.0, SPEC_0_5)
-    assert t.p_deficit == pytest.approx(E_MINUS_1, abs=1e-3)
+    t = self_sufficiency(point_mass_balance(Deterministic(2.0), FIG2_DEM), 0.0, SPEC_0_5)
+    assert t.p_deficit == pytest.approx(E_MINUS_1, abs=1e-15)
     assert t.p_overflow == 0.0
 
 
@@ -684,7 +684,9 @@ def test_self_sufficiency_rejects_over_budget_truncation():
 
 def test_self_sufficiency_checks_the_level_and_forms_the_window():
     def atom(x):
-        return grid_from_masses(x, 1.0, [1.0])
+        # B = (x + 1) - 1, which is x exactly for each x below.
+        assert (x + 1.0) - 1.0 == x
+        return point_mass_balance(Deterministic(x + 1.0), Deterministic(1.0))
 
     for level in (-0.5, 5.5, math.nan):
         with pytest.raises(ValueError, match="outside the storage window"):
@@ -770,42 +772,47 @@ def test_closed_form_validation():
 # --- dual-route equivalence --------------------------------------------------
 
 
+# The CLI's grid route reads a deterministic generation exactly, so it
+# meets the closed form to rounding.
+
+
 def test_grid_path_matches_closed_form_across_levels():
-    b = difference_density(discretize(Deterministic(2.0), 4096), discretize(FIG2_DEM, 4096))
+    b = point_mass_balance(Deterministic(2.0), FIG2_DEM)
     for s_prev in np.arange(0.0, 5.01, 0.5):
         grid_t = self_sufficiency(b, float(s_prev), SPEC_0_5)
         closed_t = weibull_closed_form(2.0, float(s_prev), SPEC_0_5, FIG2_DEM)
-        assert grid_t.p_deficit == pytest.approx(closed_t.p_deficit, abs=1e-3)
-        assert grid_t.p_overflow == pytest.approx(closed_t.p_overflow, abs=1e-3)
-        assert grid_t.p_self == pytest.approx(closed_t.p_self, abs=1e-3)
+        np.testing.assert_allclose(_triple(grid_t), _triple(closed_t), rtol=0.0, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
 @given(value=st.floats(0.0, 6.0), s_prev=st.floats(0.0, 5.0))
 def test_grid_path_matches_closed_form_random_points(value, s_prev):
-    b = difference_density(discretize(Deterministic(value), 2048), discretize(FIG2_DEM, 2048))
-    grid_t = self_sufficiency(b, s_prev, SPEC_0_5)
+    grid_t = self_sufficiency(point_mass_balance(Deterministic(value), FIG2_DEM), s_prev, SPEC_0_5)
     closed_t = weibull_closed_form(value, s_prev, SPEC_0_5, FIG2_DEM)
-    assert grid_t.p_deficit == pytest.approx(closed_t.p_deficit, abs=1e-3)
-    assert grid_t.p_overflow == pytest.approx(closed_t.p_overflow, abs=1e-3)
+    np.testing.assert_allclose(_triple(grid_t), _triple(closed_t), rtol=0.0, atol=1e-15)
 
 
-# --- known grid defects: each test flips to a plain pass when its defect is mended
+# --- point masses read exactly: ties and stores inside one balance cell -----
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
 def test_a_balance_atom_on_the_deficit_edge_counts_as_deficit():
     # B = 3 - D is 2 or 0 with mass 1/2 each; the deficit edge of an empty
     # store is B <= 0, so Pr[deficit] = Pr[D >= 3] = 0.5 exactly.
-    b = difference_density(discretize(Deterministic(3.0)), discretize(Empirical((1.0, 3.0))))
-    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == pytest.approx(0.5, abs=1e-9)
+    b = point_mass_balance(Deterministic(3.0), Empirical((1.0, 3.0)))
+    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == 0.5
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 def test_a_store_narrower_than_one_balance_cell_gets_its_exact_deficit():
-    # At 4096 cells the 5-unit store spans about 0.01 of a balance cell.
+    # At 4096 cells the 5-unit store would span about 0.01 of a balance cell.
     gen = lognormal_from_moments(1.0, 1e6)
-    b = difference_density(discretize(gen, 4096), discretize(Deterministic(1.0), 4096))
+    b = point_mass_balance(gen, Deterministic(1.0))
     exact = scipy.stats.lognorm(s=gen.sigma, scale=math.exp(gen.mu)).cdf(1.0)
     assert exact == pytest.approx(0.968448, abs=1e-6)
-    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == pytest.approx(exact, abs=0.05)
+    assert self_sufficiency(b, 0.0, SPEC_0_5).p_deficit == pytest.approx(exact, abs=1e-12)
+
+
+def test_a_sharp_weibull_against_a_known_demand_gets_its_exact_overflow():
+    # From an empty [0, 5] store, B = G - 1 overflows iff G > 6.
+    b = point_mass_balance(Weibull(1.0, 0.05), Deterministic(1.0))
+    exact = scipy.stats.weibull_min(c=0.05, scale=1.0).sf(6.0)
+    assert self_sufficiency(b, 0.0, SPEC_0_5).p_overflow == pytest.approx(exact, abs=1e-12)

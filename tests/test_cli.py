@@ -23,8 +23,8 @@ from stochstore import (
     ProbabilityTriple,
     StorageSpec,
     Weibull,
-    difference_density,
     discretize,
+    point_mass_balance,
     self_sufficiency,
 )
 from stochstore.cli import ConfigError, RunConfig, main
@@ -309,11 +309,8 @@ def test_sweep_single_level_agrees_with_analyze(tmp_path):
     assert len(rows) == 1
     p_a_closed = float(rows[0][header.index("p_A_analytic")])
 
-    # Independent route: the grid pipeline queried directly.
-    b = difference_density(
-        discretize(Deterministic(2.0), 4096),
-        discretize(Weibull(scale=2.0, shape=5.0), 4096),
-    )
+    # Independent route: the exact point-mass balance queried directly.
+    b = point_mass_balance(Deterministic(2.0), Weibull(scale=2.0, shape=5.0))
     triple = self_sufficiency(b, 2.5, StorageSpec(0.0, 5.0, 0.0))
     assert p_a_closed == pytest.approx(triple.p_deficit, abs=1e-3)
 
@@ -511,6 +508,7 @@ def no_work(monkeypatch):
         "sweep_battery_levels",
         "discretize",
         "difference_density",
+        "point_mass_balance",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
 
@@ -653,8 +651,8 @@ def test_io_and_parse_failures_exit_with_their_code(tmp_path, capsys, document, 
     assert not out.exists()
 
 
-# Deterministic 3 against Empirical [1, 3] in an empty [0, 5] store: the grid
-# gives p_deficit 0 where the balance is 0 half the time, so validate fails.
+# Deterministic 3 against Empirical [1, 3] in an empty [0, 5] store: the
+# balance is 0 half the time, which is a deficit.
 TIE_SCENARIO = {
     "name": "tie", "energy_unit": "kWh", "horizon": 1,
     "storage": {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0},
@@ -665,10 +663,20 @@ TIE_SCENARIO = {
 }
 
 
-@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, unbuffered):
+def test_the_tie_reads_its_exact_deficit(tmp_path, capsys):
     tie = tmp_path / "tie.json"
     tie.write_text(json.dumps(TIE_SCENARIO), encoding="utf-8")
+    out = tmp_path / "analyze.csv"
+    assert main(["analyze", "--scenario", str(tie), "--s-prev", "0", "--out", str(out)]) == 0
+    header, rows = _read_csv(out)
+    assert float(rows[0][header.index("p_deficit")]) == 0.5
+    assert float(rows[0][header.index("truncated_mass")]) == 0.0
+    assert main(["validate", "--scenario", str(tie), "--n", "20000"]) == 0
+    assert "21/21" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, unbuffered):
     env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
@@ -677,7 +685,8 @@ def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, unbuffered):
     runs = [
         (["analyze", "--scenario", "fig2_battery", "--s-prev", "0"], 0),
         (["validate", "--scenario", "fig2_battery", "--n", "20000"], 0),
-        (["validate", "--scenario", str(tie), "--n", "20000"], 1),
+        # A seeded false alarm on the cell-grid route.
+        (["validate", "--scenario", "day24_lognormal", "--n", "20000", "--seed", "4"], 1),
     ]
     for k, (argv, code) in enumerate(runs):
         read_end, write_end = os.pipe()
@@ -774,11 +783,12 @@ def test_a_weibull_window_of_a_few_ulps_exits_2(tmp_path, capsys):
     # At shape 3.6e16 both quantiles of the window round to within 5 ulps of
     # the scale, and the cells hold only 1 - 1/e of the mass: discretize
     # refuses the grid (exit 2) at any --grid-cells, before a query sees it.
+    # The demand is continuous, so the step is gridded.
     doc = json.loads(FIG2_TEXT)
     doc["storage"]["s_init"] = 0.0
     doc["steps"][0] = {
         "generation": {"kind": "weibull", "scale": 1e12, "shape": 3.5945323362896544e16},
-        "demand": {"kind": "deterministic", "value": 0.0},
+        "demand": {"kind": "weibull", "scale": 2.0, "shape": 5.0},
     }
     path = tmp_path / "sharp.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -820,7 +830,7 @@ def test_a_lognormal_mean_whose_square_underflows_exits_3_in_every_command(tmp_p
     "samples, cells",
     [("[1.0, 1.0000000000001]", 4096), ("[1.0, 1.000000000001]", 65536), ("[0.0, 5e-324]", 2)],
 )
-def test_an_empirical_range_without_float_cells_exits_2(tmp_path, capsys, samples, cells):
+def test_an_empirical_range_without_float_cells_is_read_exactly(tmp_path, capsys, samples, cells):
     path = tmp_path / "narrow.json"
     path.write_text(
         FIG2_TEXT.replace(
@@ -830,14 +840,13 @@ def test_an_empirical_range_without_float_cells_exits_2(tmp_path, capsys, sample
         encoding="utf-8",
     )
     out = tmp_path / "o.csv"
-    for command in ("analyze", "validate"):
-        argv = [command, "--scenario", str(path), "--grid-cells", str(cells), "--out", str(out)]
-        if command == "analyze":
-            argv += ["--s-prev", "0"]
-        assert main(argv) == 2, command
-        err = capsys.readouterr().err
-        assert "config error: cannot grid Empirical" in err, command
-        assert not out.exists()
+    argv = ["--scenario", str(path), "--grid-cells", str(cells), "--out", str(out)]
+    assert main(["analyze", *argv, "--s-prev", "0"]) == 0
+    header, rows = _read_csv(out)
+    # From an empty store Pr[g - D <= 0] = Pr[D >= g], averaged over the samples.
+    demand = Weibull(scale=2.0, shape=5.0)
+    exact = sum(1.0 - demand.cdf(g) for g in json.loads(samples)) / 2
+    assert float(rows[0][header.index("p_deficit")]) == pytest.approx(exact, rel=1e-8)
     assert main(["simulate", "--scenario", str(path), "--n", "100", "--out", str(out)]) == 0
 
 
@@ -892,7 +901,7 @@ def test_exit_4_when_truncation_budget_is_exceeded(tmp_path, capsys, monkeypatch
         [
             "analyze",
             "--scenario",
-            "fig2_battery",
+            "day24_lognormal",
             "--s-prev",
             "0",
             "--out",

@@ -9,9 +9,10 @@ exception may escape it: it exits 0, 2 (configuration) or 3 (scenario).
 ``validate`` may also exit 1 (a failed gate), and the two commands that
 query a grid, ``analyze`` and ``validate``, may exit 4 if a balance of two
 input grids, each within the mass budget, loses more than it in all.  A
-distribution narrower than float resolution near its quantiles (a Weibull
-of shape 4e16, whose cells hold 63% of its mass) is refused when it is
-gridded, with exit 2; a pinned example expects that code.  About a
+continuous distribution narrower than float resolution near its quantiles
+(a Weibull of shape 4e16, whose cells hold 63% of its mass) is refused when
+it is gridded against another, with exit 2; a pinned example expects that
+code.  About a
 quarter of the runs are ``validate`` on moderate documents instead, with
 parameters that parse and grid within the budgets, so that they reach the
 sampler: they must exit 0 or 1.
@@ -170,12 +171,12 @@ LOGNORMAL = {"kind": "lognormal", "mean": 1.0, "variance": 0.5}
 @example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["sweep", "--n", "8", "--levels", "0"]), expected=0)
 @example(run=_run(FIG2_STORAGE, *HUGE_POWER, ["validate", "--n", "8"]), expected=0)
 # A Weibull of shape 3.6e16 whose cells hold 63% of its mass: refused when
-# it is gridded (exit 2).
+# it is gridded against a continuous demand (exit 2).
 @example(
     run=_run(
         FIG2_STORAGE,
         {"kind": "weibull", "scale": 1e12, "shape": 3.5945323362896544e16},
-        {"kind": "deterministic", "value": 0.0},
+        LOGNORMAL,
         ["analyze", "--grid-cells", "2", "--s-prev", "0"],
     ),
     expected=2,
