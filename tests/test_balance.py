@@ -156,18 +156,27 @@ def test_discretize_lognormal_grid_mean():
     assert _grid_mean(grid) == pytest.approx(LOGNORMAL_0_1_MEAN, abs=1e-3)
 
 
-def test_an_empirical_side_keeps_all_its_mass():
-    # Its point masses are its distinct values with counts / size as masses;
-    # a degenerate sample set is one point of mass 1.
-    for samples, points, masses in (
-        ((4.0, 1.0, 0.5, 1.0, 2.5), [0.5, 1.0, 2.5, 4.0], [0.2, 0.4, 0.2, 0.2]),
-        ((1.5, 1.5, 1.5), [1.5], [1.0]),
-    ):
-        for b in (point_mass_balance(Empirical(samples), FIG2_DEM),
-                  point_mass_balance(FIG2_DEM, Empirical(samples))):
-            assert (b.points.tolist(), b.masses.tolist()) == (points, masses)
-            assert (b.total_mass, b.truncated_mass) == (1.0, 0.0)
-            assert (b.cdf(-math.inf), b.cdf(math.inf)) == (0.0, 1.0)
+def _assert_empirical_point_masses(samples, points, masses):
+    # An Empirical is not gridded: its point masses are its distinct values
+    # with counts / size as masses, on either side of the balance.
+    with pytest.raises(TypeError, match="point_mass_balance"):
+        discretize(Empirical(samples), cells=16)
+    for b in (point_mass_balance(Empirical(samples), FIG2_DEM),
+              point_mass_balance(FIG2_DEM, Empirical(samples))):
+        assert (b.points.tolist(), b.masses.tolist()) == (points, masses)
+        assert (b.total_mass, b.truncated_mass) == (1.0, 0.0)
+        assert (b.cdf(-math.inf), b.cdf(math.inf)) == (0.0, 1.0)
+
+
+def test_discretize_empirical_histogram_keeps_all_mass():
+    _assert_empirical_point_masses(
+        (4.0, 1.0, 0.5, 1.0, 2.5), [0.5, 1.0, 2.5, 4.0], [0.2, 0.4, 0.2, 0.2]
+    )
+
+
+def test_discretize_degenerate_empirical_is_an_atom():
+    # A degenerate sample set is one point of mass 1.
+    _assert_empirical_point_masses((1.5, 1.5, 1.5), [1.5], [1.0])
 
 
 @pytest.mark.parametrize(
