@@ -22,9 +22,13 @@ of the same shape, a triple per (step, level): ``_grid`` for the grid,
 (``sweep_battery_levels`` for ``sweep``) for Monte Carlo.  ``analyze``,
 ``sweep`` and ``validate`` build their rows from them as tables.
 
-``main`` builds its parser on the first call and reuses it in the process.
+``main(argv)`` is the one programmatic entry: it returns the exit code, and
+an argument error (an unknown command or flag, a bad ``--format``) raises
+``SystemExit(2)`` from argparse.  The parser states each flag, its default
+and its help text; ``run_command`` makes the checks argparse cannot.
+``main`` builds the parser on the first call and reuses it in the process.
 On glibc the first call also keeps freed memory for reuse in the process
-(``_retain_freed_memory``); callers that bypass ``main`` are unaffected.
+(``_retain_freed_memory``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ import functools
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -69,16 +72,7 @@ from .scenario import (
     write_results,
 )
 
-__all__ = [
-    "ConfigError",
-    "RunConfig",
-    "build_parser",
-    "run_command",
-    "main",
-    "entrypoint",
-]
-
-COMMANDS = ("simulate", "analyze", "sweep", "validate")
+__all__ = ["ConfigError", "main", "entrypoint"]
 
 # Below this sample size the 3-sigma intervals are too wide to be a
 # meaningful gate; validate still runs but flags the result.
@@ -111,48 +105,6 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs for one CLI run."""
-
-    command: str
-    scenario_path: str
-    seed: int = 0
-    n: int = 100_000
-    output_path: str | None = None
-    format: str = "csv"
-    grid_cells: int = DEFAULT_CELLS
-    s_prev: float | None = None
-    levels: tuple[float, ...] | None = None
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if not self.scenario_path:
-            raise ConfigError("a scenario is required (--scenario)")
-        if int(self.seed) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
-        if int(self.n) < 1:
-            raise ConfigError(f"--n must be >= 1, got {self.n}")
-        if not 2 <= int(self.grid_cells) <= MAX_GRID_CELLS:
-            raise ConfigError(
-                f"--grid-cells must lie in [2, {MAX_GRID_CELLS}], got {self.grid_cells}"
-            )
-        if int(self.step) < 1:
-            raise ConfigError(f"--step must be >= 1, got {self.step}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"--format must be csv or json, got {self.format!r}")
-        if self.command in ("simulate", "analyze", "sweep") and not self.output_path:
-            raise ConfigError(f"{self.command} requires an output file (--out)")
-        if self.command == "analyze" and self.s_prev is None:
-            raise ConfigError("analyze requires a battery level (--s-prev)")
-        if self.levels is not None:
-            object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-            if not self.levels:
-                raise ConfigError("--levels must name at least one level")
-
-
 def _parse_levels_arg(text: str) -> tuple[float, ...]:
     try:
         levels = tuple(float(part) for part in text.split(","))
@@ -163,7 +115,9 @@ def _parse_levels_arg(text: str) -> tuple[float, ...]:
     return levels
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one statement of each flag, its default and its help text."""
     parser = argparse.ArgumentParser(
         prog="stochstore",
         description="Stochastic generation/demand/storage analysis",
@@ -177,29 +131,29 @@ def build_parser() -> argparse.ArgumentParser:
         "validate": "gate: analytic values must sit inside MC confidence intervals",
     }
     # Each command takes only the flags it reads, so an unused flag is an error.
-    # An absent flag stays out of the namespace: its default is RunConfig's.
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        p.add_argument("--scenario", required=True, dest="scenario_path", metavar="SCENARIO",
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True,
                        help="bundled fixture name or scenario file path")
-        p.add_argument("--seed", type=int, help="master random seed (default 0)")
-        p.add_argument("--n", type=int, help="Monte Carlo sample count (default 100000)")
-        p.add_argument("--out", dest="output_path", metavar="OUT",
+        p.add_argument("--seed", type=int, default=0,
+                       help="master random seed (default %(default)s)")
+        p.add_argument("--n", type=int, default=100_000,
+                       help="Monte Carlo sample count (default %(default)s)")
+        p.add_argument("--out",
                        help="output file path" + ("" if name == "validate" else " (required)"))
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default %(default)s)")
         if name in ("analyze", "validate"):
-            p.add_argument("--grid-cells", type=int, help="grid resolution of continuous pairs")
+            p.add_argument("--grid-cells", type=int, default=DEFAULT_CELLS,
+                           help="grid resolution of continuous pairs (default %(default)s)")
         if name == "analyze":
-            p.add_argument("--s-prev", type=float, help="battery level before the step")
-            p.add_argument("--step", type=int, help="1-based step to analyze (default 1)")
+            p.add_argument("--s-prev", type=float,
+                           help="battery level before the step (required)")
+            p.add_argument("--step", type=int, default=1,
+                           help="1-based step to analyze (default %(default)s)")
         if name in ("sweep", "validate"):
             p.add_argument("--levels", type=_parse_levels_arg, help="comma-separated battery levels")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 @functools.cache
@@ -222,9 +176,9 @@ def _ensemble_path(out: Path) -> Path:
     return out.with_name(out.stem + "_ensemble" + out.suffix)
 
 
-def _load_scenario(config: RunConfig) -> Scenario:
+def _load_scenario(args: argparse.Namespace) -> Scenario:
     """Load ``--scenario`` as a file path, else as the name of a bundled fixture."""
-    name = config.scenario_path
+    name = args.scenario
     path = Path(name)
     if not path.exists() and "/" not in name and "\\" not in name and not name.endswith(".json"):
         bundled = resources.files(__package__) / "scenarios" / f"{name}.json"
@@ -259,20 +213,20 @@ def _config_os_errors():
         raise ConfigError(str(e)) from None
 
 
-def _metadata(config: RunConfig, scenario: Scenario, **extra) -> dict:
+def _metadata(args: argparse.Namespace, scenario: Scenario, **extra) -> dict:
     md = {
         "scenario": scenario.name,
-        "seed": config.seed,
-        "n": config.n,
+        "seed": args.seed,
+        "n": args.n,
         "version": __version__,
-        "command": config.command,
+        "command": args.command,
         "energy_unit": scenario.energy_unit,
     }
     md.update(extra)
     return md
 
 
-def _write_table(config: RunConfig, table: ResultTable, path: str | Path | None = None) -> Path:
+def _write_table(args: argparse.Namespace, table: ResultTable, path: str | Path | None = None) -> Path:
     """Write ``table`` to ``path`` (default ``--out``) and return the path.
 
     An existing regular file is written over in place and then cut to the
@@ -280,8 +234,8 @@ def _write_table(config: RunConfig, table: ResultTable, path: str | Path | None 
     truncating open; a new path is created.  A FIFO or a terminal is
     written as it is, without the cut.
     """
-    target = Path(path if path is not None else config.output_path)
-    data = write_results(table, config.format)
+    target = Path(path if path is not None else args.out)
+    data = write_results(table, args.format)
     with _config_os_errors(), open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
         f.write(data)
         if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
@@ -296,10 +250,10 @@ def _check_window(storage, value: float, flag: str) -> float:
         raise ConfigError(str(e)) from None
 
 
-def _levels(config: RunConfig, storage, default_count: int) -> tuple[float, ...]:
+def _levels(args: argparse.Namespace, storage, default_count: int) -> tuple[float, ...]:
     """``--levels`` checked against the window, else evenly spaced levels across it."""
-    if config.levels is not None:
-        return tuple(_check_window(storage, v, "--levels entry") for v in config.levels)
+    if args.levels is not None:
+        return tuple(_check_window(storage, v, "--levels entry") for v in args.levels)
     return tuple(float(v) for v in np.linspace(storage.s_min, storage.s_max, default_count))
 
 
@@ -312,11 +266,11 @@ def _closed_form(step_spec, storage, levels):
     return [weibull_closed_form(gen.value, level, storage, dem) for level in levels]
 
 
-def _check_sample_budget(config: RunConfig, values_per_sample: int) -> None:
-    size = 8 * config.n * values_per_sample
+def _check_sample_budget(args: argparse.Namespace, values_per_sample: int) -> None:
+    size = 8 * args.n * values_per_sample
     if size > MAX_SAMPLE_BYTES:
         raise ConfigError(
-            f"--n {config.n} needs {size:.3g} bytes of samples "
+            f"--n {args.n} needs {size:.3g} bytes of samples "
             f"({values_per_sample} value(s) each); the limit is {MAX_SAMPLE_BYTES} bytes"
         )
 
@@ -355,12 +309,12 @@ def _step_rows(*columns) -> tuple:
     return tuple((t, *row) for t, row in enumerate(np.vstack(columns).T.tolist(), start=1))
 
 
-def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
-    _check_sample_budget(config, scenario.horizon)
-    stats = simulate_ensemble(scenario, config.n, config.seed)
+def _run_simulate(args: argparse.Namespace, scenario: Scenario) -> int:
+    _check_sample_budget(args, scenario.horizon)
+    stats = simulate_ensemble(scenario, args.n, args.seed)
     if not np.all(np.isfinite(stats.b_mean)):
         raise ConfigError(
-            f"--n {config.n}: the total of the ensemble's balances overflows a float; "
+            f"--n {args.n}: the total of the ensemble's balances overflows a float; "
             f"use a smaller --n or a scenario with smaller quantities"
         )
     traj = stats.realization
@@ -370,7 +324,7 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
         rows=_step_rows(
             traj.generation, traj.demand, traj.balance, traj.storage, traj.spill, traj.deficit
         ),
-        metadata=_metadata(config, scenario, s_init=scenario.storage.s_init, trajectory_index=0),
+        metadata=_metadata(args, scenario, s_init=scenario.storage.s_init, trajectory_index=0),
     )
     quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in stats.quantile_levels)
     ensemble_table = ResultTable(
@@ -378,40 +332,40 @@ def _run_simulate(config: RunConfig, scenario: Scenario) -> int:
         rows=_step_rows(
             stats.s_mean, stats.s_quantiles, stats.b_mean, stats.spill_freq, stats.deficit_freq
         ),
-        metadata=_metadata(config, scenario, s_init=scenario.storage.s_init),
+        metadata=_metadata(args, scenario, s_init=scenario.storage.s_init),
     )
 
-    out = Path(config.output_path)
+    out = Path(args.out)
     ensemble_out = _ensemble_path(out)
-    _write_table(config, traj_table, out)
-    _write_table(config, ensemble_table, ensemble_out)
+    _write_table(args, traj_table, out)
+    _write_table(args, ensemble_table, ensemble_out)
     _say(
-        f"simulate {scenario.name}: {scenario.horizon} step(s), seed={config.seed}, "
-        f"ensemble n={config.n}"
+        f"simulate {scenario.name}: {scenario.horizon} step(s), seed={args.seed}, "
+        f"ensemble n={args.n}"
     )
     _say(f"  realization -> {out}")
     _say(f"  ensemble    -> {ensemble_out}")
     return 0
 
 
-def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
-    if not 1 <= config.step <= scenario.horizon:
+def _run_analyze(args: argparse.Namespace, scenario: Scenario) -> int:
+    if not 1 <= args.step <= scenario.horizon:
         raise ConfigError(
-            f"--step must lie in [1, {scenario.horizon}] for this scenario, got {config.step}"
+            f"--step must lie in [1, {scenario.horizon}] for this scenario, got {args.step}"
         )
-    s_prev = _check_window(scenario.storage, config.s_prev, "--s-prev")
-    step_spec = scenario.steps[config.step - 1]
-    [(b, [triple])] = _grid([step_spec], scenario.storage, [(s_prev,)], config.grid_cells)
+    s_prev = _check_window(scenario.storage, args.s_prev, "--s-prev")
+    step_spec = scenario.steps[args.step - 1]
+    [(b, [triple])] = _grid([step_spec], scenario.storage, [(s_prev,)], args.grid_cells)
 
     table = ResultTable(
         columns=("step", "s_prev", "p_deficit", "p_overflow", "p_self", "p_not_self", "truncated_mass"),
         # The truncated mass past 3 digits is rounding noise of 1 - total mass.
-        rows=((config.step, s_prev, triple.p_deficit, triple.p_overflow, triple.p_self,
+        rows=((args.step, s_prev, triple.p_deficit, triple.p_overflow, triple.p_self,
                1.0 - triple.p_self, float(f"{b.truncated_mass:.3e}")),),
-        metadata=_metadata(config, scenario, grid_cells=config.grid_cells),
+        metadata=_metadata(args, scenario, grid_cells=args.grid_cells),
     )
-    out = _write_table(config, table)
-    _say(f"analyze {scenario.name} step {config.step} at s_prev={s_prev:g}:")
+    out = _write_table(args, table)
+    _say(f"analyze {scenario.name} step {args.step} at s_prev={s_prev:g}:")
     _say(f"  p_deficit={triple.p_deficit:.6f}  p_overflow={triple.p_overflow:.6f}")
     _say(
         f"  self-sufficient: p_self={triple.p_self:.6f}  "
@@ -421,10 +375,10 @@ def _run_analyze(config: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
-def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
-    _check_sample_budget(config, 1)
+def _run_sweep(args: argparse.Namespace, scenario: Scenario) -> int:
+    _check_sample_budget(args, 1)
     step_spec, storage = scenario.steps[0], scenario.storage
-    levels = _levels(config, storage, 51)
+    levels = _levels(args, storage, 51)
     closed = _closed_form(step_spec, storage, levels)
     if closed is None:
         raise ScenarioInvariantError(
@@ -433,7 +387,7 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
         )
 
     estimates = sweep_battery_levels(
-        step_spec.generation.value, step_spec.demand, storage, levels, config.n, config.seed
+        step_spec.generation.value, step_spec.demand, storage, levels, args.n, args.seed
     )
     rows = tuple(
         (level, t.p_deficit, t.p_overflow, t.p_self, mc.p_deficit, mc.p_overflow, mc.p_self,
@@ -444,10 +398,10 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
         columns=("level", "p_A_analytic", "p_B_analytic", "p_self_analytic",
                  "p_A_mc", "p_B_mc", "p_self_mc", "ci_halfwidth"),
         rows=rows,
-        metadata=_metadata(config, scenario),
+        metadata=_metadata(args, scenario),
     )
-    out = _write_table(config, table)
-    _say(f"sweep {scenario.name}: {len(levels)} level(s), n={config.n}, seed={config.seed}")
+    out = _write_table(args, table)
+    _say(f"sweep {scenario.name}: {len(levels)} level(s), n={args.n}, seed={args.seed}")
     for level, analytic in ((levels[0], closed[0]), (levels[-1], closed[-1])):
         _say(
             f"  level {level:g}: p_self={analytic.p_self:.6f} "
@@ -457,19 +411,19 @@ def _run_sweep(config: RunConfig, scenario: Scenario) -> int:
     return 0
 
 
-def _run_validate(config: RunConfig, scenario: Scenario) -> int:
-    _check_sample_budget(config, 1)
+def _run_validate(args: argparse.Namespace, scenario: Scenario) -> int:
+    _check_sample_budget(args, 1)
     storage = scenario.storage
-    levels = _levels(config, storage, 6)
+    levels = _levels(args, storage, 6)
     # Each step at the initial level, and the first step also at every
     # level: the grid and Monte Carlo both read these lists.
     level_lists = [(storage.s_init, *levels)] + [(storage.s_init,)] * (scenario.horizon - 1)
     # Every grid triple comes before any sampling, so a grid over the cell
     # budget exits 2 at once.
-    grid = [triples for _, triples in _grid(scenario.steps, storage, level_lists, config.grid_cells)]
+    grid = [triples for _, triples in _grid(scenario.steps, storage, level_lists, args.grid_cells)]
     # One Monte Carlo call for every step and level, all from the same seed.
     pairs = [(spec.generation, spec.demand) for spec in scenario.steps]
-    mc = estimate_steps(pairs, storage, level_lists, config.n, config.seed)
+    mc = estimate_steps(pairs, storage, level_lists, args.n, args.seed)
     closed = _closed_form(scenario.steps[0], storage, levels)
 
     # (source, analytic triple, Monte Carlo estimate): each step at the
@@ -483,7 +437,7 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
     # Frequency 0/1 gives a zero-width interval; a true probability may
     # still be (tiny but) nonzero, so checks never use a tolerance below
     # the rule-of-three bound 3/n.
-    floor = 3.0 / config.n
+    floor = 3.0 / args.n
     checks = []
     for source, triple, est in rows:
         for quantity in ("p_deficit", "p_overflow", "p_self"):
@@ -491,24 +445,24 @@ def _run_validate(config: RunConfig, scenario: Scenario) -> int:
             ci = est.halfwidth(p)
             checks.append((source, quantity, a, p, ci, abs(a - p) <= max(ci, floor)))
 
-    caveat = config.n < VALIDATE_CAVEAT_N
+    caveat = args.n < VALIDATE_CAVEAT_N
     failures = [c for c in checks if not c[5]]
-    if config.output_path:
+    if args.out:
         table = ResultTable(
             columns=("source", "quantity", "analytic", "mc_p_hat", "ci_halfwidth", "within_ci"),
             rows=tuple(checks),
-            metadata=_metadata(config, scenario, grid_cells=config.grid_cells, caveat=caveat),
+            metadata=_metadata(args, scenario, grid_cells=args.grid_cells, caveat=caveat),
         )
-        out = _write_table(config, table)
+        out = _write_table(args, table)
         _say(f"  report -> {out}")
 
     _say(
         f"validate {scenario.name}: {len(checks) - len(failures)}/{len(checks)} analytic "
-        f"values within MC confidence intervals (n={config.n}, seed={config.seed})"
+        f"values within MC confidence intervals (n={args.n}, seed={args.seed})"
     )
     if caveat:
         _diag(
-            f"warning: n={config.n} < {VALIDATE_CAVEAT_N}: confidence intervals are too "
+            f"warning: n={args.n} < {VALIDATE_CAVEAT_N}: confidence intervals are too "
             f"wide for a meaningful gate (caveat recorded in the report)"
         )
     for source, quantity, analytic, p_hat, ci, _ in failures:
@@ -527,20 +481,35 @@ _HANDLERS = {
 }
 
 
-def run_command(config: RunConfig) -> int:
-    """Execute a configured run, mapping failures to the exit-code taxonomy."""
+def run_command(args: argparse.Namespace) -> int:
+    """Run a parsed command line, mapping failures to the exit-code taxonomy."""
     try:
+        # The checks argparse cannot make.
+        if not args.scenario:
+            raise ConfigError("a scenario is required (--scenario)")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if args.n < 1:
+            raise ConfigError(f"--n must be >= 1, got {args.n}")
+        if "grid_cells" in args and not 2 <= args.grid_cells <= MAX_GRID_CELLS:
+            raise ConfigError(
+                f"--grid-cells must lie in [2, {MAX_GRID_CELLS}], got {args.grid_cells}"
+            )
+        if args.command != "validate" and not args.out:
+            raise ConfigError(f"{args.command} requires an output file (--out)")
+        if args.command == "analyze" and args.s_prev is None:
+            raise ConfigError("analyze requires a battery level (--s-prev)")
         with _config_os_errors():
-            if config.output_path:
-                out = Path(config.output_path)
+            if args.out:
+                out = Path(args.out)
                 if not out.parent.is_dir():
                     raise ConfigError(f"--out {out}: no such directory")
-                targets = (out, _ensemble_path(out)) if config.command == "simulate" else (out,)
+                targets = (out, _ensemble_path(out)) if args.command == "simulate" else (out,)
                 for target in targets:
                     if target.is_dir():
                         raise ConfigError(f"--out: {target} is a directory")
-            scenario = _load_scenario(config)
-        return _HANDLERS[config.command](config, scenario)
+            scenario = _load_scenario(args)
+        return _HANDLERS[args.command](args, scenario)
     # CellBudgetError: the inputs' grids refine to more cells than
     # balance.MAX_BALANCE_CELLS, or an input's cells hold too little mass.
     except (ConfigError, CellBudgetError) as e:
@@ -556,13 +525,7 @@ def run_command(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     _retain_freed_memory()
-    args = _parser().parse_args(argv)
-    try:
-        config = RunConfig(**vars(args))
-    except ConfigError as e:
-        _diag(f"config error: {e}")
-        return 2
-    return run_command(config)
+    return run_command(_parser().parse_args(argv))
 
 
 def entrypoint() -> None:

@@ -28,7 +28,7 @@ from stochstore import (
     sweep_battery_levels,
     weibull_closed_form,
 )
-from stochstore.cli import RunConfig, run_command
+from stochstore.cli import main
 
 from conftest import evolve_one_step
 
@@ -210,14 +210,10 @@ def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
         for (x, y, lv) in zip(p_b, p_b[1:], levels)
     )
 
-    config = RunConfig(
-        command="validate",
-        scenario_path="fig2_battery",
-        n=1_000_000,
-        seed=0,
-        output_path=str(tmp_path / "report.csv"),
+    gate_code = main(
+        ["validate", "--scenario", "fig2_battery", "--n", "1000000", "--seed", "0",
+         "--out", str(tmp_path / "report.csv")]
     )
-    gate_code = run_command(config)
     elapsed = time.perf_counter() - t0
     ok = (
         len(estimates) == len(levels)
@@ -239,14 +235,9 @@ def test_criterion_7_day_scenario_reproduction(tmp_path, day24_scenario):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
-        code = run_command(
-            RunConfig(
-                command="simulate",
-                scenario_path="day24_lognormal",
-                n=10_000,
-                seed=0,
-                output_path=str(out),
-            )
+        code = main(
+            ["simulate", "--scenario", "day24_lognormal", "--n", "10000", "--seed", "0",
+             "--out", str(out)]
         )
         assert code == 0
     identical = (

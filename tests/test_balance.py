@@ -825,3 +825,24 @@ def test_a_sharp_weibull_against_a_known_demand_gets_its_exact_overflow():
     b = point_mass_balance(Weibull(1.0, 0.05), Deterministic(1.0))
     exact = scipy.stats.weibull_min(c=0.05, scale=1.0).sf(6.0)
     assert self_sufficiency(b, 0.0, SPEC_0_5).p_overflow == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: two wide continuous sides put the store inside a few "
+    "balance cells, and the grid's error is O(1)",
+)
+def test_two_wide_lognormals_get_their_self_sufficiency_within_a_hundredth():
+    # The balance step is about 87 against a 5-unit store.
+    side = lognormal_from_moments(1.0, 1e4)
+    b = difference_density(discretize(side), discretize(side))
+    grid = self_sufficiency(b, 0.0, SPEC_0_5).p_self
+    # Pr[0 < G - D <= 5] = E[F_D(G) - F_D(G - 5)], G and D independent copies.
+    ref = scipy.stats.lognorm(s=side.sigma, scale=math.exp(side.mu))
+    breaks = (0.0, 1e-6, 1e-3, 1.0, 1e3, math.inf)
+    integrand = lambda g: ref.pdf(g) * (ref.cdf(g) - ref.cdf(g - 5.0))  # noqa: E731
+    exact = sum(
+        scipy.integrate.quad(integrand, lo, hi, limit=200)[0] for lo, hi in zip(breaks, breaks[1:])
+    )
+    assert exact == pytest.approx(0.4804, abs=1e-4)
+    assert abs(grid - exact) <= 0.01

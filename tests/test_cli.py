@@ -27,7 +27,7 @@ from stochstore import (
     point_mass_balance,
     self_sufficiency,
 )
-from stochstore.cli import ConfigError, RunConfig, main
+from stochstore.cli import main
 
 from conftest import grid_from_masses, read_fixture_text
 
@@ -912,28 +912,32 @@ def test_exit_4_when_truncation_budget_is_exceeded(tmp_path, capsys, monkeypatch
     assert "budget" in capsys.readouterr().err
 
 
-def test_run_config_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(command="analyze", scenario_path="fig2_battery", n=0, output_path="x", s_prev=0.0)
-    with pytest.raises(ConfigError):
-        RunConfig(command="frobnicate", scenario_path="fig2_battery")
-    with pytest.raises(ConfigError):
-        RunConfig(command="simulate", scenario_path="fig2_battery")  # no --out
-    with pytest.raises(ConfigError):
-        RunConfig(command="analyze", scenario_path="fig2_battery", output_path="x")  # no s_prev
-    with pytest.raises(ConfigError):
-        RunConfig(
-            command="analyze",
-            scenario_path="fig2_battery",
-            output_path="x",
-            s_prev=0.0,
-            format="yaml",
-        )
-    # An empty level list has no command-line spelling; run_command must
-    # never see one.
-    for command in ("sweep", "validate"):
-        with pytest.raises(ConfigError, match="at least one level"):
-            RunConfig(command=command, scenario_path="fig2_battery", output_path="x", levels=())
+def test_run_config_validation(tmp_path, capsys):
+    # Checks argparse cannot make: main returns 2 and writes nothing.
+    out = str(tmp_path / "x.csv")
+    cases = {
+        "--n": ["analyze", "--scenario", "fig2_battery", "--n", "0", "--out", out, "--s-prev", "0"],
+        "--seed": ["analyze", "--scenario", "fig2_battery", "--seed", "-1", "--out", out,
+                   "--s-prev", "0"],
+        "--out": ["simulate", "--scenario", "fig2_battery"],
+        "--s-prev": ["analyze", "--scenario", "fig2_battery", "--out", out],
+        "--scenario": ["validate", "--scenario", ""],
+    }
+    for flag, argv in cases.items():
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and flag in err, (argv, err)
+    assert not Path(out).exists()
+    # An unknown command and a bad --format are argparse's own errors.
+    for argv in (
+        ["frobnicate", "--scenario", "fig2_battery"],
+        ["analyze", "--scenario", "fig2_battery", "--out", out, "--s-prev", "0",
+         "--format", "yaml"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_version_flag():
@@ -951,7 +955,6 @@ def _validate_levels(out):
 
 
 def test_a_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
-    assert cli.build_parser() is not cli.build_parser()  # public builder: a fresh parser
     report = tmp_path / "v.json"
     validate = ["validate", "--scenario", "fig2_battery", "--n", "20000", "--format", "json",
                 "--out", str(report)]
