@@ -33,11 +33,8 @@ from .distributions import (
 from .montecarlo import (
     EnsembleStats,
     SelfSufficiencyEstimate,
-    estimate_self_sufficiency,
     estimate_steps,
     simulate_ensemble,
-    simulate_trajectory,
-    sweep_battery_levels,
 )
 from .scenario import (
     ResultTable,
@@ -86,11 +83,8 @@ __all__ = [
     # monte carlo
     "SelfSufficiencyEstimate",
     "EnsembleStats",
-    "simulate_trajectory",
     "simulate_ensemble",
-    "estimate_self_sufficiency",
     "estimate_steps",
-    "sweep_battery_levels",
     # scenarios and results
     "Scenario",
     "StepSpec",

@@ -19,8 +19,8 @@ stdout is none of these: the command keeps its own exit code.
 This is the one module where the routes meet.  Each route is one function
 of the same shape, a triple per (step, level): ``_grid`` for the grid,
 ``_closed_form`` for the closed form and the sampler's ``estimate_steps``
-(``sweep_battery_levels`` for ``sweep``) for Monte Carlo.  ``analyze``,
-``sweep`` and ``validate`` build their rows from them as tables.
+for Monte Carlo.  ``analyze``, ``sweep`` and ``validate`` build their rows
+from them as tables.
 
 ``main(argv)`` is the one programmatic entry: it returns the exit code, and
 an argument error (an unknown command or flag, a bad ``--format``) raises
@@ -58,11 +58,7 @@ from .balance import (
     weibull_closed_form,
 )
 from .distributions import Deterministic, Weibull
-from .montecarlo import (
-    estimate_steps,
-    simulate_ensemble,
-    sweep_battery_levels,
-)
+from .montecarlo import QUANTILE_LEVELS, estimate_steps, simulate_ensemble, sweep_battery_levels
 from .scenario import (
     ResultTable,
     Scenario,
@@ -326,7 +322,7 @@ def _run_simulate(args: argparse.Namespace, scenario: Scenario) -> int:
         ),
         metadata=_metadata(args, scenario, s_init=scenario.storage.s_init, trajectory_index=0),
     )
-    quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in stats.quantile_levels)
+    quantile_names = tuple(f"s_q{round(q * 100):02d}" for q in QUANTILE_LEVELS)
     ensemble_table = ResultTable(
         columns=("step", "s_mean", *quantile_names, "b_mean", "spill_freq", "deficit_freq"),
         rows=_step_rows(

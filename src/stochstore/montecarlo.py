@@ -45,11 +45,8 @@ __all__ = [
     "QUANTILE_LEVELS",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
-    "simulate_trajectory",
     "simulate_ensemble",
-    "estimate_self_sufficiency",
     "estimate_steps",
-    "sweep_battery_levels",
 ]
 
 QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -79,11 +76,10 @@ class EnsembleStats:
     """Per-step aggregates over an ensemble of simulated trajectories.
 
     Arrays are indexed by step (0-based); ``s_quantiles[j, t]`` is the
-    ``quantile_levels[j]`` quantile of the storage state after step ``t``.
+    ``QUANTILE_LEVELS[j]`` quantile of the storage state after step ``t``.
     ``realization`` is trajectory 0, with its generation and demand.
     """
 
-    quantile_levels: tuple[float, ...]
     s_mean: np.ndarray
     s_quantiles: np.ndarray
     b_mean: np.ndarray
@@ -291,7 +287,7 @@ def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajectory:
-    """Simulate trajectory ``index`` of the ensemble seeded with ``seed``."""
+    """No library caller uses this; perfbench/spans.py wraps it by name."""
     g, d = _draw(_draw_plan(scenario), seed, [index])
     g, d = g[:, 0], d[:, 0]
     return replace(evolve(scenario.storage, g - d), generation=g, demand=d)
@@ -306,8 +302,9 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
 def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
     """Aggregate ``n`` independent trajectories of the scenario.
 
-    Trajectories are drawn and evolved ``ENSEMBLE_CHUNK`` at a time; each
-    equals ``simulate_trajectory(scenario, seed, i)`` exactly, and every
+    Trajectories are drawn and evolved ``ENSEMBLE_CHUNK`` at a time.
+    Trajectory ``i`` draws from ``default_rng((seed, i))``, generation then
+    demand per step in step order, and is evolved from ``s_init``; every
     statistic equals numpy's mean or quantile over the ``(n, horizon)``
     matrix of all trajectories bit for bit.  Only the matrix of states is
     held; ``b_mean`` is a running total, which is ``inf`` or ``nan`` where
@@ -357,7 +354,6 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
         b_total = _sum_rows(balances)
     s_mean = states.mean(axis=0)
     return EnsembleStats(
-        quantile_levels=QUANTILE_LEVELS,
         s_mean=s_mean,
         # Partitions the states in place rather than a copy of them.
         s_quantiles=np.quantile(states, QUANTILE_LEVELS, axis=0, overwrite_input=True),
@@ -376,15 +372,7 @@ def estimate_self_sufficiency(
     n: int,
     seed: int,
 ) -> SelfSufficiencyEstimate:
-    """Estimate the step-probability triple at level ``s_prev`` by sampling.
-
-    Counts ``n`` draws of ``B = G - D`` (generation drawn before demand,
-    from ``default_rng(seed)``) against the window
-    ``(s_min - s_prev, s_max - s_prev]`` with the same boundary
-    convention as the grid path (deficit closed, overflow open).  Any
-    ``n >= 1`` is accepted; the confidence intervals are meaningful from
-    roughly ``n >= 10**3`` upward.
-    """
+    """No library caller uses this; perfbench/spans.py wraps it by name."""
     return estimate_steps([(gen, dem)], storage, [(s_prev,)], n, seed)[0][0]
 
 
@@ -534,13 +522,7 @@ def sweep_battery_levels(
     n: int,
     seed: int,
 ) -> tuple[SelfSufficiencyEstimate, ...]:
-    """The estimate at each level for generation ``gen_value`` against ``dem``.
-
-    One demand sample from ``seed`` (Deterministic generation consumes no
-    random state) is counted at every level: each estimate equals
-    ``estimate_self_sufficiency`` at its level exactly, and across levels
-    the comparison uses common random numbers.
-    """
+    """Only ``cli``'s sweep calls this; perfbench/spans.py wraps it by name."""
     levels = [float(s) for s in levels]
     if not levels:
         raise ValueError("levels must be a nonempty sequence")

@@ -66,8 +66,7 @@ class Trajectory:
     ``s_init`` before any step.  Arrays are ``(horizon,)`` for one path or
     ``(horizon, n)`` for ``n`` paths, so ``storage[t]`` is then the ``(n,)``
     states after step ``t``.  ``generation``/``demand`` are kept when the
-    balances were formed from an explicit pair (``simulate_trajectory``,
-    ``EnsembleStats.realization``).
+    balances were formed from an explicit pair (``EnsembleStats.realization``).
     """
 
     s_init: float

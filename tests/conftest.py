@@ -66,6 +66,38 @@ def evolve_one_step(s_prev, balance, spec: StorageSpec) -> StepResult:
     return StepResult(traj.storage[1], traj.spill[1], traj.deficit[1])
 
 
+def contract_trajectory(scenario, seed, index):
+    """The seed contract's trajectory ``index``: the reference for ``simulate_ensemble``.
+
+    One ``sample_n(rng, 1)`` per quantity, generation then demand in step
+    order, from ``default_rng((seed, index))``; then the scalar ``step``.
+    Returns each path (``generation``, ``demand``, ``balance``, ``storage``,
+    ``spill``, ``deficit``) under its ``Trajectory`` field name.
+    """
+    rng = np.random.default_rng((seed, index))
+    g, d = [], []
+    for spec in scenario.steps:
+        g.append(spec.generation.sample_n(rng, 1)[0])
+        d.append(spec.demand.sample_n(rng, 1)[0])
+    s = scenario.storage.s_init
+    storage, spill, deficit = [], [], []
+    for gt, dt in zip(g, d):
+        r = step(s, gt - dt, scenario.storage)
+        s = r.s_next
+        storage.append(r.s_next)
+        spill.append(r.spill)
+        deficit.append(r.deficit)
+    g, d = np.array(g), np.array(d)
+    return dict(
+        generation=g,
+        demand=d,
+        balance=g - d,
+        storage=np.array(storage),
+        spill=np.array(spill),
+        deficit=np.array(deficit),
+    )
+
+
 def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, seed: int):
     """The whole-array frequency estimate: the bit-identity reference for ``estimate_steps``.
 

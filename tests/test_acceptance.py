@@ -20,23 +20,23 @@ from stochstore import (
     Weibull,
     difference_density,
     discretize,
-    estimate_self_sufficiency,
+    estimate_steps,
+    evolve,
     lognormal_from_moments,
     point_mass_balance,
     self_sufficiency,
-    simulate_trajectory,
-    sweep_battery_levels,
     weibull_closed_form,
 )
 from stochstore.cli import main
 
-from conftest import evolve_one_step
+from conftest import contract_trajectory, evolve_one_step
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 SPEC_0_5 = StorageSpec(s_min=0.0, s_max=5.0, s_init=0.0)
 FIG2_GEN = 2.0
 FIG2_DEM = Weibull(scale=2.0, shape=5.0)
+FIG2_PAIR = [(Deterministic(FIG2_GEN), FIG2_DEM)]
 E_MINUS_1 = 0.36787944117144233
 
 
@@ -51,14 +51,7 @@ def test_criterion_1_closed_form_checkpoint():
     triple = weibull_closed_form(FIG2_GEN, 0.0, SPEC_0_5, FIG2_DEM)
     analytic_ok = abs(triple.p_deficit - E_MINUS_1) <= 1e-6
 
-    est = estimate_self_sufficiency(
-        gen=Deterministic(FIG2_GEN),
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        s_prev=0.0,
-        n=1_000_000,
-        seed=0,
-    )
+    [[est]] = estimate_steps(FIG2_PAIR, SPEC_0_5, [(0.0,)], 1_000_000, 0)
     bound = 3.0 * math.sqrt(E_MINUS_1 * (1.0 - E_MINUS_1) / 1_000_000)
     mc_ok = abs(est.p_deficit - E_MINUS_1) <= bound
     elapsed = time.perf_counter() - t0
@@ -144,14 +137,7 @@ def test_criterion_4_iid_symmetry():
     grid_ok = abs(grid_p - 0.5) <= 1e-3
 
     # Monte Carlo route: with s_prev = s_min the deficit event is exactly B <= 0.
-    est = estimate_self_sufficiency(
-        gen=dist,
-        dem=dist,
-        storage=SPEC_0_5,
-        s_prev=0.0,
-        n=1_000_000,
-        seed=0,
-    )
+    [[est]] = estimate_steps([(dist, dist)], SPEC_0_5, [(0.0,)], 1_000_000, 0)
     mc_ok = abs(est.p_deficit - 0.5) <= est.halfwidth(est.p_deficit)
     _report(
         4,
@@ -190,14 +176,7 @@ def test_criterion_5_moment_fidelity():
 def test_criterion_6_sweep_shape_and_validation_gate(tmp_path):
     t0 = time.perf_counter()
     levels = [float(v) for v in np.linspace(0.0, 5.0, 51)]
-    estimates = sweep_battery_levels(
-        gen_value=FIG2_GEN,
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        levels=levels,
-        n=1_000,
-        seed=0,
-    )
+    (estimates,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], 1_000, 0)
     closed = [weibull_closed_form(FIG2_GEN, level, SPEC_0_5, FIG2_DEM) for level in levels]
     p_a = [t.p_deficit for t in closed]
     p_b = [t.p_overflow for t in closed]
@@ -246,13 +225,12 @@ def test_criterion_7_day_scenario_reproduction(tmp_path, day24_scenario):
         == out_b.with_name("b_ensemble.csv").read_bytes()
     )
 
+    # Trajectories 0..31 of the seed-0 ensemble, drawn by the seed contract
+    # and evolved together.
     spec = day24_scenario.storage
-    bounds_ok = True
-    for index in range(32):
-        traj = simulate_trajectory(day24_scenario, seed=0, index=index)
-        if not (np.all(traj.storage >= spec.s_min) and np.all(traj.storage <= spec.s_max)):
-            bounds_ok = False
-            break
+    paths = [contract_trajectory(day24_scenario, seed=0, index=index) for index in range(32)]
+    traj = evolve(spec, np.stack([p["balance"] for p in paths], axis=1))
+    bounds_ok = bool(np.all(traj.storage >= spec.s_min) and np.all(traj.storage <= spec.s_max))
 
     _report(
         7,
@@ -278,15 +256,9 @@ def test_criterion_8_threshold_convention_arbitration():
     shipped_ok = True
     alternative_rejected = True
     details = []
-    for level in (0.0, 4.0, 5.0):
-        est = estimate_self_sufficiency(
-            gen=Deterministic(FIG2_GEN),
-            dem=FIG2_DEM,
-            storage=SPEC_0_5,
-            s_prev=level,
-            n=1_000_000,
-            seed=0,
-        )
+    levels = (0.0, 4.0, 5.0)
+    (estimates,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], 1_000_000, 0)
+    for level, est in zip(levels, estimates):
         shipped = weibull_closed_form(FIG2_GEN, level, SPEC_0_5, FIG2_DEM)
         floor = 3.0 / est.n
         for value, p_hat in (

@@ -1,17 +1,22 @@
 """The public surface: every exported name exists, the package re-exports
 only names that a library submodule exports itself, README's examples run
-against it, and the three routes meet only in the CLI."""
+against it, the three routes meet only in the CLI, and every name the
+benchmark's spans wrap is still there to wrap."""
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import stochstore
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PERFBENCH_SPANS = ROOT / "perfbench" / "spans.py"
 
 LIBRARY_MODULES = ("distributions", "storage", "balance", "montecarlo", "scenario")
 MODULES = ("stochstore", "stochstore.cli", *(f"stochstore.{name}" for name in LIBRARY_MODULES))
@@ -94,3 +99,26 @@ def test_routes_meet_only_in_the_cli():
     for kernel in ("discretize", "difference_density", "point_mass_balance", "self_sufficiency"):
         assert named_in.get(kernel) == {"_grid"}, (kernel, named_in.get(kernel))
     assert named_in.get("weibull_closed_form") == {"_closed_form"}
+
+
+def test_perfbench_spans_find_every_name_they_wrap(monkeypatch):
+    # perfbench/spans.py wraps program functions by module attribute name, and
+    # a group whose names are all gone drops its per-layer metrics from a
+    # traced run.  The wrapped estimate calls must also still fit its counters.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules while it runs.
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    from stochstore import cli, montecarlo
+
+    before = vars(cli).copy(), vars(montecarlo).copy()
+    gen, dem = stochstore.Deterministic(2.0), stochstore.Weibull(2.0, 5.0)
+    storage = stochstore.StorageSpec(0.0, 5.0, 0.0)
+    with spans.Instrumentation(spans.SpanRecorder()) as traced:
+        missing = {group for _, group, _ in spans.LAYER_METRICS} - traced.present
+        assert not missing, f"perfbench wraps no program function for {sorted(missing)}"
+        cli.sweep_battery_levels(gen.value, dem, storage, [0.0, 5.0], 100, 0)
+        montecarlo.estimate_self_sufficiency(gen, dem, storage, 0.0, 100, 0)
+        assert not traced.recorder.failed_counters
+    assert (vars(cli), vars(montecarlo)) == before

@@ -17,6 +17,7 @@ import pytest
 
 import stochstore
 import stochstore.cli as cli
+import stochstore.montecarlo as montecarlo
 from stochstore import (
     MAX_BALANCE_CELLS,
     Deterministic,
@@ -505,12 +506,13 @@ def no_work(monkeypatch):
         "load_scenario",
         "simulate_ensemble",
         "estimate_steps",
-        "sweep_battery_levels",
         "discretize",
         "difference_density",
         "point_mass_balance",
     ):
         monkeypatch.setattr(cli, name, must_not_run)
+    # The sweep reaches the sampler through montecarlo's own estimate_steps.
+    monkeypatch.setattr(montecarlo, "estimate_steps", must_not_run)
 
 
 @EVERY_COMMAND

@@ -16,16 +16,14 @@ from stochstore import (
     SelfSufficiencyEstimate,
     StorageSpec,
     Weibull,
-    estimate_self_sufficiency,
     estimate_steps,
+    evolve,
     parse_scenario,
     simulate_ensemble,
-    simulate_trajectory,
-    sweep_battery_levels,
     weibull_closed_form,
 )
 
-from conftest import estimate_reference, step
+from conftest import contract_trajectory, estimate_reference
 
 E_MINUS_1 = 0.36787944117144233
 
@@ -105,36 +103,6 @@ def _repeated_scenario_json():
     return _pairs_scenario_json("repeated", pairs, {"s_min": 0.5, "s_max": 3.0, "s_init": 1.0})
 
 
-def _contract_trajectory(scenario, seed, index):
-    """Trajectory ``index`` built straight from the seed contract.
-
-    One ``sample_n(rng, 1)`` per quantity, generation then demand in step
-    order, from ``default_rng((seed, index))``; then the scalar ``step``.
-    """
-    rng = np.random.default_rng((seed, index))
-    g, d = [], []
-    for spec in scenario.steps:
-        g.append(spec.generation.sample_n(rng, 1)[0])
-        d.append(spec.demand.sample_n(rng, 1)[0])
-    s = scenario.storage.s_init
-    storage, spill, deficit = [], [], []
-    for gt, dt in zip(g, d):
-        r = step(s, gt - dt, scenario.storage)
-        s = r.s_next
-        storage.append(r.s_next)
-        spill.append(r.spill)
-        deficit.append(r.deficit)
-    g, d = np.array(g), np.array(d)
-    return dict(
-        generation=g,
-        demand=d,
-        balance=g - d,
-        storage=np.array(storage),
-        spill=np.array(spill),
-        deficit=np.array(deficit),
-    )
-
-
 # --- SelfSufficiencyEstimate ---------------------------------------------------
 
 
@@ -153,20 +121,13 @@ def test_degenerate_estimate_has_zero_halfwidth():
     assert est.halfwidth(est.p_deficit) == 0.0
 
 
-# --- estimate_self_sufficiency -------------------------------------------------
+# --- one estimate: one pair at one level -------------------------------------
 
 
 def test_estimate_is_deterministic_and_partitions_n():
-    kwargs = dict(
-        gen=Deterministic(2.0),
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        s_prev=0.0,
-        n=20_000,
-        seed=42,
-    )
-    a = estimate_self_sufficiency(**kwargs)
-    b = estimate_self_sufficiency(**kwargs)
+    args = ([(Deterministic(2.0), FIG2_DEM)], SPEC_0_5, [(0.0,)], 20_000, 42)
+    [[a]] = estimate_steps(*args)
+    [[b]] = estimate_steps(*args)
     assert a.p_deficit == b.p_deficit
     assert a.p_overflow == b.p_overflow
     assert a.p_self == b.p_self
@@ -176,14 +137,7 @@ def test_estimate_is_deterministic_and_partitions_n():
 
 
 def test_estimate_covers_closed_form_checkpoint():
-    est = estimate_self_sufficiency(
-        gen=Deterministic(2.0),
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        s_prev=0.0,
-        n=100_000,
-        seed=0,
-    )
+    [[est]] = estimate_steps([(Deterministic(2.0), FIG2_DEM)], SPEC_0_5, [(0.0,)], 100_000, 0)
     assert abs(est.p_deficit - E_MINUS_1) <= est.halfwidth(est.p_deficit)
     closed = weibull_closed_form(2.0, 0.0, SPEC_0_5, FIG2_DEM)
     assert abs(est.p_overflow - closed.p_overflow) <= max(
@@ -192,13 +146,8 @@ def test_estimate_covers_closed_form_checkpoint():
 
 
 def test_estimate_with_balance_inside_window_is_certain():
-    est = estimate_self_sufficiency(
-        gen=Deterministic(2.0),
-        dem=Deterministic(1.5),
-        storage=SPEC_0_5,
-        s_prev=1.0,
-        n=5_000,
-        seed=7,
+    [[est]] = estimate_steps(
+        [(Deterministic(2.0), Deterministic(1.5))], SPEC_0_5, [(1.0,)], 5_000, 7
     )
     assert est.p_deficit == 0.0
     assert est.p_overflow == 0.0
@@ -207,24 +156,11 @@ def test_estimate_with_balance_inside_window_is_certain():
 
 
 def test_estimate_validates_inputs():
+    pair = [(Deterministic(2.0), FIG2_DEM)]
     with pytest.raises(ValueError):
-        estimate_self_sufficiency(
-            gen=Deterministic(2.0),
-            dem=FIG2_DEM,
-            storage=SPEC_0_5,
-            s_prev=-1.0,
-            n=1000,
-            seed=0,
-        )
+        estimate_steps(pair, SPEC_0_5, [(-1.0,)], 1000, 0)
     with pytest.raises(ValueError):
-        estimate_self_sufficiency(
-            gen=Deterministic(2.0),
-            dem=FIG2_DEM,
-            storage=SPEC_0_5,
-            s_prev=0.0,
-            n=0,
-            seed=0,
-        )
+        estimate_steps(pair, SPEC_0_5, [(0.0,)], 0, 0)
 
 
 # --- estimate_steps -------------------------------------------------------------
@@ -265,7 +201,7 @@ def test_shared_estimates_equal_separate_estimates_bit_for_bit():
             assert est.p_overflow == solo.p_overflow
             assert est.p_self == solo.p_self
             assert est.n == solo.n == n
-            assert estimate_self_sufficiency(gen, dem, SPEC_MIXED, level, n, seed) == est
+            assert estimate_steps([(gen, dem)], SPEC_MIXED, [(level,)], n, seed) == ((est,),)
     assert shared[5][1].p_deficit == 1.0  # (1.0 - 2.5) at level 2.0
     assert shared[6][0].p_self == 1.0  # (3.0 - 1.0) at level 2.0
 
@@ -499,7 +435,9 @@ def test_nan_balances_count_as_neither_deficit_nor_overflow(levels):
 def test_a_many_level_sweep_makes_no_per_level_passes(monkeypatch):
     counts = _count_calls(monkeypatch, np, "count_nonzero")
     n = 2 * montecarlo.ESTIMATE_BLOCK + 3
-    rows = sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, np.linspace(0.0, 5.0, 51), n, 3)
+    (rows,) = estimate_steps(
+        [(Deterministic(2.0), FIG2_DEM)], SPEC_0_5, [np.linspace(0.0, 5.0, 51)], n, 3
+    )
     assert len(rows) == 51
     assert counts[0] == 0
 
@@ -520,12 +458,12 @@ def test_a_vanishing_generation_is_not_counted_as_a_deficit():
     assert est.p_deficit <= 3.0 / n
 
 
-# --- simulate_trajectory --------------------------------------------------------
+# --- single trajectories: the seed contract -----------------------------------
 
 
 def test_trajectory_of_balanced_deterministic_scenario_is_flat():
     scenario = parse_scenario(_flat_scenario_json(horizon=6, gen=1.0, dem=1.0))
-    traj = simulate_trajectory(scenario, seed=0)
+    traj = simulate_ensemble(scenario, n=1, seed=0).realization
     assert np.all(traj.storage == 2.0)
     assert np.all(traj.spill == 0.0)
     assert np.all(traj.deficit == 0.0)
@@ -533,29 +471,27 @@ def test_trajectory_of_balanced_deterministic_scenario_is_flat():
 
 
 def test_trajectory_is_reproducible_and_indexed(day24_scenario):
-    t_a = simulate_trajectory(day24_scenario, seed=11, index=3)
-    t_b = simulate_trajectory(day24_scenario, seed=11, index=3)
-    t_c = simulate_trajectory(day24_scenario, seed=11, index=4)
-    assert np.array_equal(t_a.storage, t_b.storage)
-    assert np.array_equal(t_a.generation, t_b.generation)
-    assert not np.array_equal(t_a.generation, t_c.generation)
+    paths = [contract_trajectory(day24_scenario, seed=11, index=i) for i in range(5)]
+    again = contract_trajectory(day24_scenario, seed=11, index=3)
+    assert np.array_equal(paths[3]["storage"], again["storage"])
+    assert np.array_equal(paths[3]["generation"], again["generation"])
+    assert not np.array_equal(paths[3]["generation"], paths[4]["generation"])
+    # The ensemble of five holds exactly these trajectories.
+    stats = simulate_ensemble(day24_scenario, n=5, seed=11)
+    np.testing.assert_array_equal(stats.s_mean, np.mean([p["storage"] for p in paths], axis=0))
+    np.testing.assert_array_equal(stats.b_mean, np.mean([p["balance"] for p in paths], axis=0))
 
 
 def _assert_follows_the_seed_contract(scenario, seed, n):
     assert n > getattr(montecarlo, "ENSEMBLE_CHUNK", 0)  # spans several chunks
-    expected = [_contract_trajectory(scenario, seed, i) for i in range(n)]
-    for i in (0, 1, 255, 256, n - 1):
-        traj = simulate_trajectory(scenario, seed, i)
-        for name, want in expected[i].items():
-            np.testing.assert_array_equal(getattr(traj, name), want, err_msg=f"{i} {name}")
-
+    expected = [contract_trajectory(scenario, seed, i) for i in range(n)]
     stats = simulate_ensemble(scenario, n=n, seed=seed)
     states = np.array([e["storage"] for e in expected])
     assert 0 < np.count_nonzero([e["spill"] for e in expected])
     assert 0 < np.count_nonzero([e["deficit"] for e in expected])
     np.testing.assert_array_equal(stats.s_mean, states.mean(axis=0))
     np.testing.assert_array_equal(
-        stats.s_quantiles, np.quantile(states, stats.quantile_levels, axis=0)
+        stats.s_quantiles, np.quantile(states, montecarlo.QUANTILE_LEVELS, axis=0)
     )
     np.testing.assert_array_equal(
         stats.b_mean, np.array([e["balance"] for e in expected]).mean(axis=0)
@@ -591,21 +527,22 @@ def test_generator_states_are_numpys_seeding_of_seed_and_index(seed):
 
     scenario = parse_scenario(_mixed_scenario_json())
     g, d = montecarlo._draw(montecarlo._draw_plan(scenario), seed, CONTRACT_INDICES)
+    traj = evolve(scenario.storage, g - d)
     for j, i in enumerate(CONTRACT_INDICES):
-        expected = _contract_trajectory(scenario, seed, i)
+        expected = contract_trajectory(scenario, seed, i)
         np.testing.assert_array_equal(g[:, j], expected["generation"], err_msg=str(i))
         np.testing.assert_array_equal(d[:, j], expected["demand"], err_msg=str(i))
-        traj = simulate_trajectory(scenario, seed, i)
-        for name, want in expected.items():
-            np.testing.assert_array_equal(getattr(traj, name), want, err_msg=f"{i} {name}")
+        for name in ("balance", "storage", "spill", "deficit"):
+            got = getattr(traj, name)[:, j]
+            np.testing.assert_array_equal(got, expected[name], err_msg=f"{i} {name}")
 
 
 def test_negative_seed_or_index_is_refused():
     scenario = parse_scenario(_flat_scenario_json())
     with pytest.raises(ValueError, match=">= 0"):
-        simulate_trajectory(scenario, seed=-1)
+        simulate_ensemble(scenario, n=1, seed=-1)
     with pytest.raises(ValueError, match=">= 0"):
-        simulate_trajectory(scenario, seed=0, index=-1)
+        montecarlo._pcg64_states(0, [-1])
 
 
 ONE_BY_ONE_SIZES = (1, 255, 256, 257, 1000, 20011)
@@ -622,7 +559,7 @@ def one_by_one_references(day24_scenario, fig2_scenario):
     two_steps = replace(day24_scenario, name="two_steps", steps=day24_scenario.steps[:2])
     references = {}
     for scenario in (two_steps, fig2_scenario):
-        paths = [_contract_trajectory(scenario, seed, i) for i in range(max(ONE_BY_ONE_SIZES))]
+        paths = [contract_trajectory(scenario, seed, i) for i in range(max(ONE_BY_ONE_SIZES))]
         references[scenario.name] = (
             scenario,
             seed,
@@ -646,7 +583,7 @@ def test_ensemble_equals_an_aggregation_one_trajectory_at_a_time(one_by_one_refe
     np.testing.assert_array_equal(stats.b_mean, balances.mean(axis=0))
     np.testing.assert_array_equal(stats.s_mean, states.mean(axis=0))
     np.testing.assert_array_equal(
-        stats.s_quantiles, np.quantile(states, stats.quantile_levels, axis=0)
+        stats.s_quantiles, np.quantile(states, montecarlo.QUANTILE_LEVELS, axis=0)
     )
     for freq, key in ((stats.spill_freq, "spill"), (stats.deficit_freq, "deficit")):
         np.testing.assert_array_equal(freq, np.count_nonzero(paths[key][:n] > 0.0, axis=0) / n)
@@ -656,12 +593,13 @@ def test_ensemble_equals_an_aggregation_one_trajectory_at_a_time(one_by_one_refe
 
 def test_trajectory_respects_storage_window(day24_scenario):
     spec = day24_scenario.storage
-    for index in range(8):
-        traj = simulate_trajectory(day24_scenario, seed=5, index=index)
-        assert np.all(traj.storage >= spec.s_min)
-        assert np.all(traj.storage <= spec.s_max)
-        assert np.all(traj.spill >= 0.0)
-        assert np.all(traj.deficit >= 0.0)
+    paths = [contract_trajectory(day24_scenario, seed=5, index=index) for index in range(8)]
+    traj = evolve(spec, np.stack([p["balance"] for p in paths], axis=1))
+    np.testing.assert_array_equal(traj.storage.T, [p["storage"] for p in paths])
+    assert np.all(traj.storage >= spec.s_min)
+    assert np.all(traj.storage <= spec.s_max)
+    assert np.all(traj.spill >= 0.0)
+    assert np.all(traj.deficit >= 0.0)
 
 
 # --- simulate_ensemble ----------------------------------------------------------
@@ -686,7 +624,7 @@ def test_ensemble_is_deterministic(day24_scenario):
 
 def test_ensemble_quantiles_are_ordered(day24_scenario):
     stats = simulate_ensemble(day24_scenario, n=256, seed=9)
-    assert stats.s_quantiles.shape == (len(stats.quantile_levels), day24_scenario.horizon)
+    assert stats.s_quantiles.shape == (len(montecarlo.QUANTILE_LEVELS), day24_scenario.horizon)
     diffs = np.diff(stats.s_quantiles, axis=0)
     assert np.all(diffs >= -1e-12)
     assert np.all(stats.s_quantiles >= day24_scenario.storage.s_min - 1e-12)
@@ -705,40 +643,36 @@ def test_ensemble_frequencies_match_closed_form(fig2_scenario):
     assert abs(stats.deficit_freq[0] - closed.p_deficit) <= half_d
 
 
-# --- sweep_battery_levels --------------------------------------------------------
+# --- a sweep: one pair at many levels ------------------------------------------
+
+FIG2_PAIR = [(Deterministic(2.0), FIG2_DEM)]
 
 
 def test_sweep_matches_single_estimates_exactly():
     levels = [0.0, 2.5, 5.0]
-    estimates = sweep_battery_levels(
-        gen_value=2.0,
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        levels=levels,
-        n=10_000,
-        seed=123,
-    )
+    (estimates,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], 10_000, 123)
     assert len(estimates) == len(levels)
     for level, estimate in zip(levels, estimates):
+        assert estimate_steps(FIG2_PAIR, SPEC_0_5, [(level,)], 10_000, 123) == ((estimate,),)
         solo = estimate_reference(Deterministic(2.0), FIG2_DEM, SPEC_0_5, level, 10_000, 123)
         assert estimate == solo
 
 
 def test_sweep_draws_its_demand_once_for_all_levels(monkeypatch):
     calls = _count_calls(monkeypatch, Weibull, "transform")
-    rows = sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, np.linspace(0.0, 5.0, 51), 1000, 3)
+    (rows,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [np.linspace(0.0, 5.0, 51)], 1000, 3)
     assert len(rows) == 51
     assert calls[0] == 1
 
 
 def test_sweep_holds_no_n_length_array():
-    levels = np.linspace(0.0, 5.0, 51)
-    sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, 100, 0)
+    levels = [np.linspace(0.0, 5.0, 51)]
+    estimate_steps(FIG2_PAIR, SPEC_0_5, levels, 100, 0)
     peaks = []
     for n in (200_000, 800_000):
         tracemalloc.start()
         try:
-            sweep_battery_levels(2.0, FIG2_DEM, SPEC_0_5, levels, n, 0)
+            estimate_steps(FIG2_PAIR, SPEC_0_5, levels, n, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -759,14 +693,7 @@ def test_sweep_analytic_columns_are_monotone():
 
 def test_sweep_estimates_cover_analytics():
     levels = [0.0, 4.0, 5.0]
-    estimates = sweep_battery_levels(
-        gen_value=2.0,
-        dem=FIG2_DEM,
-        storage=SPEC_0_5,
-        levels=levels,
-        n=100_000,
-        seed=0,
-    )
+    (estimates,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], 100_000, 0)
     for level, mc in zip(levels, estimates, strict=True):
         analytic = weibull_closed_form(2.0, level, SPEC_0_5, FIG2_DEM)
         floor = 3.0 / mc.n
@@ -777,7 +704,9 @@ def test_sweep_estimates_cover_analytics():
 
 
 def test_sweep_rejects_empty_levels():
+    # The one check of cli's sweep call that estimate_steps does not make
+    # (an empty level list gives an empty tuple there); it goes with the call.
     with pytest.raises(ValueError):
-        sweep_battery_levels(
+        montecarlo.sweep_battery_levels(
             gen_value=2.0, dem=FIG2_DEM, storage=SPEC_0_5, levels=[], n=100, seed=0
         )
