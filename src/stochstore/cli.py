@@ -76,7 +76,8 @@ VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
 # (n, horizon) ensemble matrix, or validate's n-length raw generation draw
-# (it holds at most one and draws the other side a block at a time).  sweep
+# (it holds at most one and draws the other side a block at a time; every
+# drawn family, Empirical too, takes one float64 draw per value).  sweep
 # holds no n-length array, so for it the budget bounds run time, not
 # memory.  A larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30

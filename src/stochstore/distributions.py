@@ -8,14 +8,15 @@ explicitly.  Every family's ``cdf`` is elementwise: a float in gives a
 float out, an array in gives an array out, so a whole grid of cell edges or
 a set of shifted points is evaluated in one call.
 
-The continuous families sample in two parts: ``primitive`` names the
-``Generator`` method they draw from and ``transform(draws, out)`` maps those
-draws to values elementwise, into ``out``: the draws themselves for an
-in-place map, or another array, which leaves the draws as they are.  One
-call for ``k`` draws yields the same stream as ``k`` calls for one draw
-each, so a caller may take the draws of several consecutive quantities that
-share a primitive in a single call and apply each quantity's ``transform``
-afterwards.
+Every family but ``Deterministic``, which draws nothing, samples in two
+parts: ``primitive`` names the ``Generator`` method it draws from and
+``transform(draws, out)`` maps those draws to values elementwise, into
+``out``: the draws themselves for an in-place map, or another array, which
+leaves the draws as they are.  Weibull and Empirical invert their cdf at
+uniform draws, and LogNormal maps standard normals.  One call for ``k``
+draws yields the same stream as ``k`` calls for one draw each, so a caller
+may take the draws of several consecutive quantities that share a primitive
+in a single call and apply each quantity's ``transform`` afterwards.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class Distribution:
     """Common interface for the supported per-step quantities."""
 
     #: ``numpy.random.Generator`` method whose draws ``transform`` maps to
-    #: values; ``None`` for a family that overrides ``sample_n`` instead.
+    #: values; ``None`` for ``Deterministic``, which draws nothing.
     primitive: str | None = None
 
     def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -307,7 +308,8 @@ class Empirical(Distribution):
     """Resampling distribution over an observed nonnegative sample set.
 
     ``cdf`` is the empirical step function; ``quantile`` inverts it
-    (order statistics), and sampling draws uniformly with replacement.
+    (order statistics), and sampling draws uniformly with replacement by
+    inverting it at uniform draws.
     """
 
     samples: tuple[float, ...]
@@ -320,12 +322,20 @@ class Empirical(Distribution):
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("empirical samples must all be finite and >= 0")
         object.__setattr__(self, "samples", tuple(float(v) for v in values))
-        ordered = np.sort(values)
+        # + 0.0 turns a -0.0 sample into 0.0, so that equal Empiricals (== reads
+        # -0.0 as 0.0) transform a draw to the same value.
+        ordered = np.sort(values) + 0.0
         ordered.setflags(write=False)  # parsed scenarios are shared between callers
         object.__setattr__(self, "_sorted", ordered)
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self._sorted, size=self._check_n(n), replace=True)
+    primitive = "random"
+
+    def transform(self, draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # Inverse-transform: U in [k / size, (k + 1) / size) gives _sorted[k].
+        # The index is formed in out, and "clip" (which a U < 1 never needs)
+        # takes into out without buffering it.
+        np.multiply(draws, self._sorted.size, out=out)
+        return np.take(self._sorted, out.astype(np.intp), out=out, mode="clip")
 
     def cdf(self, x):
         return _elementwise(np.searchsorted(self._sorted, x, side="right") / self._sorted.size)

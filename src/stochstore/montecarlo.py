@@ -19,14 +19,16 @@ building one ``Generator`` per trajectory; a test pins them to
 ``default_rng``.  A frequency estimate draws generation then demand from
 ``default_rng(seed)``.  Every estimate is made by ``estimate_steps``, which
 counts one draw set at all the levels and for all the pairs that share it:
-a sweep draws its demand once for every level, and a generation that
-recurs from step to step is transformed once per block of draws.  The side
-drawn last is drawn a block at a time, so a draw set holds at most one
-n-length array: the generation's draws, when a demand draws after them.
-The transforms read the raw draws and write a block of values; a pair
-counted at many levels (a sweep's 51) sorts each block once and reads
-every level's counts by binary search, and any other pair compares the
-block with each level's window edges.
+a quantity's draws are named by its ``primitive`` (``None``, a
+Deterministic quantity, draws nothing), so every pair with the same two
+primitives reads the same draws.  A sweep draws its demand once for every
+level, and a generation that recurs from step to step is transformed once
+per block of draws.  The side drawn last is drawn a block at a time, so a
+draw set holds at most one n-length array: the generation's draws, when a
+demand draws after them.  The transforms read the raw draws and write a
+block of values; a pair counted at many levels (a sweep's 51) sorts each
+block once and reads every level's counts by binary search, and any other
+pair compares the block with each level's window edges.
 """
 
 from __future__ import annotations
@@ -104,61 +106,45 @@ _MASK32 = 2**32 - 1
 _MASK128 = 2**128 - 1
 
 
-def _raw_draw(q: Distribution):
-    """``draw(rng, size)`` giving ``q``'s raw draws, or ``None`` if it draws nothing.
-
-    ``None`` for a Deterministic quantity, the ``Generator`` method of its
-    ``primitive`` (``transform`` makes the values), else its ``sample_n``
-    (an Empirical draw is its value).  Two quantities with equal draw
-    callables take the same raw draws from the same generator state.
-    """
-    if isinstance(q, Deterministic):
-        return None
-    if q.primitive is not None:
-        return getattr(np.random.Generator, q.primitive)
-    return q.sample_n
-
-
 def _draw_plan(scenario: Scenario):
     """How a chunk of trajectories takes its draws and turns them into values.
 
     Returns ``(runs, fixed, order, groups, gen_rows, dem_rows)`` over the
     quantities generation then demand, step by step.  A chunk's block holds
-    one row per trajectory: the ``fixed`` Deterministic values, then the
-    other quantities' draws in contract order.  A run ``(draw, start, stop,
-    primitive)`` fills columns ``start:stop`` with one ``draw`` call: one run
-    per stretch of consecutive quantities sharing a primitive, one per
-    Empirical draw.  ``block.T[order]`` puts equal quantities in adjacent
-    rows, and each ``(q, start, stop)`` of ``groups`` is transformed in one
-    call; ``gen_rows``/``dem_rows`` give each step's quantities' rows.
+    one row per trajectory: the drawn quantities' draws in contract order,
+    then the ``fixed`` Deterministic values.  A run ``(primitive, start,
+    stop)`` fills columns ``start:stop`` with one call of that ``Generator``
+    method: one run per stretch of consecutive drawn quantities sharing a
+    primitive (an Empirical and a Weibull both draw uniforms).
+    ``block.T[order]`` puts equal drawn quantities in adjacent rows, then the
+    fixed values, and each ``(q, start, stop)`` of ``groups`` is transformed
+    in one call; ``gen_rows``/``dem_rows`` give each step's quantities' rows.
     """
     quantities = [q for spec in scenario.steps for q in (spec.generation, spec.demand)]
-    fixed = [q.value for q in quantities if isinstance(q, Deterministic)]
-    runs, column, members = [], [], {}
-    n_fixed, n_drawn, last = 0, len(fixed), None
+    runs, members, fixed = [], {}, {}
     for k, q in enumerate(quantities):
-        # Equal quantities that transform draws share one transform call (==
-        # takes a -0.0 parameter for 0.0, which changes no transform's value).
-        members.setdefault(k if q.primitive is None else q, []).append(k)
-        if isinstance(q, Deterministic):
-            column.append(n_fixed)
-            n_fixed += 1
+        if q.primitive is None:
+            fixed[k] = q.value
             continue
-        column.append(n_drawn)
-        if q.primitive is not None and q.primitive == last:
+        column = k - len(fixed)
+        if runs and runs[-1][0] == q.primitive:
             runs[-1][2] += 1
         else:
-            runs.append([_raw_draw(q), n_drawn, n_drawn + 1, q.primitive is not None])
-        n_drawn += 1
-        last = q.primitive
+            runs.append([q.primitive, column, column + 1])
+        # Equal quantities share one transform call (== takes a -0.0
+        # parameter for 0.0, which changes no transform's value).
+        members.setdefault(q, []).append((k, column))
     order, groups, rows = [], [], [0] * len(quantities)
-    for ks in members.values():
-        if quantities[ks[0]].primitive is not None:
-            groups.append((quantities[ks[0]], len(order), len(order) + len(ks)))
-        for k in ks:
+    for q, ks in members.items():
+        groups.append((q, len(order), len(order) + len(ks)))
+        for k, column in ks:
             rows[k] = len(order)
-            order.append(column[k])
-    return runs, fixed, np.array(order, dtype=np.intp), groups, rows[0::2], rows[1::2]
+            order.append(column)
+    for k in fixed:  # the fixed columns follow the drawn ones, in order
+        rows[k] = len(order)
+        order.append(len(order))
+    order = np.array(order, dtype=np.intp)
+    return runs, list(fixed.values()), order, groups, rows[0::2], rows[1::2]
 
 
 def _words(value: int) -> list[int]:
@@ -267,18 +253,16 @@ def _draw(plan, seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
     runs, fixed, order, groups, gen_rows, dem_rows = plan
     states = _pcg64_states(seed, indices)
     block = np.empty((len(states), len(order)))
-    block[:, : len(fixed)] = fixed
+    block[:, len(order) - len(fixed) :] = fixed
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     pcg = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    draws = [(getattr(rng, primitive), start, stop) for primitive, start, stop in runs]
     for row, (pcg["state"], pcg["inc"]) in zip(block, states):
         bit_generator.state = state
-        for draw, start, stop, primitive in runs:
-            if primitive:
-                draw(rng, out=row[start:stop])
-            else:
-                row[start:stop] = draw(rng, stop - start)
+        for draw, start, stop in draws:
+            draw(out=row[start:stop])
     values = block.T[order]
     for q, start, stop in groups:
         rows = values[start:stop]
@@ -380,14 +364,9 @@ def _block_values(q: Distribution, raw, out: np.ndarray):
     """``q``'s values for the block of draws ``raw``, leaving ``raw`` as is.
 
     A Deterministic quantity (``raw`` is ``None``) gives its value as a
-    scalar, a quantity without a ``transform`` its draws themselves, and any
-    other the transformed draws, written into ``out``.
+    scalar, and any other the transformed draws, written into ``out``.
     """
-    if raw is None:
-        return q.value
-    if q.primitive is None:
-        return raw
-    return q.transform(raw, out)
+    return q.value if raw is None else q.transform(raw, out)
 
 
 # Balance values formed and counted at a time by ``estimate_steps``.
@@ -417,8 +396,8 @@ def _count(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask, deficit, overflo
         overflow[j] += np.count_nonzero(np.greater(b, hi[j], out=mask))
 
 
-def _draw_block(draw, rng, size: int):
-    return None if draw is None else draw(rng, size)
+def _draw_block(draw, size: int):
+    return None if draw is None else draw(size)
 
 
 def _count_block(members, raw_g, raw_d, g_out, b_out, mask) -> None:
@@ -435,17 +414,20 @@ def _count_block(members, raw_g, raw_d, g_out, b_out, mask) -> None:
         _count(b, lo, hi, mask, deficit, overflow)
 
 
-def _count_draw_set(draw_g, draw_d, members, n: int, seed: int) -> None:
+def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
 
-    The side drawn last, the demand or else the generation, is drawn one
-    block at a time just before the block is counted, and that block's
-    draws are freed before the next are drawn; a generation followed by a
-    drawn demand is drawn whole first, as the contract orders it.  Every
-    array and view is freed on return, before the next draw set is drawn.
+    ``primitives`` names the generation's and the demand's ``Generator``
+    method, ``None`` for a side that draws nothing.  The side drawn last,
+    the demand or else the generation, is drawn one block at a time just
+    before the block is counted, and that block's draws are freed before the
+    next are drawn; a generation followed by a drawn demand is drawn whole
+    first, as the contract orders it.  Every array and view is freed on
+    return, before the next draw set is drawn.
     """
     rng = np.random.default_rng(seed)
-    raw_g = None if draw_g is None or draw_d is None else draw_g(rng, n)
+    draw_g, draw_d = (None if p is None else getattr(rng, p) for p in primitives)
+    raw_g = None if draw_g is None or draw_d is None else draw_g(n)
     size = min(n, ESTIMATE_BLOCK)
     g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for start in range(0, n, ESTIMATE_BLOCK):
@@ -454,8 +436,8 @@ def _count_draw_set(draw_g, draw_d, members, n: int, seed: int) -> None:
         # At most one side draws here, so the stream keeps its order.
         _count_block(
             members,
-            raw_g[start:stop] if raw_g is not None else _draw_block(draw_g, rng, size),
-            _draw_block(draw_d, rng, size),
+            raw_g[start:stop] if raw_g is not None else _draw_block(draw_g, size),
+            _draw_block(draw_d, size),
             g_block[:size],
             b_block[:size],
             mask_block[:size],
@@ -470,8 +452,9 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     frequencies are counts divided by ``n``.  Each estimate counts ``n``
     draws of the balance, generation drawn before demand from
     ``default_rng(seed)``, so its raw draws depend only on ``(seed, n)`` and
-    on each side's ``_raw_draw``: pairs with equal draw callables share one
-    sampling pass, and each pair's balance is counted at all of its levels.
+    on each side's ``primitive``: pairs with the same two primitives share
+    one sampling pass, and each pair's balance is counted at all of its
+    levels.
     The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
     pair.  A transform reads the raw draws and writes the block; a pair
     whose generation equals the previous pair's reuses the generation values
@@ -500,9 +483,9 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
         lo = np.array([storage.s_min - s for s in lv])
         hi = np.array([storage.s_max - s for s in lv] + [np.inf])
         member = (gen, dem, lo, hi, deficit, overflow)
-        groups.setdefault((_raw_draw(gen), _raw_draw(dem)), []).append(member)
-    for (draw_g, draw_d), members in groups.items():
-        _count_draw_set(draw_g, draw_d, members, n, seed)
+        groups.setdefault((gen.primitive, dem.primitive), []).append(member)
+    for primitives, members in groups.items():
+        _count_draw_set(primitives, members, n, seed)
     return tuple(
         tuple(_estimate(d, o, n) for d, o in zip(ds.tolist(), os.tolist()))
         for ds, os in zip(deficits, overflows)

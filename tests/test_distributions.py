@@ -189,7 +189,15 @@ def test_normal_cdf_kernel_is_bit_identical_to_the_gather_kernel(day24_scenario,
         np.testing.assert_array_equal(_bits(kernel(values)), _bits(normal_cdf_reference(values)))
 
 
-@pytest.mark.parametrize("dist", [Weibull(2.0, 5.0), Weibull(1.5, 0.5), LogNormal(-0.3, 1.2)])
+@pytest.mark.parametrize(
+    "dist",
+    [
+        Weibull(2.0, 5.0),
+        Weibull(1.5, 0.5),
+        LogNormal(-0.3, 1.2),
+        Empirical((0.5, 1.0, 2.5, 4.0, 7.0)),
+    ],
+)
 def test_transform_into_another_array_leaves_the_draws(dist):
     draws = getattr(np.random.default_rng(5), dist.primitive)(1000)
     kept = draws.copy()
@@ -293,6 +301,24 @@ def test_empirical_step_function_and_order_statistics():
     assert e.quantile(1.0) == 3.0
     draws = e.sample_n(np.random.default_rng(3), 100)
     assert set(draws) <= {1.0, 2.0, 3.0}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 300])
+def test_empirical_transform_maps_the_extreme_uniforms_to_the_extreme_samples(size):
+    e = Empirical(tuple(np.linspace(7.0, 0.5, size)))
+    draws = np.array([0.0, np.nextafter(1.0, 0.0)])
+    np.testing.assert_array_equal(e.transform(draws, np.empty(2)), [min(e.samples), max(e.samples)])
+
+
+def test_empirical_samples_each_value_equally_often():
+    e = Empirical((4.0, 0.5, 2.5, 1.0, 7.0, 3.0, 6.0))
+    n, size = 100_000, len(e.samples)
+    draws = e.sample_n(np.random.default_rng(11), n)
+    counts = np.array([np.count_nonzero(draws == v) for v in e.samples])
+    # Each count is Binomial(n, 1 / size).
+    sigma = math.sqrt(n * (1.0 / size) * (1.0 - 1.0 / size))
+    assert counts.sum() == n
+    assert np.all(np.abs(counts - n / size) < 4.0 * sigma)
 
 
 def test_empirical_order_statistics_are_read_only():

@@ -72,7 +72,8 @@ def _pairs_scenario_json(name, pairs, storage):
 def _mixed_scenario_json():
     # All four families; draws switch primitive (uniform -> normal), two
     # Empirical draws follow each other, Weibull shapes 2 and 0.5 hit the
-    # special exponents 0.5 and 2, and a one-sample Empirical draws nothing.
+    # special exponents 0.5 and 2, and a one-sample Empirical draws one
+    # uniform like any other.
     pairs = [
         (weibull(2.0, 5.0), lognormal(0.0, 0.5)),
         (empirical(1.0, 3.0, 2.5), empirical(0.5, 4.0, 1.0, 2.0)),
@@ -208,12 +209,13 @@ def test_shared_estimates_equal_separate_estimates_bit_for_bit():
 
 @dataclass
 class _ShiftedUniform(Distribution):
-    """A user family with its own ``sample_n``: a plain dataclass, so unhashable."""
+    """A user family of uniforms plus ``shift``: a plain dataclass, so unhashable."""
 
     shift: float
+    primitive = "random"
 
-    def sample_n(self, rng, n):
-        return rng.random(self._check_n(n)) + self.shift
+    def transform(self, draws, out):
+        return np.add(draws, self.shift, out=out)
 
 
 def test_shared_estimates_accept_an_unhashable_quantity():
@@ -317,10 +319,55 @@ def test_shared_estimates_hold_one_draw_set_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The whole generation draw plus its choice indices (2.41 * 8n measured):
-    # the demand is drawn a block at a time, and an n-length demand draw or
-    # a second draw set kept alive would add another 8n.
+    # All 24 pairs draw uniforms, so they share one draw set: the whole
+    # generation draw plus four blocks, each a third of 8n here (the raw
+    # demand draws, the generation and balance blocks and the Empirical
+    # transform's indices; 2.40 * 8n measured).  The demand is drawn a block
+    # at a time, and an n-length demand draw or a second draw set kept alive
+    # would add another 8n.
     assert peak < 2.5 * 8 * n
+
+
+def test_an_empirical_generation_holds_no_n_length_indices():
+    n = 500_000
+    pair = [(Empirical((0.5, 1.0, 2.5, 4.0, 7.0)), LogNormal(-0.1, 0.6))]
+    estimate_steps(pair, SPEC_MIXED, [(2.0,)], 100, 0)
+    tracemalloc.start()
+    try:
+        estimate_steps(pair, SPEC_MIXED, [(2.0,)], n, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The whole uniform generation draw plus the blocks (1.14 * 8n measured);
+    # the transform's indices are one block, where n choice indices would
+    # add another 8n.
+    assert peak < 1.5 * 8 * n
+
+
+def test_a_one_sample_empirical_draws_one_uniform():
+    # A one-sample Empirical takes one uniform per value like any other, so
+    # the Weibull demand after it reads the second uniform of a trajectory's
+    # stream, and the second n uniforms of an estimate's.
+    one, seed, n = Empirical((2.0,)), 3, 1000
+    rng, after = np.random.default_rng(seed), np.random.default_rng(seed)
+    np.testing.assert_array_equal(one.sample_n(rng, 4), np.full(4, 2.0))
+    after.random(4)
+    assert rng.bit_generator.state == after.bit_generator.state
+    storage = {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0}
+    pairs = [(empirical(2.0), weibull(2.0, 5.0))]
+    scenario = parse_scenario(_pairs_scenario_json("one", pairs, storage))
+    plan = montecarlo._draw_plan(scenario)
+    assert plan[0] == [["random", 0, 2]]  # both uniforms in one call
+    g, d = montecarlo._draw(plan, seed, [0, 5])
+    np.testing.assert_array_equal(g, [[2.0, 2.0]])
+    for i, value in zip([0, 5], d[0]):
+        uniforms = np.random.default_rng((seed, i)).random(2)
+        assert value == FIG2_DEM.transform(uniforms, uniforms)[1]
+    uniforms = np.random.default_rng(seed).random(2 * n)
+    b = 2.0 - FIG2_DEM.transform(uniforms[n:], uniforms[n:])
+    ((est,),) = estimate_steps([(one, FIG2_DEM)], SPEC_0_5, [(0.0,)], n, seed)
+    assert est.p_deficit == np.count_nonzero(b <= 0.0) / n > 0.0
+    assert est.p_overflow == np.count_nonzero(b > 5.0) / n == 0.0
 
 
 def test_a_drawn_demand_is_held_a_block_at_a_time():
@@ -509,6 +556,22 @@ def test_trajectories_and_ensemble_follow_the_seed_contract():
 
 def test_repeated_quantities_follow_the_seed_contract():
     _assert_follows_the_seed_contract(parse_scenario(_repeated_scenario_json()), seed=17, n=600)
+
+
+def test_equal_empiricals_apart_in_a_zeros_sign_draw_their_own_values():
+    # Empirical((-0.0, 1.0)) == Empirical((0.0, 1.0)), so one transform call
+    # serves both sides; each value still equals the seed contract's, sign
+    # bit and all.
+    storage = {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0}
+    pairs = [(empirical(-0.0, 1.0), empirical(0.0, 1.0))]
+    scenario = parse_scenario(_pairs_scenario_json("zeros", pairs, storage))
+    g, d = montecarlo._draw(montecarlo._draw_plan(scenario), 5, range(16))
+    assert 0 < np.count_nonzero(g == 0.0) < 16
+    for i in range(16):
+        want = contract_trajectory(scenario, 5, i)
+        for got, key in ((g[:, i], "generation"), (d[:, i], "demand")):
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want[key]), err_msg=key)
+            np.testing.assert_array_equal(got, want[key], err_msg=key)
 
 
 # Seeds from one word to more words than SeedSequence's 4-word pool, and
