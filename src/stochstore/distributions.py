@@ -17,6 +17,8 @@ uniform draws, and LogNormal maps standard normals.  One call for ``k``
 draws yields the same stream as ``k`` calls for one draw each, so a caller
 may take the draws of several consecutive quantities that share a primitive
 in a single call and apply each quantity's ``transform`` afterwards.
+``raw_floor(v)`` is each family's closed-form inverse of ``transform`` at
+``v``, less a margin: a raw draw below it surely gives a value below ``v``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ __all__ = [
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
+
+# A raw floor's relative margin: far above the few ulps by which a transform
+# rounds, so that a draw just below the floor cannot round up onto ``v``.
+_FLOOR_MARGIN = 1e-9
 
 # Rational Chebyshev approximations to erf and erfc from W. J. Cody, Math.
 # Comp. 23 (1969) 631-637, with the coefficients of his CALERF routine:
@@ -179,6 +185,17 @@ class Distribution:
         """
         raise NotImplementedError
 
+    def raw_floor(self, v: float) -> float:
+        """A raw draw below which ``transform`` gives a value ``< v``, for ``v > 0``.
+
+        Every draw of ``primitive`` below the floor transforms to a value
+        below ``v``, with a relative margin for the transform's rounding;
+        ``-inf`` where no draw is known to (a family without a floor, or a
+        ``v`` every draw may reach).  It is each family's own closed-form
+        inverse of ``transform``, not read from ``cdf``.
+        """
+        return -math.inf
+
     def cdf(self, x):
         """Probability that the quantity is <= ``x``, elementwise over a float or an array."""
         raise NotImplementedError
@@ -248,6 +265,16 @@ class Weibull(Distribution):
         out *= self.scale
         return out
 
+    def raw_floor(self, v: float) -> float:
+        # U < 1 - exp(-(v / scale)**shape) gives a value below v.  The margin
+        # comes off the power, on which the transform's rounding of its log
+        # weighs 1 + shape times.  An inf power puts every uniform below the
+        # floor; a shape past 1e9 takes the whole power, and leaves no floor.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.power(v / self.scale, self.shape) * (1.0 - _FLOOR_MARGIN * (1.0 + self.shape))
+            floor = float(-np.expm1(-t))
+        return floor if floor > 0.0 else -math.inf
+
     def cdf(self, x):
         """``F(x)`` elementwise over a float or an array; 0 for ``x <= 0``."""
         x = np.maximum(x, 0.0)
@@ -283,6 +310,14 @@ class LogNormal(Distribution):
         np.multiply(draws, self.sigma, out=out)
         out += self.mu
         return np.exp(out, out=out)
+
+    def raw_floor(self, v: float) -> float:
+        # z < (log v - mu) / sigma gives a value below v.  The margin comes off
+        # the exponent, scaled by the terms it is rounded from; a quotient past
+        # the float range is inf, which every draw is below.
+        log_v = math.log(v)
+        margin = _FLOOR_MARGIN * (1.0 + abs(log_v) + abs(self.mu))
+        return (log_v - self.mu - margin) / self.sigma
 
     def cdf(self, x):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
@@ -336,6 +371,13 @@ class Empirical(Distribution):
         # takes into out without buffering it.
         np.multiply(draws, self._sorted.size, out=out)
         return np.take(self._sorted, out.astype(np.intp), out=out, mode="clip")
+
+    def raw_floor(self, v: float) -> float:
+        # U < k / size takes an index below k, the first sample >= v (a sample
+        # equal to v is not below it).  The margin keeps U * size from
+        # rounding up onto k.
+        k = int(np.searchsorted(self._sorted, v, "left"))
+        return k / self._sorted.size * (1.0 - _FLOOR_MARGIN) if k else -math.inf
 
     def cdf(self, x):
         return _elementwise(np.searchsorted(self._sorted, x, side="right") / self._sorted.size)

@@ -29,6 +29,19 @@ demand draws after them.  The transforms read the raw draws and write a
 block of values; a pair counted at many levels (a sweep's 51) sorts each
 block once and reads every level's counts by binary search, and any other
 pair compares the block with each level's window edges.
+
+A pair whose levels all lie inside the window counts only the draws that
+can reach one of its edges.  Every value is >= 0 and rounded subtraction
+is monotone, so ``fl(g - d)`` lies in ``[-d, g]``: a deficit at ``lo < 0``
+needs ``d >= -lo``, and an overflow at ``hi > 0`` needs ``g > hi``.  Each
+demand family's ``raw_floor`` gives a raw draw below which its value is
+surely below ``-lo``, so one compare of the raw demand draws with the lowest
+floor of a draw set, and one of each distinct generation's values with the
+lowest ``hi``, find every draw that can count; the pairs transform,
+subtract and count only those, with the same closed deficit and open
+overflow compares, so every count is the whole block's.  A pair whose edge
+needs no tail to reach (a level at ``s_min`` or ``s_max``, a deterministic
+demand) and a pair on the sort path count the whole block.
 """
 
 from __future__ import annotations
@@ -400,10 +413,57 @@ def _draw_block(draw, size: int):
     return None if draw is None else draw(size)
 
 
-def _count_block(members, raw_g, raw_d, g_out, b_out, mask) -> None:
-    """Count the balances of one block of raw draws for each member."""
+def _demand_floor(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray):
+    """The raw demand floor of a pair whose draws can be pruned, else ``None``.
+
+    Values are >= 0, so ``fl(g - d)`` lies in ``[-d, g]``: a deficit at
+    ``lo[j] < 0`` needs ``d >= -lo[j]``, and an overflow at ``hi[j] > 0``
+    needs ``g > hi[j]``.  A raw demand draw below the floor gives a demand
+    below every ``-lo[j]``.  A pair whose edges need no tail to reach (a level at
+    ``s_min`` or ``s_max``, a deterministic demand, or a deterministic
+    generation above ``hi``), or that the sort path counts, is counted whole;
+    so is one whose family has no floor or whose floor fails its one
+    ``transform`` check.
+    """
+    if not 0 < len(lo) <= SORT_ABOVE_LEVELS or dem.primitive is None:
+        return None
+    v = -lo.max()
+    if not (v > 0.0 and hi.min() > 0.0) or gen.primitive is None and gen.value > hi.min():
+        return None
+    floor = dem.raw_floor(v)
+    if floor == -np.inf:
+        return None
+    below = np.full(1, np.nextafter(floor, -np.inf))
+    with np.errstate(all="ignore"):  # a probe past the float range fails the check
+        return floor if dem.transform(below, below)[0] < v else None
+
+
+def _candidates(rule, raw_g, raw_d, g_out, mask):
+    """Indices of the block's draws that can reach a pruned pair's edge.
+
+    ``rule`` is ``(floor, hi, gens)``: the lowest demand floor and ``hi``
+    among the draw set's pruned pairs, and their distinct drawn generations.
+    A candidate's raw demand is at or above the floor, or a generation's
+    value is above ``hi``.  ``None`` once more than a quarter of the block
+    is, and the pruned pairs count the whole block: so the indices and the
+    two gathered blocks of raw draws never hold more than one block's bytes.
+    """
+    floor, hi, gens = rule
+    limit = len(mask) // 4
+    np.greater_equal(raw_d, floor, out=mask)
+    for gen in gens:
+        if np.count_nonzero(mask) > limit:
+            return None
+        mask |= gen.transform(raw_g, g_out) > hi
+    if np.count_nonzero(mask) > limit:
+        return None
+    return np.flatnonzero(mask)
+
+
+def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask) -> None:
+    """Count the balances of the raw draws ``raw_g``, ``raw_d`` for each member."""
     previous = None
-    for gen, dem, lo, hi, deficit, overflow in members:
+    for gen, dem, lo, hi, deficit, overflow, _ in members:
         # An equal generation maps the group's raw draws to the same values
         # (0.0 for a -0.0 changes no count).
         if previous is None or gen != previous:
@@ -414,8 +474,26 @@ def _count_block(members, raw_g, raw_d, g_out, b_out, mask) -> None:
         _count(b, lo, hi, mask, deficit, overflow)
 
 
+def _count_block(members, rule, raw_g, raw_d, g_out, b_out, mask) -> None:
+    """Count one block of raw draws for each member.
+
+    The pruned members (those with a floor) count only the candidates, when
+    ``rule`` finds few enough; every other member counts the whole block.
+    A draw that is not a candidate is neither event for any pruned member,
+    so their counts are the whole block's.
+    """
+    idx = None if rule is None else _candidates(rule, raw_g, raw_d, g_out, mask)
+    if idx is not None:
+        m = len(idx)
+        pruned = [member for member in members if member[-1] is not None]
+        cand_g = None if raw_g is None else raw_g.take(idx)
+        _count_pairs(pruned, cand_g, raw_d.take(idx), g_out[:m], b_out[:m], mask[:m])
+        members = [member for member in members if member[-1] is None]
+    _count_pairs(members, raw_g, raw_d, g_out, b_out, mask)
+
+
 def _count_draw_set(primitives, members, n: int, seed: int) -> None:
-    """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
+    """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow, floor)``.
 
     ``primitives`` names the generation's and the demand's ``Generator``
     method, ``None`` for a side that draws nothing.  The side drawn last,
@@ -425,6 +503,12 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     first, as the contract orders it.  Every array and view is freed on
     return, before the next draw set is drawn.
     """
+    pruned = [member for member in members if member[-1] is not None]
+    gens = []
+    for gen, *_ in pruned:
+        if gen.primitive is not None and gen not in gens:
+            gens.append(gen)
+    rule = (min(m[-1] for m in pruned), min(m[3].min() for m in pruned), gens) if pruned else None
     rng = np.random.default_rng(seed)
     draw_g, draw_d = (None if p is None else getattr(rng, p) for p in primitives)
     raw_g = None if draw_g is None or draw_d is None else draw_g(n)
@@ -436,6 +520,7 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
         # At most one side draws here, so the stream keeps its order.
         _count_block(
             members,
+            rule,
             raw_g[start:stop] if raw_g is not None else _draw_block(draw_g, size),
             _draw_block(draw_d, size),
             g_block[:size],
@@ -463,10 +548,20 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     any other compares the block against each level's window edges.  The
     side drawn last (the demand, or a generation against a Deterministic
     demand) is drawn one block at a time, which leaves the same values and
-    generator state as one whole draw.  One draw set's whole generation
-    draw (at most n values, and only when a demand draws after it), a block
-    of raw draws, one of generation, one of balance and one bool mask are
-    all the arrays held.
+    generator state as one whole draw.
+    A pair whose levels all lie inside the window (no level at ``s_min`` or
+    ``s_max``), with a drawn demand and at most ``SORT_ABOVE_LEVELS``
+    levels, counts only the block's candidates: the draws whose raw demand
+    is at or above its family's ``raw_floor`` of ``-lo``, or whose generation
+    is above ``hi``.  Values are >= 0 and ``fl(g - d)`` lies in ``[-d, g]``,
+    so no other draw is a deficit (``b <= lo``) or an overflow (``b > hi``),
+    and every count, and so every byte of output, equals the whole block's.
+    The candidates of a draw set's pairs are gathered once; past a quarter
+    of the block, the block is counted whole.
+    One draw set's whole generation draw (at most n values, and only when a
+    demand draws after it), a block of raw draws, one of generation, one of
+    balance, one bool mask, and the candidates' indices and gathered raw
+    draws (at most one block's bytes) are all the arrays held.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]
@@ -482,7 +577,7 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
         # The window (s_min - s, s_max - s] seen from each level s.
         lo = np.array([storage.s_min - s for s in lv])
         hi = np.array([storage.s_max - s for s in lv] + [np.inf])
-        member = (gen, dem, lo, hi, deficit, overflow)
+        member = (gen, dem, lo, hi, deficit, overflow, _demand_floor(gen, dem, lo, hi))
         groups.setdefault((gen.primitive, dem.primitive), []).append(member)
     for primitives, members in groups.items():
         _count_draw_set(primitives, members, n, seed)

@@ -321,6 +321,71 @@ def test_empirical_samples_each_value_equally_often():
     assert np.all(np.abs(counts - n / size) < 4.0 * sigma)
 
 
+# --- raw floors: each family's closed-form inverse of its transform ----------
+
+# Uniform draws lie in [0, 1); a normal draw may be any float.
+_TIES = Empirical((1.0, 2.0, 2.0, 2.0, 3.0))
+_LARGE_TIES = Empirical(tuple(np.repeat([0.5, 1.0, 1.5], [300, 400, 300])))
+
+
+@pytest.mark.parametrize(
+    "dist, v",
+    [
+        (LogNormal(0.0, 1.0), 2.0),
+        (LogNormal(-0.3, 0.8), 0.01),
+        (lognormal_from_moments(1.25, 1.0), 5.0),
+        # Tiny sigma: a floor near 1e300, and one past the float range (inf).
+        (LogNormal(0.3, 1e-300), 2.0),
+        (LogNormal(0.3, 5e-324), 2.0),
+        (LogNormal(-0.1, 1e-12), 0.9),
+        (LogNormal(700.0, 0.5), 1e305),
+        (Weibull(1.0, 0.05), 1.0),
+        (Weibull(1.0, 0.05), 1e-30),
+        (Weibull(1.0, 0.05), 1e30),
+        (Weibull(2.0, 50.0), 2.0),
+        (Weibull(2.0, 50.0), 1.99),
+        # 1 - exp(-power) rounds to 1, and the power overflows: every uniform
+        # is below the floor.
+        (Weibull(2.0, 50.0), 2.5),
+        (Weibull(1e-300, 50.0), 1.0),
+        (Weibull(2.0, 5.0), 1.0),
+        # Ties, and a v equal to a sample: that sample is not below v.
+        (_TIES, 2.0),
+        (_TIES, 3.0),
+        (_TIES, 2.5),
+        (_LARGE_TIES, 1.0),
+        (Empirical((0.5, 1.0, 4.0)), 4.0),
+    ],
+)
+def test_raw_floors_are_conservative(dist, v):
+    floor = dist.raw_floor(v)
+    assert floor > -math.inf
+    # The raw draws at 200 nextafter steps below the floor, and further down
+    # by relative steps; uniforms stay in [0, 1).
+    below = [np.nextafter(floor, -np.inf)]
+    for _ in range(199):
+        below.append(np.nextafter(below[-1], -np.inf))
+    below = np.array(below)
+    start = below[-1]
+    further = start - np.abs(start) * np.logspace(-15, 0, 16) - np.logspace(-300, 0, 16)
+    raws = np.concatenate([below, further])
+    if dist.primitive == "random":
+        raws = raws[raws >= 0.0]
+    with np.errstate(over="ignore"):
+        values = dist.transform(raws, np.empty_like(raws))
+    assert raws.size > 0 and np.all(values < v)
+    # Not far below: a raw draw a millionth above the floor reaches v.
+    if math.isfinite(floor) and floor < np.nextafter(1.0, 0.0) - 1e-6:
+        above = np.array([floor + 1e-6 * max(abs(floor), 1.0)])
+        assert dist.transform(above, above)[0] >= v
+
+
+def test_a_raw_floor_is_minus_inf_where_every_draw_may_reach_v():
+    assert Empirical((2.0, 3.0)).raw_floor(2.0) == -math.inf
+    assert Weibull(1.0, 2e9).raw_floor(0.5) == -math.inf  # the margin takes the whole power
+    assert Deterministic(1.0).raw_floor(0.5) == -math.inf  # draws nothing
+
+
 def test_empirical_order_statistics_are_read_only():
     # A parsed scenario is shared between callers; nothing may change it in place.
     e = Empirical(samples=(3.0, 1.0, 2.0))

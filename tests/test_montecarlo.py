@@ -489,9 +489,89 @@ def test_a_many_level_sweep_makes_no_per_level_passes(monkeypatch):
     assert counts[0] == 0
 
 
+# --- pruned pairs: only the draws that can reach an edge are counted ------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("extra_levels", [(), (2.0, 5.0, 8.0)], ids=["s_init", "levels-2-5-8"])
+def test_validate_day24_pairs_transform_only_candidates(
+    day24_scenario, extra_levels, seed, monkeypatch
+):
+    # validate's level lists: every step at s_init = 5 (in [0, 10]), and the
+    # first also at --levels 2,5,8; no level is on an edge, so every pair is
+    # pruned.
+    storage = day24_scenario.storage
+    pairs = [(spec.generation, spec.demand) for spec in day24_scenario.steps]
+    level_lists = [(storage.s_init, *extra_levels)] + [(storage.s_init,)] * (len(pairs) - 1)
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    seen = {}
+    transform = LogNormal.transform
+
+    def spy(self, draws, out):
+        seen[id(self)] = seen.get(id(self), 0) + draws.size
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(LogNormal, "transform", spy)
+    shared = estimate_steps(pairs, storage, level_lists, n, seed)
+    monkeypatch.undo()
+    for (gen, dem), levels, estimates in zip(pairs, level_lists, shared):
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, storage, level, n, seed)
+    # At s_init a deficit needs a demand of 5 and an overflow a generation
+    # above 5, a few percent of the draws.  Level 2 (a demand of 2) and level
+    # 8 (a generation above 2) widen the shared candidates to about 23%.
+    limit = n / 10 if not extra_levels else n / 4
+    assert all(seen[id(dem)] < limit for _, dem in pairs)
+
+
+SPEC_0_10 = StorageSpec(s_min=0.0, s_max=10.0, s_init=5.0)
+
+
+def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch):
+    # At level 5 in [0, 10] the window is (-5, 5].  Each edge value is one
+    # sample in ten, so a tenth or a fifth of a block is a candidate.
+    tenth = lambda x, rest: Empirical((x,) + (rest,) * 9)
+    pairs = [
+        # 1 - 6 = -5 lies on lo (closed): a deficit a tenth of the time.
+        (Deterministic(1.0), tenth(6.0, 0.5)),
+        # 5 - 0 = 5 lies on hi (open): never an overflow.
+        (Deterministic(5.0), Empirical((0.0, 1.0))),
+        # The same from drawn generations, and 5.01 - 0 just past hi.
+        (Empirical((1.0, 2.0)), tenth(6.0, 0.5)),
+        (tenth(5.0, 1.0), Empirical((0.0, 0.5))),
+        (tenth(5.01, 1.0), Empirical((0.0, 0.5))),
+        # A deterministic generation above hi needs no tail to overflow: 5.5 -
+        # 0 > 5 a tenth of the time, and the pair counts the whole block.
+        (Deterministic(5.5), tenth(0.0, 1.0)),
+    ]
+    lo, hi = np.array([-5.0]), np.array([5.0, np.inf])
+    floors = [montecarlo._demand_floor(gen, dem, lo, hi) for gen, dem in pairs]
+    assert None not in floors[:-1] and floors[-1] is None
+    seen = {}
+    transform = Empirical.transform
+
+    def spy(self, draws, out):
+        seen[id(self)] = seen.get(id(self), 0) + draws.size
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(Empirical, "transform", spy)
+    n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 9
+    shared = estimate_steps(pairs, SPEC_0_10, [(5.0,)] * len(pairs), n, seed)
+    monkeypatch.undo()
+    assert all(seen[id(dem)] < n / 4 for _, dem in pairs[:-1])
+    for (gen, dem), (est,) in zip(pairs, shared):
+        assert est == estimate_reference(gen, dem, SPEC_0_10, 5.0, n, seed)
+    assert 0.09 < shared[0][0].p_deficit < 0.11
+    assert 0.04 < shared[2][0].p_deficit < 0.06
+    assert 0.04 < shared[4][0].p_overflow < 0.06
+    assert 0.09 < shared[5][0].p_overflow < 0.11
+    for est in (shared[1][0], shared[3][0]):
+        assert est.p_overflow == 0.0 and est.p_self == 1.0
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 10's known sampler fault: b = g - d in floats rounds a "
+    reason="ROADMAP item 4's known sampler fault: b = g - d in floats rounds a "
     "generation below 2**-54 against demand 1 to b = -1, the deficit bound",
 )
 def test_a_vanishing_generation_is_not_counted_as_a_deficit():
