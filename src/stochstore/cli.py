@@ -75,11 +75,10 @@ __all__ = ["ConfigError", "main", "entrypoint"]
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix, or validate's n-length raw generation draw
-# (it holds at most one and draws the other side a block at a time; every
-# drawn family, Empirical too, takes one float64 draw per value).  sweep
-# holds no n-length array, so for it the budget bounds run time, not
-# memory.  A larger --n is refused before anything is sampled.
+# (n, horizon) ensemble matrix.  validate and sweep draw n float64 values
+# per side (Empirical too) but hold them a block at a time and no n-length
+# array, so for them the budget bounds run time, not memory.  A larger --n
+# is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
 # Largest --grid-cells.  The grid route grows about linearly (one array cdf
@@ -92,7 +91,7 @@ MAX_GRID_CELLS = 2**16
 # glibc's adaptive thresholds, which follow the largest block freed so far.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 # Largest block served from the heap, glibc's ceiling on 64-bit: above every
-# array of a default grid step and every n-length raw draw array to n = 4e6.
+# array of a default grid step and every block of Monte Carlo draws.
 _MMAP_THRESHOLD = 32 * 2**20
 # Free memory kept at the top of the heap: twice the above, glibc's own ratio.
 _TRIM_THRESHOLD = 64 * 2**20

@@ -16,16 +16,16 @@ for a fixed (scenario, n, seed) under any execution order.  The generator
 states are computed here, a chunk of trajectories at a time, from numpy's
 documented ``SeedSequence`` and ``PCG64`` seeding algorithms rather than by
 building one ``Generator`` per trajectory; a test pins them to
-``default_rng``.  A frequency estimate draws generation then demand from
-``default_rng(seed)``.  Every estimate is made by ``estimate_steps``, which
-counts one draw set at all the levels and for all the pairs that share it:
+``default_rng``.  A frequency estimate draws from ``default_rng(seed)``
+``ESTIMATE_BLOCK`` values at a time, each block's generation then its
+demand.  Every estimate is made by ``estimate_steps``, which counts one
+draw set at all the levels and for all the pairs that share it:
 a quantity's draws are named by its ``primitive`` (``None``, a
 Deterministic quantity, draws nothing), so every pair with the same two
 primitives reads the same draws.  A sweep draws its demand once for every
 level, and a generation that recurs from step to step is transformed once
-per block of draws.  The side drawn last is drawn a block at a time, so a
-draw set holds at most one n-length array: the generation's draws, when a
-demand draws after them.  The transforms read the raw draws and write a
+per block of draws.  An estimate draws and frees a block at a time, so it
+holds no n-length array.  The transforms read the raw draws and write a
 block of values; a pair counted at many levels (a sweep's 51) sorts each
 block once and reads every level's counts by binary search, and any other
 pair compares the block with each level's window edges.
@@ -496,12 +496,11 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow, floor)``.
 
     ``primitives`` names the generation's and the demand's ``Generator``
-    method, ``None`` for a side that draws nothing.  The side drawn last,
-    the demand or else the generation, is drawn one block at a time just
-    before the block is counted, and that block's draws are freed before the
-    next are drawn; a generation followed by a drawn demand is drawn whole
-    first, as the contract orders it.  Every array and view is freed on
-    return, before the next draw set is drawn.
+    method, ``None`` for a side that draws nothing.  Each block takes its
+    generation draws and then its demand draws from the one stream just
+    before it is counted, and they are freed before the next block is drawn.
+    Every array and view is freed on return, before the next draw set is
+    drawn.
     """
     pruned = [member for member in members if member[-1] is not None]
     gens = []
@@ -511,17 +510,15 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     rule = (min(m[-1] for m in pruned), min(m[3].min() for m in pruned), gens) if pruned else None
     rng = np.random.default_rng(seed)
     draw_g, draw_d = (None if p is None else getattr(rng, p) for p in primitives)
-    raw_g = None if draw_g is None or draw_d is None else draw_g(n)
     size = min(n, ESTIMATE_BLOCK)
     g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for start in range(0, n, ESTIMATE_BLOCK):
-        stop = min(start + ESTIMATE_BLOCK, n)
-        size = stop - start
-        # At most one side draws here, so the stream keeps its order.
+        size = min(ESTIMATE_BLOCK, n - start)
+        # Arguments are evaluated in order: the generation draws first.
         _count_block(
             members,
             rule,
-            raw_g[start:stop] if raw_g is not None else _draw_block(draw_g, size),
+            _draw_block(draw_g, size),
             _draw_block(draw_d, size),
             g_block[:size],
             b_block[:size],
@@ -535,20 +532,19 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     ``levels[k]`` lists the levels of ``pairs[k]``; the result holds one
     tuple per pair of one ``SelfSufficiencyEstimate`` per level, whose
     frequencies are counts divided by ``n``.  Each estimate counts ``n``
-    draws of the balance, generation drawn before demand from
-    ``default_rng(seed)``, so its raw draws depend only on ``(seed, n)`` and
-    on each side's ``primitive``: pairs with the same two primitives share
-    one sampling pass, and each pair's balance is counted at all of its
-    levels.
+    draws of the balance from ``default_rng(seed)``: each block of
+    ``ESTIMATE_BLOCK`` values draws its generation, then its demand.  A
+    side that draws alone (the other is Deterministic) reads the stream as
+    one whole draw would, and so does a draw set of ``n <= ESTIMATE_BLOCK``.
+    The raw draws depend only on ``(seed, n)`` and on each side's
+    ``primitive``: pairs with the same two primitives share one sampling
+    pass, and each pair's balance is counted at all of its levels.
     The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
     pair.  A transform reads the raw draws and writes the block; a pair
     whose generation equals the previous pair's reuses the generation values
     already in the block.  A pair with more than ``SORT_ABOVE_LEVELS`` levels
     sorts its balance block and reads every level's counts by binary search;
-    any other compares the block against each level's window edges.  The
-    side drawn last (the demand, or a generation against a Deterministic
-    demand) is drawn one block at a time, which leaves the same values and
-    generator state as one whole draw.
+    any other compares the block against each level's window edges.
     A pair whose levels all lie inside the window (no level at ``s_min`` or
     ``s_max``), with a drawn demand and at most ``SORT_ABOVE_LEVELS``
     levels, counts only the block's candidates: the draws whose raw demand
@@ -558,10 +554,9 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     and every count, and so every byte of output, equals the whole block's.
     The candidates of a draw set's pairs are gathered once; past a quarter
     of the block, the block is counted whole.
-    One draw set's whole generation draw (at most n values, and only when a
-    demand draws after it), a block of raw draws, one of generation, one of
-    balance, one bool mask, and the candidates' indices and gathered raw
-    draws (at most one block's bytes) are all the arrays held.
+    A block of raw draws per side, one of generation, one of balance, one
+    bool mask, and the candidates' indices and gathered raw draws (at most
+    one block's bytes) are all the arrays held, whatever ``n``.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]

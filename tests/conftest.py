@@ -98,16 +98,28 @@ def contract_trajectory(scenario, seed, index):
     )
 
 
-def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, seed: int):
-    """The whole-array frequency estimate: the bit-identity reference for ``estimate_steps``.
+# Values per block of the estimate contract, which each block draws as its
+# generation and then its demand.  Written out here, not read from
+# ``montecarlo``, so that the reference stays independent of it.
+ESTIMATE_BLOCK = 16384
 
-    Draws all ``n`` generation values and then all ``n`` demand values with
-    ``sample_n`` from ``default_rng(seed)``, and counts the balance against
-    the window of ``s_prev`` (deficit closed, overflow open).
+
+def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, seed: int):
+    """The block-by-block frequency estimate: the bit-identity reference for ``estimate_steps``.
+
+    For each block of ``ESTIMATE_BLOCK`` values (the last one shorter),
+    draws the generation's and then the demand's values with ``sample_n``
+    from ``default_rng(seed)``; then counts the whole sample's balance
+    against the window of ``s_prev`` (deficit closed, overflow open).
     """
     s_prev = storage.check_level(s_prev)
     rng = np.random.default_rng(seed)
-    b = gen.sample_n(rng, n) - dem.sample_n(rng, n)
+    blocks = []
+    for start in range(0, n, ESTIMATE_BLOCK):
+        size = min(ESTIMATE_BLOCK, n - start)
+        g = gen.sample_n(rng, size)
+        blocks.append(g - dem.sample_n(rng, size))
+    b = np.concatenate(blocks)
     n_deficit = int(np.count_nonzero(b <= storage.s_min - s_prev))
     n_overflow = int(np.count_nonzero(b > storage.s_max - s_prev))
     return SelfSufficiencyEstimate(

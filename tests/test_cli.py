@@ -45,16 +45,18 @@ def _read_csv(path):
 
 # Monte Carlo (deficit, overflow) counts of validate and sweep at n = 20000,
 # recorded with one separate draw per estimate; the shared draws must give
-# exactly count / n.
+# exactly count / n.  fig2's generation is deterministic, so its counts have
+# not moved since they were recorded; day24's are conftest.estimate_reference's,
+# whose two sides take turns by block.
 PINNED_N = 20_000
 PINNED_VALIDATE_FIG2 = (
     [(7442, 0)] * 3 + [(11, 0)] * 2 + [(0, 0)] * 4 + [(0, 599)] * 2 + [(0, 12558)] * 2
 )
 PINNED_VALIDATE_DAY24 = [
-    (58, 118), (59, 111), (60, 106), (61, 101), (64, 99), (66, 97), (66, 91), (68, 83),
-    (72, 78), (78, 77), (80, 76), (81, 73), (87, 73), (95, 70), (99, 68), (102, 65),
-    (108, 59), (112, 57), (122, 56), (132, 56), (139, 54), (147, 52), (161, 51), (170, 50),
-    (7519, 6), (647, 14), (121, 49), (28, 229), (6, 1460), (2, 12481),
+    (53, 96), (53, 91), (55, 87), (56, 83), (57, 79), (60, 76), (62, 74), (67, 71),
+    (68, 71), (70, 66), (74, 59), (78, 58), (84, 57), (88, 56), (90, 54), (93, 54),
+    (100, 52), (107, 51), (115, 49), (124, 48), (132, 46), (141, 45), (152, 43), (162, 41),
+    (7582, 6), (635, 14), (114, 46), (30, 232), (9, 1491), (2, 12418),
 ]
 PINNED_SWEEP_FIG2 = list(
     zip(
@@ -70,15 +72,21 @@ def _fractions(counts):
     return [(a / PINNED_N, b / PINNED_N, (PINNED_N - a - b) / PINNED_N) for a, b in counts]
 
 
+# day24 at seed 3 reads 89/90: step 11's p_overflow, 59/20000 against the
+# grid's 0.00415, is 0.00005 past its 3-standard-error halfwidth.  That is
+# a false alarm of the gate (ROADMAP item 12), and the pin keeps it.
 @pytest.mark.parametrize(
-    "scenario, seed, counts",
-    [("fig2_battery", 0, PINNED_VALIDATE_FIG2), ("day24_lognormal", 3, PINNED_VALIDATE_DAY24)],
+    "scenario, seed, counts, code",
+    [
+        ("fig2_battery", 0, PINNED_VALIDATE_FIG2, 0),
+        ("day24_lognormal", 3, PINNED_VALIDATE_DAY24, 1),
+    ],
     ids=["fig2", "day24"],
 )
-def test_validate_monte_carlo_column_is_pinned(tmp_path, scenario, seed, counts):
+def test_validate_monte_carlo_column_is_pinned(tmp_path, scenario, seed, counts, code):
     out = tmp_path / "v.json"
     argv = ["validate", "--scenario", scenario, "--n", str(PINNED_N), "--seed", str(seed)]
-    assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(out)]) == code
     mc = json.loads(out.read_text(encoding="utf-8"))["columns"]["mc_p_hat"]
     assert [tuple(mc[i : i + 3]) for i in range(0, len(mc), 3)] == _fractions(counts)
 

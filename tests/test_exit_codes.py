@@ -43,12 +43,14 @@ SAMPLE_VALUES = 2**15
 BALANCE_CELLS = 2**18
 
 # The most a run may hold at once (tracemalloc peak), from the budgets: 8
-# sample-sized arrays (simulate's states and one-step balances, or
-# validate's whole generation and an empirical draw's indices, plus
+# sample-sized arrays (simulate's states and one-step balances plus
 # temporaries; 6.4 measured), 2.5 balance-sized ones (a refined input's
 # cumulative masses and the masses its query reads, their differences; 1.9
 # measured) and 16 arrays of the largest --grid-cells for gridding an input
-# (a log-normal's cdf temporaries; 8.4 measured).
+# (a log-normal's cdf temporaries; 8.4 measured).  validate and sweep hold
+# no n-length array: validate on an empirical generation at the sample
+# budget reads 2.6 sample-sized arrays, all of them blocks of draws,
+# indices and values.
 PEAK_BYTES = 8 * (8 * SAMPLE_VALUES + 2.5 * BALANCE_CELLS + 16 * cli.MAX_GRID_CELLS)
 
 EXITS = {"simulate": {0, 2, 3}, "analyze": {0, 2, 3, 4}, "sweep": {0, 2, 3}, "validate": {0, 1, 2, 3, 4}}
@@ -181,9 +183,10 @@ LOGNORMAL = {"kind": "lognormal", "mean": 1.0, "variance": 0.5}
     ),
     expected=2,
 )
-# At each budget: a whole empirical generation draw, an ensemble matrix of
-# 16 steps (few trajectories, which are slow under tracemalloc), a balance
-# refined to 2.3e5 cells, and two log-normals at the largest --grid-cells.
+# At each budget: an empirical generation drawn block by block, an
+# ensemble matrix of 16 steps (few trajectories, which are slow under
+# tracemalloc), a balance refined to 2.3e5 cells, and two log-normals at
+# the largest --grid-cells.
 @example(run=_run(MID_STORAGE, EMPIRICAL, LOGNORMAL, ["validate", "--n", str(SAMPLE_VALUES)]), expected=0)
 @example(
     run=_run(MID_STORAGE, LOGNORMAL, LOGNORMAL, ["simulate", "--n", str(SAMPLE_VALUES // 16)], 16),

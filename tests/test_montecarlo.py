@@ -310,7 +310,7 @@ def test_generation_reuse_matches_the_reference_bit_for_bit(pairs, transforms_pe
 
 
 def test_shared_estimates_hold_one_draw_set_at_a_time():
-    n = 50_000
+    n = 200_000
     pairs = [(Empirical((float(k), k + 2.0)), Empirical((0.5 * k, 3.0))) for k in range(24)]
     estimate_steps(pairs[:1], SPEC_MIXED, [(2.0,)], 100, 0)
     tracemalloc.start()
@@ -319,13 +319,12 @@ def test_shared_estimates_hold_one_draw_set_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # All 24 pairs draw uniforms, so they share one draw set: the whole
-    # generation draw plus four blocks, each a third of 8n here (the raw
-    # demand draws, the generation and balance blocks and the Empirical
-    # transform's indices; 2.40 * 8n measured).  The demand is drawn a block
-    # at a time, and an n-length demand draw or a second draw set kept alive
-    # would add another 8n.
-    assert peak < 2.5 * 8 * n
+    # All 24 pairs draw uniforms, so they share one draw set, drawn a block
+    # at a time: the raw generation and demand draws, the generation and
+    # balance blocks and the Empirical transform's indices (5.25 blocks
+    # measured, 0.43 * 8n here).  An n-length draw or a second draw set
+    # kept alive would add another 8n, 12 blocks.
+    assert peak < 7 * 8 * montecarlo.ESTIMATE_BLOCK
 
 
 def test_an_empirical_generation_holds_no_n_length_indices():
@@ -338,10 +337,10 @@ def test_an_empirical_generation_holds_no_n_length_indices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The whole uniform generation draw plus the blocks (1.14 * 8n measured);
-    # the transform's indices are one block, where n choice indices would
-    # add another 8n.
-    assert peak < 1.5 * 8 * n
+    # The blocks alone (5.15 blocks measured, 0.17 * 8n here): the
+    # transform's indices are one block, where n choice indices or an
+    # n-length draw would add another 8n, 30 blocks.
+    assert peak < 7 * 8 * montecarlo.ESTIMATE_BLOCK
 
 
 def test_a_one_sample_empirical_draws_one_uniform():
@@ -380,9 +379,33 @@ def test_a_drawn_demand_is_held_a_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The whole generation draw plus the blocks (1.26 * 8n measured); an
-    # n-length demand draw next to it would add another 8n.
-    assert peak < 1.5 * 8 * n
+    # The blocks alone (4.46 blocks measured, 0.37 * 8n here); an n-length
+    # draw of either side would add another 8n, 12 blocks.
+    assert peak < 6 * 8 * montecarlo.ESTIMATE_BLOCK
+
+
+def test_a_two_sided_draw_set_holds_no_n_length_array(day24_scenario):
+    # validate's draw set on day24: a log-normal generation against 24
+    # log-normal demands, at every step's s_init and step 1's 7 levels.
+    # Each block draws its generation, then its demand, so the peak is a
+    # few blocks at any n.
+    storage = day24_scenario.storage
+    pairs = [(spec.generation, spec.demand) for spec in day24_scenario.steps]
+    level_lists = [(storage.s_init, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0)]
+    level_lists += [(storage.s_init,)] * (len(pairs) - 1)
+    estimate_steps(pairs, storage, level_lists, 100, 0)
+    peaks = []
+    for n in (200_000, 800_000):
+        tracemalloc.start()
+        try:
+            estimate_steps(pairs, storage, level_lists, n, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 4.38 blocks measured at both n; one n-length array would add 8n, 12
+    # or 49 blocks.
+    assert max(peaks) < 6 * 8 * montecarlo.ESTIMATE_BLOCK
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
 
 def test_shared_estimates_validate_inputs():
@@ -395,9 +418,9 @@ def test_shared_estimates_validate_inputs():
 
 # --- the sort path: a pair counted at many levels ---------------------------------
 
-# Every family on each side, and each kind of draw set: a whole generation
-# draw before a demand drawn by block, and a demand or a generation (against
-# a deterministic demand) drawn alone, a block at a time.
+# Every family on each side, and each kind of draw set: a generation and a
+# demand that take turns by block, and a demand or a generation (against a
+# deterministic demand) drawn alone, a block at a time.
 SORT_PAIRS = [
     (LogNormal(0.1, 0.4), Weibull(2.0, 5.0)),
     (LogNormal(0.1, 0.4), LogNormal(-0.1, 0.6)),
