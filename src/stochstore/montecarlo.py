@@ -37,11 +37,14 @@ needs ``d >= -lo``, and an overflow at ``hi > 0`` needs ``g > hi``.  Each
 demand family's ``raw_floor`` gives a raw draw below which its value is
 surely below ``-lo``, so one compare of the raw demand draws with the lowest
 floor of a draw set, and one of each distinct generation's values with the
-lowest ``hi``, find every draw that can count; the pairs transform,
-subtract and count only those, with the same closed deficit and open
-overflow compares, so every count is the whole block's.  A pair whose edge
-needs no tail to reach (a level at ``s_min`` or ``s_max``, a deterministic
-demand) and a pair on the sort path count the whole block.
+lowest ``hi``, find every draw that can count.  Their raw draws are
+gathered across blocks into a quarter-block buffer per drawn side, and the
+pairs transform, subtract and count the buffer when it would overflow and
+at the end, with the same closed deficit and open overflow compares; counts
+are sums, so every count is the whole sample's.  A pair whose edge needs no
+tail to reach (a level at ``s_min`` or ``s_max``, a deterministic demand)
+and a pair on the sort path count each block whole, first, and reuse the
+generation values the candidate compare left.
 """
 
 from __future__ import annotations
@@ -444,25 +447,26 @@ def _candidates(rule, raw_g, raw_d, g_out, mask):
     ``rule`` is ``(floor, hi, gens)``: the lowest demand floor and ``hi``
     among the draw set's pruned pairs, and their distinct drawn generations.
     A candidate's raw demand is at or above the floor, or a generation's
-    value is above ``hi``.  ``None`` once more than a quarter of the block
-    is, and the pruned pairs count the whole block: so the indices and the
-    two gathered blocks of raw draws never hold more than one block's bytes.
+    value is above ``hi``; ``g_out`` is left holding the last of ``gens``'
+    values.  ``None`` once more than a quarter of the block is, and the
+    pruned pairs count the whole block: so the indices never hold more than
+    a quarter of the block, and they fit an emptied candidate buffer.
     """
     floor, hi, gens = rule
-    limit = len(mask) // 4
     np.greater_equal(raw_d, floor, out=mask)
     for gen in gens:
-        if np.count_nonzero(mask) > limit:
-            return None
         mask |= gen.transform(raw_g, g_out) > hi
-    if np.count_nonzero(mask) > limit:
+    if np.count_nonzero(mask) > len(mask) // 4:
         return None
     return np.flatnonzero(mask)
 
 
-def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask) -> None:
-    """Count the balances of the raw draws ``raw_g``, ``raw_d`` for each member."""
-    previous = None
+def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask, held=None) -> None:
+    """Count the balances of the raw draws ``raw_g``, ``raw_d`` for each member.
+
+    ``g_out`` already holds the values of the generation ``held``, if any.
+    """
+    g, previous = g_out, held
     for gen, dem, lo, hi, deficit, overflow, _ in members:
         # An equal generation maps the group's raw draws to the same values
         # (0.0 for a -0.0 changes no count).
@@ -474,56 +478,64 @@ def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask) -> None:
         _count(b, lo, hi, mask, deficit, overflow)
 
 
-def _count_block(members, rule, raw_g, raw_d, g_out, b_out, mask) -> None:
-    """Count one block of raw draws for each member.
-
-    The pruned members (those with a floor) count only the candidates, when
-    ``rule`` finds few enough; every other member counts the whole block.
-    A draw that is not a candidate is neither event for any pruned member,
-    so their counts are the whole block's.
-    """
-    idx = None if rule is None else _candidates(rule, raw_g, raw_d, g_out, mask)
-    if idx is not None:
-        m = len(idx)
-        pruned = [member for member in members if member[-1] is not None]
-        cand_g = None if raw_g is None else raw_g.take(idx)
-        _count_pairs(pruned, cand_g, raw_d.take(idx), g_out[:m], b_out[:m], mask[:m])
-        members = [member for member in members if member[-1] is None]
-    _count_pairs(members, raw_g, raw_d, g_out, b_out, mask)
-
-
 def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow, floor)``.
 
     ``primitives`` names the generation's and the demand's ``Generator``
     method, ``None`` for a side that draws nothing.  Each block takes its
-    generation draws and then its demand draws from the one stream just
-    before it is counted, and they are freed before the next block is drawn.
-    Every array and view is freed on return, before the next draw set is
-    drawn.
+    generation draws and then its demand draws from the one stream, and
+    they are freed before the next block is drawn.  The members with no
+    floor count the whole block first, while the generation block still
+    holds the values of the candidate rule's last generation, which an
+    equal generation reads rather than transforms.  The pruned members
+    (those with a floor) count the whole block too when ``_candidates``
+    finds too many candidates.  Otherwise the candidates' raw draws are
+    copied into the draw set's buffers, a quarter block per drawn side,
+    which the pruned members count when the next block's candidates would
+    not fit, and once more at the end.  A draw that is not a candidate is
+    neither event for any pruned member, and counts are sums, so their
+    counts are the whole sample's.  Every array and view is freed on
+    return, before the next draw set is drawn.
     """
     pruned = [member for member in members if member[-1] is not None]
+    whole = [member for member in members if member[-1] is None]
     gens = []
     for gen, *_ in pruned:
         if gen.primitive is not None and gen not in gens:
             gens.append(gen)
     rule = (min(m[-1] for m in pruned), min(m[3].min() for m in pruned), gens) if pruned else None
+    held = gens[-1] if gens else None
     rng = np.random.default_rng(seed)
     draw_g, draw_d = (None if p is None else getattr(rng, p) for p in primitives)
     size = min(n, ESTIMATE_BLOCK)
     g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    room = size // 4  # no block has more candidates than this
+    buffers = [np.empty(room) if pruned and draw else None for draw in (draw_g, draw_d)]
+    fill = 0
+
+    def count_buffers():
+        views = (None if buf is None else buf[:fill] for buf in buffers)
+        _count_pairs(pruned, *views, g_block[:fill], b_block[:fill], mask_block[:fill])
+
     for start in range(0, n, ESTIMATE_BLOCK):
         size = min(ESTIMATE_BLOCK, n - start)
-        # Arguments are evaluated in order: the generation draws first.
-        _count_block(
-            members,
-            rule,
-            _draw_block(draw_g, size),
-            _draw_block(draw_d, size),
-            g_block[:size],
-            b_block[:size],
-            mask_block[:size],
-        )
+        # A tuple is evaluated left to right: the generation draws first.
+        raw_g, raw_d = _draw_block(draw_g, size), _draw_block(draw_d, size)
+        g, b, mask = g_block[:size], b_block[:size], mask_block[:size]
+        idx = None if rule is None else _candidates(rule, raw_g, raw_d, g, mask)
+        _count_pairs(members if idx is None else whole, raw_g, raw_d, g, b, mask, held)
+        if idx is not None:
+            if fill + len(idx) > room:
+                count_buffers()
+                fill = 0
+            stop = fill + len(idx)
+            if raw_g is not None:
+                raw_g.take(idx, out=buffers[0][fill:stop])
+            raw_d.take(idx, out=buffers[1][fill:stop])
+            fill = stop
+        raw_g = raw_d = idx = None  # freed before the next block is drawn
+    if fill:
+        count_buffers()
 
 
 def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
@@ -538,25 +550,29 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     one whole draw would, and so does a draw set of ``n <= ESTIMATE_BLOCK``.
     The raw draws depend only on ``(seed, n)`` and on each side's
     ``primitive``: pairs with the same two primitives share one sampling
-    pass, and each pair's balance is counted at all of its levels.
+    pass, and each pair's balance is counted once at each distinct level,
+    whose counts its repeats copy.
     The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
     pair.  A transform reads the raw draws and writes the block; a pair
-    whose generation equals the previous pair's reuses the generation values
-    already in the block.  A pair with more than ``SORT_ABOVE_LEVELS`` levels
-    sorts its balance block and reads every level's counts by binary search;
-    any other compares the block against each level's window edges.
+    whose generation equals the last one transformed reuses the generation
+    values already in the block.  A pair with more than ``SORT_ABOVE_LEVELS``
+    distinct levels sorts its balance block and reads every level's counts
+    by binary search; any other compares the block against each level's
+    window edges.
     A pair whose levels all lie inside the window (no level at ``s_min`` or
     ``s_max``), with a drawn demand and at most ``SORT_ABOVE_LEVELS``
-    levels, counts only the block's candidates: the draws whose raw demand
+    distinct levels, counts only the block's candidates: the draws whose raw demand
     is at or above its family's ``raw_floor`` of ``-lo``, or whose generation
     is above ``hi``.  Values are >= 0 and ``fl(g - d)`` lies in ``[-d, g]``,
     so no other draw is a deficit (``b <= lo``) or an overflow (``b > hi``),
-    and every count, and so every byte of output, equals the whole block's.
-    The candidates of a draw set's pairs are gathered once; past a quarter
-    of the block, the block is counted whole.
-    A block of raw draws per side, one of generation, one of balance, one
-    bool mask, and the candidates' indices and gathered raw draws (at most
-    one block's bytes) are all the arrays held, whatever ``n``.
+    and every count, and so every byte of output, equals the whole sample's.
+    The candidates of a draw set's pairs are found once per block, and
+    their raw draws gathered across blocks into a buffer of a quarter block
+    per drawn side, which the pairs count when the next block's candidates
+    would not fit, and at the end; past a quarter of a block, the block is
+    counted whole.  A block of raw draws per side, one of generation, one
+    of balance, one bool mask, the candidates' indices and the buffers (at
+    most one block's bytes together) are all the arrays held, whatever ``n``.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]
@@ -565,20 +581,22 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     n = int(n)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    deficits = [np.zeros(len(lv), dtype=np.int64) for lv in levels]
-    overflows = [np.zeros(len(lv), dtype=np.int64) for lv in levels]
+    counts = []
     groups: dict = {}
-    for (gen, dem), lv, deficit, overflow in zip(pairs, levels, deficits, overflows):
-        # The window (s_min - s, s_max - s] seen from each level s.
-        lo = np.array([storage.s_min - s for s in lv])
-        hi = np.array([storage.s_max - s for s in lv] + [np.inf])
+    for (gen, dem), lv in zip(pairs, levels):
+        # Each distinct level s is counted once, in the window (s_min - s,
+        # s_max - s] seen from it, and its counts are copied to its repeats.
+        distinct, repeats = np.unique(lv, return_inverse=True)
+        lo, hi = storage.s_min - distinct, np.append(storage.s_max - distinct, np.inf)
+        deficit, overflow = np.zeros(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=np.int64)
         member = (gen, dem, lo, hi, deficit, overflow, _demand_floor(gen, dem, lo, hi))
         groups.setdefault((gen.primitive, dem.primitive), []).append(member)
+        counts.append((deficit, overflow, repeats))
     for primitives, members in groups.items():
         _count_draw_set(primitives, members, n, seed)
     return tuple(
-        tuple(_estimate(d, o, n) for d, o in zip(ds.tolist(), os.tolist()))
-        for ds, os in zip(deficits, overflows)
+        tuple(_estimate(d, o, n) for d, o in zip(ds[r].tolist(), os[r].tolist()))
+        for ds, os, r in counts
     )
 
 

@@ -321,9 +321,9 @@ def test_shared_estimates_hold_one_draw_set_at_a_time():
         tracemalloc.stop()
     # All 24 pairs draw uniforms, so they share one draw set, drawn a block
     # at a time: the raw generation and demand draws, the generation and
-    # balance blocks and the Empirical transform's indices (5.25 blocks
-    # measured, 0.43 * 8n here).  An n-length draw or a second draw set
-    # kept alive would add another 8n, 12 blocks.
+    # balance blocks, the Empirical transform's indices and the candidate
+    # buffers (5.86 blocks measured, 0.48 * 8n here).  An n-length draw or a
+    # second draw set kept alive would add another 8n, 12 blocks.
     assert peak < 7 * 8 * montecarlo.ESTIMATE_BLOCK
 
 
@@ -337,9 +337,9 @@ def test_an_empirical_generation_holds_no_n_length_indices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The blocks alone (5.15 blocks measured, 0.17 * 8n here): the
-    # transform's indices are one block, where n choice indices or an
-    # n-length draw would add another 8n, 30 blocks.
+    # The blocks and the candidate buffers (5.66 blocks measured, 0.19 * 8n
+    # here): the transform's indices are one block, where n choice indices
+    # or an n-length draw would add another 8n, 30 blocks.
     assert peak < 7 * 8 * montecarlo.ESTIMATE_BLOCK
 
 
@@ -379,8 +379,8 @@ def test_a_drawn_demand_is_held_a_block_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # The blocks alone (4.46 blocks measured, 0.37 * 8n here); an n-length
-    # draw of either side would add another 8n, 12 blocks.
+    # The blocks and the candidate buffers (4.78 blocks measured, 0.39 * 8n
+    # here); an n-length draw of either side would add another 8n, 12 blocks.
     assert peak < 6 * 8 * montecarlo.ESTIMATE_BLOCK
 
 
@@ -402,8 +402,8 @@ def test_a_two_sided_draw_set_holds_no_n_length_array(day24_scenario):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # 4.38 blocks measured at both n; one n-length array would add 8n, 12
-    # or 49 blocks.
+    # 4.93 blocks measured at both n, the candidate buffers' half block
+    # among them; one n-length array would add 8n, 12 or 49 blocks.
     assert max(peaks) < 6 * 8 * montecarlo.ESTIMATE_BLOCK
     assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
@@ -590,6 +590,96 @@ def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch)
     assert 0.09 < shared[5][0].p_overflow < 0.11
     for est in (shared[1][0], shared[3][0]):
         assert est.p_overflow == 0.0 and est.p_self == 1.0
+
+
+# A demand of 5 or more (about 24.8% of Weibull(4.24, 2)) is a candidate at
+# level 5 in [0, 10], so a block's candidates never share the quarter-block
+# buffer with the next block's, and now and then a block is past a quarter.
+_FLUSH_PAIRS = [
+    (LogNormal(0.0, 0.5), Weibull(4.24, 2.0)),
+    (LogNormal(0.1, 0.5), Weibull(3.0, 2.0)),
+    # Level 0 is s_min, so this pair counts every block whole.  The candidate
+    # rule leaves the last pruned generation's values, not its own, in the
+    # generation block.
+    (LogNormal(0.0, 0.5), Weibull(2.0, 1.5)),
+]
+_FLUSH_LEVELS = [(5.0,), (5.0,), (5.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [montecarlo.ESTIMATE_BLOCK // 2 + 3, montecarlo.ESTIMATE_BLOCK, 5 * montecarlo.ESTIMATE_BLOCK + 7],
+)
+def test_estimates_match_the_reference_across_candidate_buffer_flushes(n, monkeypatch):
+    block, seed = montecarlo.ESTIMATE_BLOCK, 11
+    shares = []
+    candidates = montecarlo._candidates
+
+    def spy(rule, raw_g, raw_d, g_out, mask):
+        idx = candidates(rule, raw_g, raw_d, g_out, mask)
+        shares.append(None if idx is None else len(idx) / len(mask))
+        return idx
+
+    monkeypatch.setattr(montecarlo, "_candidates", spy)
+    shared = estimate_steps(_FLUSH_PAIRS, SPEC_0_10, _FLUSH_LEVELS, n, seed)
+    monkeypatch.undo()
+    for (gen, dem), levels, estimates in zip(_FLUSH_PAIRS, _FLUSH_LEVELS, shared):
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, SPEC_0_10, level, n, seed)
+    if n > block:
+        # Blocks 1, 3 and 4 each find the buffer holding the block before
+        # them and count it first; block 2, past a quarter, is counted whole
+        # and leaves block 1's candidates in the buffer.
+        full = shares[:5]
+        assert full[2] is None
+        assert all(1 / 8 < full[k] <= 1 / 4 for k in (0, 1, 3, 4))
+
+
+def test_validate_day24_transforms_each_block_once_and_the_candidates_in_few_passes(
+    day24_scenario, monkeypatch
+):
+    # validate's pairs and level lists at its default levels: step 1 is
+    # counted whole (levels 0 and 10 are the window's ends), and steps 2-24
+    # count their candidates, gathered over many blocks.
+    storage = day24_scenario.storage
+    pairs = [(spec.generation, spec.demand) for spec in day24_scenario.steps]
+    level_lists = [(storage.s_init, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0)]
+    level_lists += [(storage.s_init,)] * (len(pairs) - 1)
+    n, block = 250_000, montecarlo.ESTIMATE_BLOCK
+    blocks = -(-n // block)
+    seen = []
+    transform = LogNormal.transform
+
+    def spy(self, draws, out):
+        seen.append((self, draws.size))
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(LogNormal, "transform", spy)
+    estimate_steps(pairs, storage, level_lists, n, 0)
+    monkeypatch.undo()
+    # 23 floor checks, then per block the generation once (for the candidate
+    # rule and step 1 both) and step 1's demand; and a few passes over the
+    # buffered candidates, each of the generation and the 23 demands.
+    assert len(seen) <= 130
+    gen = pairs[0][0]
+    whole_block_sizes = (block, n - (blocks - 1) * block)
+    assert sum(q == gen and size in whole_block_sizes for q, size in seen) == blocks
+    assert sum(q is pairs[0][1] for q, _ in seen) == blocks
+
+
+@pytest.mark.parametrize(
+    "levels", [(0.0, 0.0, 1.0, 0.0), (0.0, -0.0, 2.5, 5.0, 2.5)], ids=["repeats", "signed-zero"]
+)
+def test_repeated_levels_are_counted_once(levels, monkeypatch):
+    pairs = FIG2_PAIR + [(LogNormal(0.1, 0.4), Weibull(2.0, 5.0)), (EMPIRICAL_A, EMPIRICAL_B)]
+    n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 4
+    counts = _count_calls(monkeypatch, np, "count_nonzero")
+    (fig2,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], n, seed)
+    # A deficit and an overflow pass per distinct level per block.
+    assert counts[0] == 2 * len(set(levels)) * 3
+    monkeypatch.undo()
+    shared = _assert_matches_reference(pairs, SPEC_0_5, levels, n, seed)
+    assert shared[0] == fig2
 
 
 @pytest.mark.xfail(
@@ -843,7 +933,8 @@ def test_sweep_holds_no_n_length_array():
         finally:
             tracemalloc.stop()
     # The demand is drawn a block at a time, so the peak is a few blocks
-    # (0.42 MB measured) at any n; an n-length array would add 8n.
+    # (0.42 MB measured; no pair is pruned, so no candidate buffer) at any
+    # n; an n-length array would add 8n.
     assert max(peaks) < 4 * 8 * montecarlo.ESTIMATE_BLOCK
     assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
 
