@@ -18,7 +18,9 @@ draws yields the same stream as ``k`` calls for one draw each, so a caller
 may take the draws of several consecutive quantities that share a primitive
 in a single call and apply each quantity's ``transform`` afterwards.
 ``raw_floor(v)`` is each family's closed-form inverse of ``transform`` at
-``v``, less a margin: a raw draw below it surely gives a value below ``v``.
+``v``, less a margin: a raw draw below it surely gives a value below ``v``;
+``raw_ceil(v)`` is the inverse plus a margin, at or above which a raw draw
+surely gives a value above ``v``.  Both are elementwise, like ``cdf``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ __all__ = [
 
 _STD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
+_LEAST_POSITIVE = math.ulp(0.0)
 
-# A raw floor's relative margin: far above the few ulps by which a transform
-# rounds, so that a draw just below the floor cannot round up onto ``v``.
-_FLOOR_MARGIN = 1e-9
+# A raw bound's relative margin: far above the few ulps by which a transform
+# rounds, so that a draw just past the bound cannot round onto ``v``.
+RAW_MARGIN = 1e-9
 
 # Rational Chebyshev approximations to erf and erfc from W. J. Cody, Math.
 # Comp. 23 (1969) 631-637, with the coefficients of his CALERF routine:
@@ -185,16 +188,25 @@ class Distribution:
         """
         raise NotImplementedError
 
-    def raw_floor(self, v: float) -> float:
+    def raw_floor(self, v):
         """A raw draw below which ``transform`` gives a value ``< v``, for ``v > 0``.
 
         Every draw of ``primitive`` below the floor transforms to a value
         below ``v``, with a relative margin for the transform's rounding;
         ``-inf`` where no draw is known to (a family without a floor, or a
         ``v`` every draw may reach).  It is each family's own closed-form
-        inverse of ``transform``, not read from ``cdf``.
+        inverse of ``transform``, not read from ``cdf``; elementwise over a
+        float or an array.
         """
-        return -math.inf
+        return _elementwise(np.full(np.shape(v), -np.inf))
+
+    def raw_ceil(self, v):
+        """A raw draw at or above which ``transform`` gives a value ``> v``, for ``v >= 0``.
+
+        The mirror of ``raw_floor``: ``inf`` where no draw is known to give
+        a value above ``v``.
+        """
+        return _elementwise(np.full(np.shape(v), np.inf))
 
     def cdf(self, x):
         """Probability that the quantity is <= ``x``, elementwise over a float or an array."""
@@ -265,15 +277,28 @@ class Weibull(Distribution):
         out *= self.scale
         return out
 
-    def raw_floor(self, v: float) -> float:
+    def raw_floor(self, v):
         # U < 1 - exp(-(v / scale)**shape) gives a value below v.  The margin
         # comes off the power, on which the transform's rounding of its log
         # weighs 1 + shape times.  An inf power puts every uniform below the
         # floor; a shape past 1e9 takes the whole power, and leaves no floor.
+        floor = self._uniform_at(v, 1.0 - RAW_MARGIN * (1.0 + self.shape))
+        return _elementwise(np.where(floor > 0.0, floor, -np.inf))
+
+    def raw_ceil(self, v):
+        # U >= 1 - exp(-(v / scale)**shape) gives a value above v, with the
+        # margin added to the power.  As for the log-normal, a v below the
+        # least positive float is read as that float, and one ulp up takes a
+        # power that rounds to 0 past it.  A ceiling at 1 is above every
+        # uniform: inf.
+        factor = 1.0 + RAW_MARGIN * (1.0 + self.shape)
+        ceil = np.nextafter(self._uniform_at(np.maximum(v, _LEAST_POSITIVE), factor), 1.0)
+        return _elementwise(np.where(ceil < 1.0, ceil, np.inf))
+
+    def _uniform_at(self, v, factor: float) -> np.ndarray:
+        """``1 - exp(-(v / scale)**shape * factor)``; a power past the float range is inf."""
         with np.errstate(over="ignore", invalid="ignore"):
-            t = np.power(v / self.scale, self.shape) * (1.0 - _FLOOR_MARGIN * (1.0 + self.shape))
-            floor = float(-np.expm1(-t))
-        return floor if floor > 0.0 else -math.inf
+            return -np.expm1(-np.power(np.divide(v, self.scale), self.shape) * factor)
 
     def cdf(self, x):
         """``F(x)`` elementwise over a float or an array; 0 for ``x <= 0``."""
@@ -311,13 +336,22 @@ class LogNormal(Distribution):
         out += self.mu
         return np.exp(out, out=out)
 
-    def raw_floor(self, v: float) -> float:
+    def raw_floor(self, v):
         # z < (log v - mu) / sigma gives a value below v.  The margin comes off
         # the exponent, scaled by the terms it is rounded from; a quotient past
         # the float range is inf, which every draw is below.
-        log_v = math.log(v)
-        margin = _FLOOR_MARGIN * (1.0 + abs(log_v) + abs(self.mu))
-        return (log_v - self.mu - margin) / self.sigma
+        return self._z(np.log(v), -1.0)
+
+    def raw_ceil(self, v):
+        # z >= (log v - mu) / sigma, plus the margin, gives a value above v.  A
+        # v below the least positive float is read as that float, whose log
+        # exp does not round to 0.
+        return self._z(np.log(np.maximum(v, _LEAST_POSITIVE)), 1.0)
+
+    def _z(self, log_v, sign: float):
+        margin = RAW_MARGIN * (1.0 + np.abs(log_v) + abs(self.mu))
+        with np.errstate(over="ignore"):
+            return _elementwise((log_v - self.mu + sign * margin) / self.sigma)
 
     def cdf(self, x):
         """Normal cdf of ``(log(x) - mu) / sigma`` elementwise; 0 for ``x <= 0``."""
@@ -372,12 +406,20 @@ class Empirical(Distribution):
         np.multiply(draws, self._sorted.size, out=out)
         return np.take(self._sorted, out.astype(np.intp), out=out, mode="clip")
 
-    def raw_floor(self, v: float) -> float:
+    def raw_floor(self, v):
         # U < k / size takes an index below k, the first sample >= v (a sample
         # equal to v is not below it).  The margin keeps U * size from
         # rounding up onto k.
-        k = int(np.searchsorted(self._sorted, v, "left"))
-        return k / self._sorted.size * (1.0 - _FLOOR_MARGIN) if k else -math.inf
+        k = np.searchsorted(self._sorted, v, "left")
+        return _elementwise(np.where(k > 0, k / self._sorted.size * (1.0 - RAW_MARGIN), -np.inf))
+
+    def raw_ceil(self, v):
+        # U >= j / size takes an index at or above j, the first sample > v.
+        # The margin keeps U * size from rounding down below j; with no
+        # sample above v, no draw is.
+        j = np.searchsorted(self._sorted, v, "right")
+        size = self._sorted.size
+        return _elementwise(np.where(j < size, j / size * (1.0 + RAW_MARGIN), np.inf))
 
     def cdf(self, x):
         return _elementwise(np.searchsorted(self._sorted, x, side="right") / self._sorted.size)

@@ -25,26 +25,36 @@ Deterministic quantity, draws nothing), so every pair with the same two
 primitives reads the same draws.  A sweep draws its demand once for every
 level, and a generation that recurs from step to step is transformed once
 per block of draws.  An estimate draws and frees a block at a time, so it
-holds no n-length array.  The transforms read the raw draws and write a
-block of values; a pair counted at many levels (a sweep's 51) sorts each
-block once and reads every level's counts by binary search, and any other
-pair compares the block with each level's window edges.
+holds no n-length array.
 
-A pair whose levels all lie inside the window counts only the draws that
-can reach one of its edges.  Every value is >= 0 and rounded subtraction
-is monotone, so ``fl(g - d)`` lies in ``[-d, g]``: a deficit at ``lo < 0``
-needs ``d >= -lo``, and an overflow at ``hi > 0`` needs ``g > hi``.  Each
-demand family's ``raw_floor`` gives a raw draw below which its value is
-surely below ``-lo``, so one compare of the raw demand draws with the lowest
-floor of a draw set, and one of each distinct generation's values with the
-lowest ``hi``, find every draw that can count.  Their raw draws are
-gathered across blocks into a quarter-block buffer per drawn side, and the
-pairs transform, subtract and count the buffer when it would overflow and
-at the end, with the same closed deficit and open overflow compares; counts
-are sums, so every count is the whole sample's.  A pair whose edge needs no
-tail to reach (a level at ``s_min`` or ``s_max``, a deterministic demand)
-and a pair on the sort path count each block whole, first, and reuse the
-generation values the candidate compare left.
+A draw set with a Deterministic side (fig2's, in ``validate`` and in a
+sweep) is counted from its raw draws.  With one side fixed, the balance is
+monotone in the drawn side's value, and each window edge is one split of
+it, which the drawn family's ``raw_floor`` and ``raw_ceil`` bracket in raw
+draws, with a margin for the rounding of the subtraction.  Each block of
+raw draws is sorted once, each pair reads every edge's counts with one
+binary search of its bounds, and only the draws inside a bracket are
+transformed and compared.
+
+When both sides draw, the transforms read the raw draws and write a block
+of values; a pair counted at many levels sorts each balance block once and
+reads every level's counts by binary search, and any other pair compares
+the block with each level's window edges.  A pair whose levels all lie
+inside the window counts only the draws that can reach one of its edges.
+Every value is >= 0 and rounded subtraction is monotone, so ``fl(g - d)``
+lies in ``[-d, g]``: a deficit at ``lo < 0`` needs ``d >= -lo``, and an
+overflow at ``hi > 0`` needs ``g > hi``.  Each demand family's
+``raw_floor`` gives a raw draw below which its value is surely below
+``-lo``, so one compare of the raw demand draws with the lowest floor of a
+draw set, and one of each distinct generation's values with the lowest
+``hi``, find every draw that can count.  Their raw draws are gathered
+across blocks into a quarter-block buffer per side, and the pairs
+transform, subtract and count the buffer when it would overflow and at the
+end, with the same closed deficit and open overflow compares; counts are
+sums, so every count is the whole sample's.  A pair whose edge needs no
+tail to reach (a level at ``s_min`` or ``s_max``) and a pair on the sort
+path count each block whole, first, and reuse the generation values the
+candidate compare left.
 """
 
 from __future__ import annotations
@@ -55,7 +65,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import Deterministic, Distribution
+from .distributions import RAW_MARGIN, Deterministic, Distribution
 from .scenario import Scenario
 from .storage import StorageSpec, Trajectory, evolve
 
@@ -376,21 +386,13 @@ def estimate_self_sufficiency(
     return estimate_steps([(gen, dem)], storage, [(s_prev,)], n, seed)[0][0]
 
 
-def _block_values(q: Distribution, raw, out: np.ndarray):
-    """``q``'s values for the block of draws ``raw``, leaving ``raw`` as is.
-
-    A Deterministic quantity (``raw`` is ``None``) gives its value as a
-    scalar, and any other the transformed draws, written into ``out``.
-    """
-    return q.value if raw is None else q.transform(raw, out)
-
-
 # Balance values formed and counted at a time by ``estimate_steps``.
 ESTIMATE_BLOCK = 16384
 
-# A pair with more levels than this sorts each balance block once and reads
-# all its counts by binary search.  At ESTIMATE_BLOCK values the sort and the
-# searches cost about as much as 8 levels' two compare-and-count passes.
+# A two-sided pair with more levels than this sorts each balance block once
+# and reads all its counts by binary search.  At ESTIMATE_BLOCK values the
+# sort and the searches cost about as much as 8 levels' two compare-and-count
+# passes.
 SORT_ABOVE_LEVELS = 8
 
 
@@ -398,40 +400,39 @@ def _count(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask, deficit, overflo
     """Add the counts of ``b <= lo[j]`` to ``deficit`` and of ``b > hi[j]`` to ``overflow``.
 
     ``hi`` ends with ``inf``, one past the levels; a NaN balance is in
-    neither count.  A sorted ``b`` (many levels) holds ``searchsorted(b,
-    inf)`` values that are not NaN, of which those above ``hi[j]`` overflow.
+    neither count.  Many levels sort ``b`` and read it by binary search.
     """
     if len(lo) > SORT_ABOVE_LEVELS:
         b.sort()
-        deficit += np.searchsorted(b, lo, "right")
-        at_most = np.searchsorted(b, hi, "right")
-        overflow += at_most[-1] - at_most[:-1]
+        _count_sorted(b, lo, hi, deficit, overflow)
         return
     for j in range(len(lo)):
         deficit[j] += np.count_nonzero(np.less_equal(b, lo[j], out=mask))
         overflow[j] += np.count_nonzero(np.greater(b, hi[j], out=mask))
 
 
-def _draw_block(draw, size: int):
-    return None if draw is None else draw(size)
+def _count_sorted(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, deficit, overflow) -> None:
+    """``_count`` of a sorted ``b``, whose ``searchsorted(b, inf)`` values are not NaN."""
+    deficit += np.searchsorted(b, lo, "right")
+    at_most = np.searchsorted(b, hi, "right")
+    overflow += at_most[-1] - at_most[:-1]
 
 
 def _demand_floor(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray):
-    """The raw demand floor of a pair whose draws can be pruned, else ``None``.
+    """The raw demand floor of a two-sided pair whose draws can be pruned, else ``None``.
 
     Values are >= 0, so ``fl(g - d)`` lies in ``[-d, g]``: a deficit at
     ``lo[j] < 0`` needs ``d >= -lo[j]``, and an overflow at ``hi[j] > 0``
     needs ``g > hi[j]``.  A raw demand draw below the floor gives a demand
-    below every ``-lo[j]``.  A pair whose edges need no tail to reach (a level at
-    ``s_min`` or ``s_max``, a deterministic demand, or a deterministic
-    generation above ``hi``), or that the sort path counts, is counted whole;
-    so is one whose family has no floor or whose floor fails its one
-    ``transform`` check.
+    below every ``-lo[j]``.  A pair whose edges need no tail to reach (a
+    level at ``s_min`` or ``s_max``), or that the sort path counts, is
+    counted whole; so is one whose family has no floor or whose floor fails
+    its one ``transform`` check.
     """
-    if not 0 < len(lo) <= SORT_ABOVE_LEVELS or dem.primitive is None:
+    if not 0 < len(lo) <= SORT_ABOVE_LEVELS:
         return None
     v = -lo.max()
-    if not (v > 0.0 and hi.min() > 0.0) or gen.primitive is None and gen.value > hi.min():
+    if not (v > 0.0 and hi.min() > 0.0):
         return None
     floor = dem.raw_floor(v)
     if floor == -np.inf:
@@ -441,22 +442,22 @@ def _demand_floor(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.n
         return floor if dem.transform(below, below)[0] < v else None
 
 
-def _candidates(rule, raw_g, raw_d, g_out, mask):
+def _candidates(rule, raw_g, raw_d, g_out, mask, room: int):
     """Indices of the block's draws that can reach a pruned pair's edge.
 
     ``rule`` is ``(floor, hi, gens)``: the lowest demand floor and ``hi``
-    among the draw set's pruned pairs, and their distinct drawn generations.
-    A candidate's raw demand is at or above the floor, or a generation's
-    value is above ``hi``; ``g_out`` is left holding the last of ``gens``'
-    values.  ``None`` once more than a quarter of the block is, and the
-    pruned pairs count the whole block: so the indices never hold more than
-    a quarter of the block, and they fit an emptied candidate buffer.
+    among the draw set's pruned pairs, and their distinct generations.  A
+    candidate's raw demand is at or above the floor, or a generation's value
+    is above ``hi``; ``g_out`` is left holding the last of ``gens``' values.
+    ``None`` once there are more than ``room``, the candidate buffers' size,
+    and the pruned pairs count the whole block: so the indices always fit an
+    emptied buffer.
     """
     floor, hi, gens = rule
     np.greater_equal(raw_d, floor, out=mask)
     for gen in gens:
         mask |= gen.transform(raw_g, g_out) > hi
-    if np.count_nonzero(mask) > len(mask) // 4:
+    if np.count_nonzero(mask) > room:
         return None
     return np.flatnonzero(mask)
 
@@ -471,71 +472,182 @@ def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask, held=None) -> None:
         # An equal generation maps the group's raw draws to the same values
         # (0.0 for a -0.0 changes no count).
         if previous is None or gen != previous:
-            g = _block_values(gen, raw_g, g_out)
+            g = gen.transform(raw_g, g_out)
         previous = gen
-        d = _block_values(dem, raw_d, b_out)
-        b = np.subtract(g, d, out=b_out)
+        b = np.subtract(g, dem.transform(raw_d, b_out), out=b_out)
         _count(b, lo, hi, mask, deficit, overflow)
 
 
 def _count_draw_set(primitives, members, n: int, seed: int) -> None:
-    """Count one draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow, floor)``.
+    """Count a two-sided draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
 
     ``primitives`` names the generation's and the demand's ``Generator``
-    method, ``None`` for a side that draws nothing.  Each block takes its
-    generation draws and then its demand draws from the one stream, and
-    they are freed before the next block is drawn.  The members with no
-    floor count the whole block first, while the generation block still
-    holds the values of the candidate rule's last generation, which an
-    equal generation reads rather than transforms.  The pruned members
-    (those with a floor) count the whole block too when ``_candidates``
-    finds too many candidates.  Otherwise the candidates' raw draws are
-    copied into the draw set's buffers, a quarter block per drawn side,
-    which the pruned members count when the next block's candidates would
-    not fit, and once more at the end.  A draw that is not a candidate is
-    neither event for any pruned member, and counts are sums, so their
-    counts are the whole sample's.  Every array and view is freed on
-    return, before the next draw set is drawn.
+    method.  Each block takes its generation draws and then its demand
+    draws from the one stream, and they are freed before the next block is
+    drawn.  The members with no ``_demand_floor`` count the whole block
+    first, while the generation block still holds the values of the
+    candidate rule's last generation, which an equal generation reads rather
+    than transforms.  The pruned members (those with a floor) count the
+    whole block too when ``_candidates`` finds more candidates than the
+    buffers hold.  Otherwise the candidates' raw draws are copied into the
+    draw set's buffers, a quarter of the first block per side, which the
+    pruned members count when the next block's candidates would not fit,
+    and once more at the end.  A draw that is not a candidate is neither
+    event for any pruned member, and counts are sums, so their counts are
+    the whole sample's.  Every array and view is freed on return, before the
+    next draw set is drawn.
     """
+    members = [(*member, _demand_floor(*member[:4])) for member in members]
     pruned = [member for member in members if member[-1] is not None]
     whole = [member for member in members if member[-1] is None]
     gens = []
     for gen, *_ in pruned:
-        if gen.primitive is not None and gen not in gens:
+        if gen not in gens:
             gens.append(gen)
     rule = (min(m[-1] for m in pruned), min(m[3].min() for m in pruned), gens) if pruned else None
     held = gens[-1] if gens else None
     rng = np.random.default_rng(seed)
-    draw_g, draw_d = (None if p is None else getattr(rng, p) for p in primitives)
+    draw_g, draw_d = (getattr(rng, p) for p in primitives)
     size = min(n, ESTIMATE_BLOCK)
     g_block, b_block, mask_block = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    room = size // 4  # no block has more candidates than this
-    buffers = [np.empty(room) if pruned and draw else None for draw in (draw_g, draw_d)]
+    room = size // 4
+    buffers = (np.empty(room), np.empty(room)) if pruned else None
     fill = 0
 
     def count_buffers():
-        views = (None if buf is None else buf[:fill] for buf in buffers)
+        views = (buf[:fill] for buf in buffers)
         _count_pairs(pruned, *views, g_block[:fill], b_block[:fill], mask_block[:fill])
 
     for start in range(0, n, ESTIMATE_BLOCK):
         size = min(ESTIMATE_BLOCK, n - start)
         # A tuple is evaluated left to right: the generation draws first.
-        raw_g, raw_d = _draw_block(draw_g, size), _draw_block(draw_d, size)
+        raw_g, raw_d = draw_g(size), draw_d(size)
         g, b, mask = g_block[:size], b_block[:size], mask_block[:size]
-        idx = None if rule is None else _candidates(rule, raw_g, raw_d, g, mask)
+        idx = None if rule is None else _candidates(rule, raw_g, raw_d, g, mask, room)
         _count_pairs(members if idx is None else whole, raw_g, raw_d, g, b, mask, held)
         if idx is not None:
             if fill + len(idx) > room:
                 count_buffers()
                 fill = 0
             stop = fill + len(idx)
-            if raw_g is not None:
-                raw_g.take(idx, out=buffers[0][fill:stop])
+            raw_g.take(idx, out=buffers[0][fill:stop])
             raw_d.take(idx, out=buffers[1][fill:stop])
             fill = stop
         raw_g = raw_d = idx = None  # freed before the next block is drawn
     if fill:
         count_buffers()
+
+
+def _one_sided_balance(gen: Distribution, dem: Distribution, raw: np.ndarray, out: np.ndarray):
+    """The balances of a pair with one Deterministic side at its drawn side's ``raw`` draws."""
+    if gen.primitive is None:
+        return np.subtract(gen.value, dem.transform(raw, out), out=out)
+    return np.subtract(gen.transform(raw, out), dem.value, out=out)
+
+
+def _raw_bounds(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray):
+    """Each window edge's raw bracket for a one-sided pair, or ``None`` to count it whole.
+
+    Returns ``(edges, bounds)``: the edges ``lo`` then ``hi`` (less its
+    ``inf``), and their raw floors then their raw ceilings.  With one side
+    fixed at ``c``, the balance ``fl(g - d)`` is monotone in the drawn
+    side's value, so an edge ``e`` splits it at ``v = c + e`` (a drawn
+    generation: ``b <= e`` below) or ``c - e`` (a drawn demand: ``b <= e``
+    above).  Rounding moves that split by a few ulps of ``|c| + |e|``, so
+    a value more than ``RAW_MARGIN * (|c| + |e|)`` from ``v`` is surely on
+    its side, and the family's ``raw_floor`` and ``raw_ceil`` of those two
+    values bracket every raw draw that may not be: a draw below the floor
+    or at or above the ceiling needs no transform.  Values are >= 0, so a
+    floor at ``v <= 0`` is ``-inf`` (no draw is below it), and so is a
+    ceiling at ``v < 0`` (every draw is above it).
+    Each finite bound is checked once through ``transform``: the raw draw
+    just below the floor, and the ceiling, must give balances on their
+    sides of the edge.  A failed check, or an edge whose bracket holds every
+    raw draw (a family with no bounds), counts the pair whole.
+    """
+    drawn_gen = dem.primitive is None
+    drawn, c = (gen, dem.value) if drawn_gen else (dem, gen.value)
+    edges = np.concatenate([lo, hi[:-1]])
+    with np.errstate(over="ignore", invalid="ignore"):  # a split past the float range has no bounds
+        v = c + edges if drawn_gen else c - edges
+        margin = RAW_MARGIN * (abs(c) + np.abs(edges))
+        v_floor, v_ceil = v - margin, v + margin
+    has_floor, has_ceil = v_floor > 0.0, v_ceil >= 0.0
+    floors, ceils = np.full(len(edges), -np.inf), np.where(v_ceil < 0.0, -np.inf, np.inf)
+    floors[has_floor] = drawn.raw_floor(v_floor[has_floor])
+    ceils[has_ceil] = drawn.raw_ceil(v_ceil[has_ceil])
+    if np.any((floors == -np.inf) & (ceils == np.inf) | (floors > ceils)):
+        return None
+    has_floor, has_ceil = floors > -np.inf, has_ceil & (ceils < np.inf)
+    below_floors = np.nextafter(floors[has_floor], -np.inf)
+    probes = np.concatenate([below_floors, ceils[has_ceil]])
+    with np.errstate(all="ignore"):  # a probe past the float range fails the check
+        b = _one_sided_balance(gen, dem, probes, probes)
+    at = np.concatenate([edges[has_floor], edges[has_ceil]])
+    k = len(below_floors)
+    # A drawn generation's low draws give low balances, a drawn demand's high ones.
+    low, high = (b <= at, b > at) if drawn_gen else (b > at, b <= at)
+    if not (low[:k].all() and high[k:].all()):
+        return None
+    return edges, np.concatenate([floors, ceils])
+
+
+def _count_one_sided(primitive, members, n: int, seed: int) -> None:
+    """Count a draw set with at most one drawn side for each of its ``members``.
+
+    Each member is ``(gen, dem, lo, hi, deficit, overflow)``.  ``primitive``
+    names the drawn side's ``Generator`` method, ``None`` when both sides
+    are Deterministic, whose one balance counts ``n`` times.
+    Each block of raw draws is sorted in place once, and a member with
+    ``_raw_bounds`` reads every edge's counts with one ``searchsorted`` of
+    its bounds: the draws below an edge's floor are on one side of it and
+    those at or above its ceiling on the other.  Only the draws inside a
+    bracket are transformed, subtracted and compared, with the closed
+    deficit and open overflow compares, so every count is the whole
+    sample's.  Neither side's value is NaN, so neither is a balance.  A
+    member with no bounds transforms the whole block, and sorts and
+    searches its balances.
+    """
+    if primitive is None:
+        for gen, dem, lo, hi, deficit, overflow in members:
+            b = np.subtract(gen.value, dem.value)
+            deficit += n * (b <= lo)
+            overflow += n * (b > hi[:-1])
+        return
+    bracketed, whole = [], []
+    for member in members:
+        bounds = _raw_bounds(*member[:4])
+        if bounds is None:
+            whole.append(member)
+        else:
+            edges, raw_bounds = bounds
+            # Draws below each bound, and the bracketed balances at or below each edge.
+            bracketed.append((member, edges, raw_bounds, np.zeros(len(raw_bounds), np.int64),
+                              np.zeros(len(edges), np.int64)))
+    draw = getattr(np.random.default_rng(seed), primitive)
+    for start in range(0, n, ESTIMATE_BLOCK):
+        raw = draw(min(ESTIMATE_BLOCK, n - start))
+        raw.sort()
+        for (gen, dem, *_), edges, raw_bounds, below, inside in bracketed:
+            idx = np.searchsorted(raw, raw_bounds)
+            below += idx
+            e = len(edges)
+            for j in np.flatnonzero(idx[e:] > idx[:e]):
+                x = raw[idx[j] : idx[e + j]]
+                b = _one_sided_balance(gen, dem, x, np.empty(len(x)))
+                inside[j] += np.count_nonzero(b <= edges[j])
+        for gen, dem, lo, hi, deficit, overflow in whole:
+            b = _one_sided_balance(gen, dem, raw, np.empty(len(raw)))
+            b.sort()
+            _count_sorted(b, lo, hi, deficit, overflow)
+        raw = None  # freed before the next block is drawn
+    for (gen, dem, lo, _, deficit, overflow), edges, raw_bounds, below, inside in bracketed:
+        e = len(edges)
+        # The balances at or below each edge: a drawn generation's draws below
+        # the floor, a drawn demand's at or above the ceiling.
+        at_most = inside + (below[:e] if dem.primitive is None else n - below[e:])
+        deficit += at_most[: len(lo)]
+        overflow += n - at_most[len(lo) :]
 
 
 def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
@@ -553,26 +665,38 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     pass, and each pair's balance is counted once at each distinct level,
     whose counts its repeats copy.
     The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
-    pair.  A transform reads the raw draws and writes the block; a pair
-    whose generation equals the last one transformed reuses the generation
-    values already in the block.  A pair with more than ``SORT_ABOVE_LEVELS``
-    distinct levels sorts its balance block and reads every level's counts
-    by binary search; any other compares the block against each level's
-    window edges.
-    A pair whose levels all lie inside the window (no level at ``s_min`` or
-    ``s_max``), with a drawn demand and at most ``SORT_ABOVE_LEVELS``
-    distinct levels, counts only the block's candidates: the draws whose raw demand
+    pair.
+    A draw set with a Deterministic side (``_count_one_sided``) sorts each
+    block of raw draws in place once.  Each pair reads every edge's counts
+    with one ``searchsorted`` of its raw bounds (``_raw_bounds``): the
+    drawn family's ``raw_floor`` and ``raw_ceil`` of each edge's split,
+    widened by the rounding of ``fl(g - d)``, below and above which every
+    draw is surely on one side of the edge.  Only the draws between them
+    are transformed, subtracted and compared.  A pair whose bounds fail
+    their one ``transform`` check, or whose family has none, transforms
+    the whole block, and sorts and searches its balances.  One block of raw
+    draws is all that is held, and two Deterministic sides draw nothing.
+    When both sides draw, a transform reads the raw draws and writes the
+    block; a pair whose generation equals the last one transformed reuses
+    the generation values already in the block.  A pair with more than
+    ``SORT_ABOVE_LEVELS`` distinct levels sorts its balance block and reads
+    every level's counts by binary search; any other compares the block
+    against each level's window edges.
+    A two-sided pair whose levels all lie inside the window (no level at
+    ``s_min`` or ``s_max``), with at most ``SORT_ABOVE_LEVELS`` distinct
+    levels, counts only the block's candidates: the draws whose raw demand
     is at or above its family's ``raw_floor`` of ``-lo``, or whose generation
     is above ``hi``.  Values are >= 0 and ``fl(g - d)`` lies in ``[-d, g]``,
-    so no other draw is a deficit (``b <= lo``) or an overflow (``b > hi``),
-    and every count, and so every byte of output, equals the whole sample's.
+    so no other draw is a deficit (``b <= lo``) or an overflow (``b > hi``).
     The candidates of a draw set's pairs are found once per block, and
-    their raw draws gathered across blocks into a buffer of a quarter block
-    per drawn side, which the pairs count when the next block's candidates
-    would not fit, and at the end; past a quarter of a block, the block is
-    counted whole.  A block of raw draws per side, one of generation, one
-    of balance, one bool mask, the candidates' indices and the buffers (at
-    most one block's bytes together) are all the arrays held, whatever ``n``.
+    their raw draws gathered across blocks into a buffer of a quarter of
+    the first block per side, which the pairs count when the next block's
+    candidates would not fit, and at the end; a block with more candidates
+    than a buffer holds is counted whole.  A block of raw draws per side,
+    one of generation, one of balance, one bool mask, the candidates'
+    indices and the buffers (at most one block's bytes together) are all
+    the arrays held, whatever ``n``.  Either way every count, and so every
+    byte of output, equals the whole sample's.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]
@@ -589,11 +713,14 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
         distinct, repeats = np.unique(lv, return_inverse=True)
         lo, hi = storage.s_min - distinct, np.append(storage.s_max - distinct, np.inf)
         deficit, overflow = np.zeros(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=np.int64)
-        member = (gen, dem, lo, hi, deficit, overflow, _demand_floor(gen, dem, lo, hi))
+        member = (gen, dem, lo, hi, deficit, overflow)
         groups.setdefault((gen.primitive, dem.primitive), []).append(member)
         counts.append((deficit, overflow, repeats))
-    for primitives, members in groups.items():
-        _count_draw_set(primitives, members, n, seed)
+    for (primitive_g, primitive_d), members in groups.items():
+        if primitive_g is None or primitive_d is None:
+            _count_one_sided(primitive_g or primitive_d, members, n, seed)
+        else:
+            _count_draw_set((primitive_g, primitive_d), members, n, seed)
     return tuple(
         tuple(_estimate(d, o, n) for d, o in zip(ds[r].tolist(), os[r].tolist()))
         for ds, os, r in counts

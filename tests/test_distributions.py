@@ -386,6 +386,75 @@ def test_a_raw_floor_is_minus_inf_where_every_draw_may_reach_v():
     assert Deterministic(1.0).raw_floor(0.5) == -math.inf  # draws nothing
 
 
+@pytest.mark.parametrize(
+    "dist, v",
+    [
+        (LogNormal(0.0, 1.0), 2.0),
+        (LogNormal(-0.3, 0.8), 0.01),
+        # v = 0 is read as the least positive float, which exp reaches.
+        (LogNormal(0.0, 1.0), 0.0),
+        (LogNormal(0.3, 1e-300), 2.0),
+        (LogNormal(-0.1, 1e-12), 0.9),
+        (LogNormal(700.0, 0.5), 1e305),
+        (Weibull(1.0, 0.05), 1.0),
+        (Weibull(1.0, 0.05), 1e-30),
+        (Weibull(1.0, 0.05), 2e-9),
+        (Weibull(1.0, 0.05), 0.0),
+        (Weibull(2.0, 50.0), 2.0),
+        (Weibull(2.0, 50.0), 1.99),
+        (Weibull(2.0, 5.0), 1.0),
+        # The power rounds to 0 at v = 0: the least uniform above 0 is the ceiling.
+        (Weibull(2.0, 5.0), 0.0),
+        # Ties, a v equal to a sample (not above it) and a v below every sample.
+        (_TIES, 2.0),
+        (_TIES, 1.0),
+        (_TIES, 0.0),
+        (_TIES, 2.5),
+        (_LARGE_TIES, 1.0),
+        (Empirical((0.0, 2.5)), 0.0),
+    ],
+)
+def test_raw_ceilings_are_conservative(dist, v):
+    ceil = dist.raw_ceil(v)
+    assert math.isfinite(ceil)
+    # The raw draws at the ceiling and 200 nextafter steps above it, and
+    # further up by relative steps; uniforms stay in [0, 1).
+    above = [ceil]
+    for _ in range(200):
+        above.append(np.nextafter(above[-1], np.inf))
+    above = np.array(above)
+    further = above[-1] + np.abs(above[-1]) * np.logspace(-15, 0, 16) + np.logspace(-300, 0, 16)
+    raws = np.concatenate([above, further])
+    if dist.primitive == "random":
+        raws = raws[raws < 1.0]
+    with np.errstate(over="ignore"):
+        values = dist.transform(raws, np.empty_like(raws))
+    assert raws.size > 0 and np.all(values > v)
+    # Not far above: a raw draw a millionth below the ceiling stays at or
+    # below a v > 0 (v = 0 is read as the least positive float).
+    if v > 0.0 and (ceil > 1e-6 * max(abs(ceil), 1.0) or dist.primitive != "random"):
+        below = np.array([ceil - 1e-6 * max(abs(ceil), 1.0)])
+        assert dist.transform(below, below)[0] <= v
+
+
+def test_a_raw_ceiling_is_inf_where_no_draw_is_known_to_pass_v():
+    assert Empirical((2.0, 3.0)).raw_ceil(3.0) == math.inf
+    assert Weibull(2.0, 50.0).raw_ceil(2.5) == math.inf  # 1 - exp(-power) rounds to 1
+    assert LogNormal(0.3, 5e-324).raw_ceil(2.0) == math.inf  # a quotient past the float range
+    assert Deterministic(1.0).raw_ceil(0.5) == math.inf  # draws nothing
+
+
+@pytest.mark.parametrize(
+    "dist", [LogNormal(0.2, 0.7), Weibull(1.5, 2.0), Weibull(1.0, 2e9), _TIES, Deterministic(1.0)]
+)
+def test_raw_bounds_are_elementwise(dist):
+    v = np.array([1e-300, 0.5, 1.0, 2.0, 2.5, 4.0, 1e30])
+    for bound in (dist.raw_floor, dist.raw_ceil):
+        np.testing.assert_array_equal(bound(v), [bound(float(x)) for x in v])
+        assert isinstance(bound(2.0), float)
+    np.testing.assert_array_equal(dist.raw_ceil(np.array([0.0])), [dist.raw_ceil(0.0)])
+
+
 def test_empirical_order_statistics_are_read_only():
     # A parsed scenario is shared between callers; nothing may change it in place.
     e = Empirical(samples=(3.0, 1.0, 2.0))

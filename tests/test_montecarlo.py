@@ -437,6 +437,9 @@ SORT_PAIRS = [
     (Deterministic(2.0), Deterministic(0.5)),
 ]
 MANY_LEVELS = tuple(np.linspace(0.5, 4.0, montecarlo.SORT_ABOVE_LEVELS + 1))
+# One-sided draw sets sort their raw draws whatever their levels; the
+# crossover is the two-sided pairs'.
+TWO_SIDED_SORT_PAIRS = [(g, d) for g, d in SORT_PAIRS if g.primitive and d.primitive]
 
 
 def _assert_matches_reference(pairs, storage, levels, n, seed):
@@ -452,8 +455,9 @@ def _assert_matches_reference(pairs, storage, levels, n, seed):
 def test_the_sort_path_starts_one_level_past_the_crossover(extra_levels, sorts, monkeypatch):
     levels = tuple(np.linspace(0.5, 4.0, montecarlo.SORT_ABOVE_LEVELS + extra_levels))
     n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    assert len(TWO_SIDED_SORT_PAIRS) == 6
     searches = _count_calls(monkeypatch, np, "searchsorted")
-    estimate_steps(SORT_PAIRS, SPEC_MIXED, [levels] * len(SORT_PAIRS), n, 8)
+    estimate_steps(TWO_SIDED_SORT_PAIRS, SPEC_MIXED, [levels] * len(TWO_SIDED_SORT_PAIRS), n, 8)
     assert (searches[0] > 0) is sorts
     monkeypatch.undo()
     _assert_matches_reference(SORT_PAIRS, SPEC_MIXED, levels, n, 8)
@@ -466,25 +470,26 @@ def test_the_sort_path_matches_the_reference_at_block_edges(n_from_block):
     _assert_matches_reference(SORT_PAIRS, SPEC_MIXED, MANY_LEVELS, n, 23)
 
 
+# In a [0, 5] store the window at level s is (-s, 5 - s]: these balances (0,
+# 1, 2.5, 3, 5 and their negatives, -0.0 among them) land on its closed
+# deficit edge or its open overflow edge at the listed levels.
+EDGE_EMPIRICAL = Empirical((0.0, 1.0, 2.5, 3.0, 5.0))
+EDGE_PAIRS = [
+    (EDGE_EMPIRICAL, Deterministic(0.0)),
+    (Deterministic(5.0), EDGE_EMPIRICAL),
+    (Deterministic(-0.0), Empirical((0.0, 2.5))),
+    (Deterministic(2.5), Deterministic(2.5)),
+    (Deterministic(0.0), EDGE_EMPIRICAL),
+]
+EDGE_LEVELS = (0.0, 1.0, 2.5, 3.0, 5.0)
+
+
 @pytest.mark.parametrize(
-    "levels",
-    [tuple(np.linspace(0.0, 5.0, 51)), (0.0, 1.0, 2.5, 3.0, 5.0)],
-    ids=["sort", "compare"],
+    "levels", [tuple(np.linspace(0.0, 5.0, 51)), EDGE_LEVELS], ids=["sort", "compare"]
 )
 def test_balances_on_window_edges_count_as_in_the_reference(levels):
-    # In a [0, 5] store the window at level s is (-s, 5 - s]: these balances
-    # (0, 1, 2.5, 3, 5 and their negatives, -0.0 among them) land on its
-    # closed deficit edge or its open overflow edge at the listed levels.
-    edges = Empirical((0.0, 1.0, 2.5, 3.0, 5.0))
-    pairs = [
-        (edges, Deterministic(0.0)),
-        (Deterministic(5.0), edges),
-        (Deterministic(-0.0), Empirical((0.0, 2.5))),
-        (Deterministic(2.5), Deterministic(2.5)),
-        (Deterministic(0.0), edges),
-    ]
     n = 2 * montecarlo.ESTIMATE_BLOCK + 3
-    shared = _assert_matches_reference(pairs, SPEC_0_5, levels, n, 6)
+    shared = _assert_matches_reference(EDGE_PAIRS, SPEC_0_5, levels, n, 6)
     assert shared[3][0].p_deficit == 1.0  # balance 0 on lo = 0 at level 0
     assert shared[3][-1].p_self == 1.0  # balance 0 on hi = 0 at level 5
 
@@ -563,25 +568,35 @@ def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch)
         (Empirical((1.0, 2.0)), tenth(6.0, 0.5)),
         (tenth(5.0, 1.0), Empirical((0.0, 0.5))),
         (tenth(5.01, 1.0), Empirical((0.0, 0.5))),
-        # A deterministic generation above hi needs no tail to overflow: 5.5 -
-        # 0 > 5 a tenth of the time, and the pair counts the whole block.
+        # 5.5 - 0 > 5 a tenth of the time, with no demand near an edge.
         (Deterministic(5.5), tenth(0.0, 1.0)),
     ]
+    one_sided, two_sided = [0, 1, 5], [2, 3, 4]
     lo, hi = np.array([-5.0]), np.array([5.0, np.inf])
-    floors = [montecarlo._demand_floor(gen, dem, lo, hi) for gen, dem in pairs]
-    assert None not in floors[:-1] and floors[-1] is None
-    seen = {}
+    # The two-sided pairs are pruned by their demand floors, and the
+    # one-sided ones (a deterministic generation) bracketed in raw draws.
+    assert all(montecarlo._demand_floor(*pairs[k], lo, hi) is not None for k in two_sided)
+    assert all(montecarlo._raw_bounds(*pairs[k], lo, hi) is not None for k in one_sided)
+    values = {}
     transform = Empirical.transform
 
     def spy(self, draws, out):
-        seen[id(self)] = seen.get(id(self), 0) + draws.size
-        return transform(self, draws, out)
+        result = transform(self, draws, out)
+        values.setdefault(id(self), []).append(result.copy())
+        return result
 
     monkeypatch.setattr(Empirical, "transform", spy)
     n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 9
     shared = estimate_steps(pairs, SPEC_0_10, [(5.0,)] * len(pairs), n, seed)
     monkeypatch.undo()
-    assert all(seen[id(dem)] < n / 4 for _, dem in pairs[:-1])
+    assert all(sum(map(len, values[id(pairs[k][1])])) < n / 4 for k in two_sided)
+    # A one-sided pair transforms its bounds' probes once (at most a floor
+    # and a ceiling for each of its two edges), and then only the draws
+    # whose demand is on an edge: 6 (balance -5) and 0 (balance 5).
+    for k, on_edge in zip(one_sided, ({6.0}, {0.0}, set())):
+        probes, *counted = values[id(pairs[k][1])]
+        assert len(probes) <= 4
+        assert set(np.concatenate(counted or [np.empty(0)]).tolist()) == on_edge
     for (gen, dem), (est,) in zip(pairs, shared):
         assert est == estimate_reference(gen, dem, SPEC_0_10, 5.0, n, seed)
     assert 0.09 < shared[0][0].p_deficit < 0.11
@@ -615,8 +630,8 @@ def test_estimates_match_the_reference_across_candidate_buffer_flushes(n, monkey
     shares = []
     candidates = montecarlo._candidates
 
-    def spy(rule, raw_g, raw_d, g_out, mask):
-        idx = candidates(rule, raw_g, raw_d, g_out, mask)
+    def spy(rule, raw_g, raw_d, g_out, mask, room):
+        idx = candidates(rule, raw_g, raw_d, g_out, mask, room)
         shares.append(None if idx is None else len(idx) / len(mask))
         return idx
 
@@ -633,6 +648,38 @@ def test_estimates_match_the_reference_across_candidate_buffer_flushes(n, monkey
         full = shares[:5]
         assert full[2] is None
         assert all(1 / 8 < full[k] <= 1 / 4 for k in (0, 1, 3, 4))
+
+
+def test_a_short_last_block_gathers_its_candidates_into_the_buffer(monkeypatch):
+    # At seed 8 the last block's 7 draws hold 2 candidates, more than a
+    # quarter of that block.  The cap is the buffers' room, a quarter of the
+    # first block, so they join the buffer: the pruned pairs' demands are
+    # never transformed at the last block's size, while the pair at s_min
+    # counts each block whole, the last one too.
+    block, seed = montecarlo.ESTIMATE_BLOCK, 8
+    n = 5 * block + 7
+    found, sizes = [], {}
+    candidates, transform = montecarlo._candidates, Weibull.transform
+
+    def candidates_spy(rule, raw_g, raw_d, g_out, mask, room):
+        idx = candidates(rule, raw_g, raw_d, g_out, mask, room)
+        found.append(None if idx is None else len(idx))
+        return idx
+
+    def transform_spy(self, draws, out):
+        sizes.setdefault(id(self), []).append(draws.size)
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(montecarlo, "_candidates", candidates_spy)
+    monkeypatch.setattr(Weibull, "transform", transform_spy)
+    shared = estimate_steps(_FLUSH_PAIRS, SPEC_0_10, _FLUSH_LEVELS, n, seed)
+    monkeypatch.undo()
+    assert found[-1] is not None and found[-1] > 7 // 4
+    assert all(7 not in sizes[id(dem)] for _, dem in _FLUSH_PAIRS[:2])
+    assert 7 in sizes[id(_FLUSH_PAIRS[2][1])]
+    for (gen, dem), levels, estimates in zip(_FLUSH_PAIRS, _FLUSH_LEVELS, shared):
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, SPEC_0_10, level, n, seed)
 
 
 def test_validate_day24_transforms_each_block_once_and_the_candidates_in_few_passes(
@@ -673,13 +720,111 @@ def test_validate_day24_transforms_each_block_once_and_the_candidates_in_few_pas
 def test_repeated_levels_are_counted_once(levels, monkeypatch):
     pairs = FIG2_PAIR + [(LogNormal(0.1, 0.4), Weibull(2.0, 5.0)), (EMPIRICAL_A, EMPIRICAL_B)]
     n, seed = 2 * montecarlo.ESTIMATE_BLOCK + 3, 4
-    counts = _count_calls(monkeypatch, np, "count_nonzero")
+    searched = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, *args, **kwargs):
+        searched.append(len(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
     (fig2,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], n, seed)
-    # A deficit and an overflow pass per distinct level per block.
-    assert counts[0] == 2 * len(set(levels)) * 3
+    # One search per block, of a raw floor and a raw ceiling for each
+    # distinct level's deficit and overflow edges.
+    assert searched == [4 * len(set(levels))] * 3
     monkeypatch.undo()
     shared = _assert_matches_reference(pairs, SPEC_0_5, levels, n, seed)
     assert shared[0] == fig2
+
+
+# --- one-sided draw sets: sorted raw draws, counted by bracket ----------------
+
+# Each family drawn on either side against a deterministic other side, and
+# two deterministic sides.  Weibull(1, 0.05) against demand 1 is ROADMAP item
+# 4's pair: from level 1 its deficit edge splits the generation at 0, so its
+# bracket holds every generation within 2e-9 of it.
+ONE_SIDED_PAIRS = [
+    (Weibull(2.0, 5.0), Deterministic(1.0)),
+    (Deterministic(2.0), FIG2_DEM),
+    (Weibull(1.0, 0.05), Deterministic(1.0)),
+    (Deterministic(0.5), Weibull(1.0, 0.5)),
+    (LogNormal(0.3, 0.7), Deterministic(0.5)),
+    (Deterministic(1.5), LogNormal(0.0, 1.0)),
+    (EMPIRICAL_A, Deterministic(0.5)),
+    (Deterministic(2.5), EMPIRICAL_B),
+    (Deterministic(2.0), Deterministic(0.5)),
+] + EDGE_PAIRS
+# s_min, s_max, interior levels, and the edge pairs' ties.
+ONE_SIDED_LEVELS = (0.0, 1.0, 2.5, 3.0, 3.7, 5.0)
+
+
+def _edges_of(storage, levels):
+    distinct = np.unique(levels)
+    return storage.s_min - distinct, np.append(storage.s_max - distinct, np.inf)
+
+
+@pytest.mark.parametrize("n_from_block", [(0, 1), (0, 1000), (1, -1), (1, 0), (1, 1), (2, 3)])
+def test_one_sided_estimates_match_the_reference_across_block_edges(n_from_block):
+    blocks, extra = n_from_block
+    n = blocks * montecarlo.ESTIMATE_BLOCK + extra
+    lo, hi = _edges_of(SPEC_0_5, ONE_SIDED_LEVELS)
+    for gen, dem in ONE_SIDED_PAIRS:
+        assert gen.primitive is None or dem.primitive is None
+        # Every pair that draws is bracketed, none counted whole.
+        if gen.primitive or dem.primitive:
+            assert montecarlo._raw_bounds(gen, dem, lo, hi) is not None
+    _assert_matches_reference(ONE_SIDED_PAIRS, SPEC_0_5, ONE_SIDED_LEVELS, n, 29)
+
+
+def test_one_sided_estimates_match_the_reference_at_many_levels():
+    n = 2 * montecarlo.ESTIMATE_BLOCK + 3
+    levels = tuple(np.linspace(0.5, 4.0, 36))
+    _assert_matches_reference(ONE_SIDED_PAIRS, SPEC_MIXED, levels, n, 31)
+
+
+class _CeilingTooLow(Weibull):
+    """A Weibull whose raw ceiling claims that every draw is above ``v``."""
+
+    def raw_ceil(self, v):
+        return np.zeros(np.shape(v))
+
+
+_HUGE = StorageSpec(0.0, 1e308, 0.0)
+
+
+@pytest.mark.parametrize(
+    "pair, storage, levels",
+    [
+        ((Deterministic(2.0), _CeilingTooLow(2.0, 5.0)), SPEC_0_5, (0.0, 2.5, 4.0)),
+        # Every value is exp(5): each edge's ceiling quotient is past the
+        # float range (-inf, every draw above), which its probe refutes.
+        ((LogNormal(5.0, 1e-310), Deterministic(1.0)), SPEC_0_5, (0.0, 2.5, 4.0)),
+        # A family with no raw bounds: every edge's bracket holds every draw.
+        ((_ShiftedUniform(1.0), Deterministic(0.5)), SPEC_0_5, (0.0, 2.5, 4.0)),
+        # From level 1e308 the deficit edge is -1e308, so the demand's split
+        # 1e308 - (-1e308) is past the float range: no bound, and no warning.
+        ((Deterministic(1e308), FIG2_DEM), _HUGE, (0.0, 1e308)),
+    ],
+    ids=["bound-fails-check", "ceiling-past-float-range", "no-bounds", "split-past-float-range"],
+)
+def test_a_raw_bound_that_fails_its_check_counts_the_pair_whole(pair, storage, levels, monkeypatch):
+    assert montecarlo._raw_bounds(*pair, *_edges_of(storage, levels)) is None
+    drawn = pair[0] if pair[0].primitive else pair[1]
+    sizes = []
+    transform = type(drawn).transform
+
+    def spy(self, draws, out):
+        sizes.append(draws.size)
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(type(drawn), "transform", spy)
+    block = montecarlo.ESTIMATE_BLOCK
+    n = 2 * block + 3
+    estimate_steps([pair], storage, [levels], n, 12)
+    monkeypatch.undo()
+    # The probes of the bounds that were checked, then every block whole.
+    assert sizes[-3:] == [block, block, 3] and len(sizes) <= 4
+    _assert_matches_reference([pair], storage, levels, n, 12)
 
 
 @pytest.mark.xfail(
@@ -915,10 +1060,29 @@ def test_sweep_matches_single_estimates_exactly():
 
 
 def test_sweep_draws_its_demand_once_for_all_levels(monkeypatch):
-    calls = _count_calls(monkeypatch, Weibull, "transform")
-    (rows,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [np.linspace(0.0, 5.0, 51)], 1000, 3)
+    # sweep fig2_battery's draw set at --n 250000: the demand's raw draws are
+    # sorted, and only those inside an edge's bracket are transformed, after
+    # the one transform of the bounds' probes.  At seed 3 one draw is.
+    seed, bracketed = 3, 1
+    levels = np.linspace(0.0, 5.0, 51)
+    edges, bounds = montecarlo._raw_bounds(*FIG2_PAIR[0], *_edges_of(SPEC_0_5, levels))
+    floors, ceils = bounds[: len(edges)], bounds[len(edges) :]
+    seen = []
+    transform = Weibull.transform
+
+    def spy(self, draws, out):
+        seen.append(draws.copy())
+        return transform(self, draws, out)
+
+    monkeypatch.setattr(Weibull, "transform", spy)
+    (rows,) = estimate_steps(FIG2_PAIR, SPEC_0_5, [levels], 250_000, seed)
+    monkeypatch.undo()
     assert len(rows) == 51
-    assert calls[0] == 1
+    probes, *counted = seen
+    assert len(probes) <= 2 * len(edges)
+    assert sum(map(len, counted)) == bracketed
+    for draws in counted:
+        assert np.any((floors <= draws.min()) & (draws.max() < ceils))
 
 
 def test_sweep_holds_no_n_length_array():
