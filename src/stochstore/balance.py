@@ -89,6 +89,18 @@ class CellBudgetError(ValueError):
     for its cells to hold all but ``MASS_TRUNCATION_BUDGET`` of its mass."""
 
 
+def _edges(origin: float, step: float, n_cells: int) -> np.ndarray:
+    """``origin + step * k`` for ``k = 0 .. n_cells``, scaled and shifted in place.
+
+    A float ``arange`` holds each ``k`` exactly, so the values are those of
+    the int ``arange`` without its array or its cast.
+    """
+    edges = np.arange(n_cells + 1, dtype=float)
+    edges *= step
+    edges += origin
+    return edges
+
+
 class _GridMeasure:
     """What a window query reads from a probability measure on a uniform grid.
 
@@ -110,7 +122,7 @@ class _GridMeasure:
     @property
     def edges(self) -> np.ndarray:
         """Cell edge positions, length ``n_cells + 1``."""
-        return self.origin + self.step * np.arange(self.n_cells + 1)
+        return _edges(self.origin, self.step, self.n_cells)
 
     def cdf(self, x: float) -> float:
         """Grid measure of ``(-inf, x]`` under the piecewise-uniform model.
@@ -249,11 +261,9 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
             f"cannot grid {type(spec).__name__}: degenerate quantile window [{lo}, {hi}]"
         )
     step = (hi - lo) / cells
-    # One name for the edges and then their cdf values, so the edges are
-    # freed before the grid is checked; the cumulative masses are measured
-    # from the first edge.
-    cum = lo + step * np.arange(cells + 1)
-    cum = spec.cdf(cum)
+    # The edges are freed once their cdf values are read; the cumulative
+    # masses are measured from the first edge.
+    cum = spec.cdf(_edges(lo, step, cells))
     cum -= cum[0]
     grid = DensityGrid(lo, step, cum)
     if grid.truncated_mass > MASS_TRUNCATION_BUDGET:
@@ -275,10 +285,8 @@ def resample(grid: DensityGrid, step: float) -> DensityGrid:
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if step == grid.step:
         return grid
-    # One name for the new edges and then their cumulative masses, so the
-    # edges are freed before the grid is checked.
-    cum = grid.origin + step * np.arange(_resampled_cells(grid, step) + 1)
-    cum = np.interp(cum, grid.edges, grid.cum)
+    # The new edges are freed once their cumulative masses are read.
+    cum = np.interp(_edges(grid.origin, step, _resampled_cells(grid, step)), grid.edges, grid.cum)
     return DensityGrid(grid.origin, step, cum)
 
 

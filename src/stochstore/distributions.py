@@ -76,16 +76,16 @@ _INV_SQRT_PI = 5.6418958354775628695e-1
 def _rational(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
     """Cody's nested ratio: ``num[-1]`` leads, ``num[-2]`` and ``den[-1]`` close.
 
+    The denominator's leading coefficient is 1, so ``t + den[0]`` seeds it.
     The result is a new array, summed in place; ``t`` is left as it is.
     """
-    xnum, xden = num[-1] * t, t.copy()
-    for a, b in zip(num[:-2], den[:-1]):
+    xnum, xden = num[-1] * t, t + den[0]
+    for a, b in zip(num[:-2], den[1:]):
         xnum += a
         xnum *= t
-        xden += b
         xden *= t
+        xden += b
     xnum += num[-2]
-    xden += den[-1]
     xnum /= xden
     return xnum
 
@@ -93,16 +93,24 @@ def _rational(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
 def _erfc(y: np.ndarray) -> np.ndarray:
     """``erfc(y)`` where ``y > 0.46875`` or NaN (NaN gives NaN), as a new array.
 
-    The (0.46875, 4] rational runs over the whole array and the tail's formula
-    over the elements past 4 only, when there are any; an element at or below
-    0.46875 gets a finite value that the caller overwrites.  The first step
-    copies ``y``, and every later one writes into an array of this call, so
-    ``y`` is left as it is.
+    ``y`` is this call's own: it is clamped in place and then overwritten,
+    so the caller must not read it afterwards.  The result is the (0.46875, 4]
+    rational's numerator array, which runs over the whole of ``y``; the
+    tail's formula then overwrites the elements past 4, and an element at or
+    below 0.46875 gets a finite value that the caller overwrites.  ``y.max()``,
+    read once, skips the clamp and the underflow mask when no element
+    reaches 26.543, and the tail mask when none passes 4; an empty ``y``
+    skips them all.  A NaN max says nothing of the other elements, so it
+    takes every branch.
     """
-    y = np.minimum(y, _ERFC_ZERO)  # keeps inf (inf - inf) out of the split below
+    top = y.max(initial=-np.inf)
+    clamp = not top < _ERFC_ZERO
+    if clamp:
+        np.minimum(y, _ERFC_ZERO, out=y)  # keeps inf (inf - inf) out of the split below
+        zero = y == _ERFC_ZERO
     out = _rational(_ERFC_C, _ERFC_D, y)
-    tail = y > _ERFC_MID
-    if tail.any():
+    if not top <= _ERFC_MID:
+        tail = y > _ERFC_MID
         y_tail = y[tail]
         inv_sq = 1.0 / (y_tail * y_tail)
         r = _rational(_ERFC_P, _ERFC_Q, inv_sq)
@@ -110,13 +118,11 @@ def _erfc(y: np.ndarray) -> np.ndarray:
         np.subtract(_INV_SQRT_PI, r, out=r)
         r /= y_tail
         out[tail] = r
-    zero = y == _ERFC_ZERO
     # exp(-y*y) in two factors: y cut to a multiple of 1/16 squares exactly.
     y16 = np.multiply(y, 16.0)
     np.trunc(y16, out=y16)
     y16 /= 16.0
-    factor = np.subtract(y, y16)
-    np.negative(factor, out=factor)
+    factor = np.subtract(y16, y)  # -(y - y16), exactly
     y += y16
     factor *= y
     np.exp(factor, out=factor)  # exp(-(y - y16) * (y + y16))
@@ -125,7 +131,7 @@ def _erfc(y: np.ndarray) -> np.ndarray:
     np.exp(y, out=y)  # exp(-y16 * y16)
     y *= factor
     out *= y
-    if zero.any():
+    if clamp:
         out[zero] = 0.0
     return out
 
@@ -135,19 +141,24 @@ def _normal_cdf(z) -> np.ndarray:
 
     ``0.5 * (1 + erf(z / sqrt 2))`` near 0; elsewhere ``0.5 * erfc(|z| / sqrt 2)``
     for ``z < 0`` and one minus that for ``z > 0``, so the lower tail keeps its
-    relative accuracy down to the underflow.  The erfc form is evaluated over
-    the whole array, and the few elements near 0, if any, are then
-    overwritten.  The result is a new array; ``z`` is left as it is.
+    relative accuracy down to the underflow.  The one scaled copy
+    ``x = z / sqrt 2`` keeps its sign as a bool mask, becomes ``|x|`` in
+    place and is handed to ``_erfc``, which owns and overwrites it.  The erfc
+    form is evaluated over the whole array, and the few elements near 0, if
+    any, are then overwritten; their ``x`` is the same division of ``z``,
+    taken again.  The result is a new array; ``z`` is left as it is.
     """
     z = np.asarray(z, dtype=float)
-    x = z.reshape(-1) / _SQRT2  # a 0-d z as one element, so the masks index it
-    y = np.abs(x)
+    z_flat = z.reshape(-1)  # a 0-d z as one element, so the masks index it
+    y = z_flat / _SQRT2
+    upper = ~(y < 0.0)
+    np.abs(y, out=y)
+    small = y <= _ERF_SMALL
     out = _erfc(y)
     out *= 0.5
-    np.subtract(1.0, out, out=out, where=~(x < 0.0))
-    small = y <= _ERF_SMALL
+    np.subtract(1.0, out, out=out, where=upper)
     if small.any():
-        x_small = x[small]
+        x_small = z_flat[small] / _SQRT2
         r = _rational(_ERF_A, _ERF_B, x_small * x_small)
         r *= x_small
         r += 1.0
@@ -302,9 +313,16 @@ class Weibull(Distribution):
 
     def cdf(self, x):
         """``F(x)`` elementwise over a float or an array; 0 for ``x <= 0``."""
-        x = np.maximum(x, 0.0)
+        # An array is worked in one new array, a 0-d x in numpy scalars:
+        # numpy's scalar power rounds differently from its array loop.
+        out = None if np.ndim(x) == 0 else np.empty(np.shape(x))
+        f = np.maximum(x, 0.0, out=out)
         with np.errstate(over="ignore"):  # a power past the float range is inf: cdf 1
-            return _elementwise(-np.expm1(-((x / self.scale) ** self.shape)))
+            f = np.divide(f, self.scale, out=out)
+            f **= self.shape
+        f = np.negative(f, out=out)
+        f = np.expm1(f, out=out)
+        return _elementwise(np.negative(f, out=out))
 
     def quantile(self, p: float) -> float:
         p = _check_probability(p)

@@ -130,6 +130,20 @@ def estimate_reference(gen, dem, storage: StorageSpec, s_prev: float, n: int, se
     )
 
 
+def rational_reference(num: tuple, den: tuple, t: np.ndarray) -> np.ndarray:
+    """Cody's nested ratio as a literal Horner loop: the bit-identity reference for ``_rational``.
+
+    The numerator starts at ``num[-1] * t`` and the denominator at ``t``;
+    each takes one coefficient and one factor of ``t`` per round, and
+    ``num[-2]`` and ``den[-1]`` close them.
+    """
+    xnum, xden = num[-1] * t, t.copy()
+    for a, b in zip(num[:-2], den[:-1]):
+        xnum = (xnum + a) * t
+        xden = (xden + b) * t
+    return (xnum + num[-2]) / (xden + den[-1])
+
+
 def normal_cdf_reference(z) -> np.ndarray:
     """The gather-and-scatter normal cdf: the bit-identity reference for ``_normal_cdf``.
 
@@ -140,7 +154,8 @@ def normal_cdf_reference(z) -> np.ndarray:
     out = np.empty_like(y)
     small = y <= dist._ERF_SMALL
     x_small = x[small]
-    out[small] = 0.5 * (1.0 + x_small * dist._rational(dist._ERF_A, dist._ERF_B, x_small * x_small))
+    erf_ratio = rational_reference(dist._ERF_A, dist._ERF_B, x_small * x_small)
+    out[small] = 0.5 * (1.0 + x_small * erf_ratio)
     large = ~small
     half_erfc = 0.5 * _erfc_reference(y[large])
     out[large] = np.where(x[large] < 0.0, half_erfc, 1.0 - half_erfc)
@@ -151,11 +166,12 @@ def _erfc_reference(y: np.ndarray) -> np.ndarray:
     y = np.minimum(y, dist._ERFC_ZERO)
     out = np.empty_like(y)
     mid = y <= dist._ERFC_MID
-    out[mid] = dist._rational(dist._ERFC_C, dist._ERFC_D, y[mid])
+    out[mid] = rational_reference(dist._ERFC_C, dist._ERFC_D, y[mid])
     tail = ~mid
     y_tail = y[tail]
     inv_sq = 1.0 / (y_tail * y_tail)
-    out[tail] = (dist._INV_SQRT_PI - inv_sq * dist._rational(dist._ERFC_P, dist._ERFC_Q, inv_sq)) / y_tail
+    tail_ratio = rational_reference(dist._ERFC_P, dist._ERFC_Q, inv_sq)
+    out[tail] = (dist._INV_SQRT_PI - inv_sq * tail_ratio) / y_tail
     y16 = np.trunc(y * 16.0) / 16.0
     out *= np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16))
     out[y == dist._ERFC_ZERO] = 0.0

@@ -1,5 +1,6 @@
 """Distribution models against independent scipy oracles and known moments."""
 
+import itertools
 import math
 from statistics import NormalDist
 
@@ -20,7 +21,7 @@ from stochstore import (
     lognormal_from_moments,
 )
 
-from conftest import normal_cdf_reference
+from conftest import normal_cdf_reference, rational_reference
 
 # Frozen oracle values (computed independently via math.gamma / scipy).
 WEIBULL_2_5_MEAN = 1.8363374847995209  # 2 * gamma(1 + 1/5)
@@ -187,6 +188,93 @@ def test_normal_cdf_kernel_is_bit_identical_to_the_gather_kernel(day24_scenario,
     assert len(inputs) == 3 * len(lognormals) == 3 * 25
     for values in inputs:
         np.testing.assert_array_equal(_bits(kernel(values)), _bits(normal_cdf_reference(values)))
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (distributions._ERF_A, distributions._ERF_B),
+        (distributions._ERFC_C, distributions._ERFC_D),
+        (distributions._ERFC_P, distributions._ERFC_Q),
+    ],
+    ids=["erf", "erfc-mid", "erfc-tail"],
+)
+def test_rational_is_bit_identical_to_the_horner_loop(num, den):
+    # 0, subnormals, the smallest normal, ordinary values over each
+    # approximation's range, and values whose powers overflow (inf / inf
+    # gives NaN on both sides).
+    t = np.concatenate(
+        [
+            [0.0, 5e-324, 2.0**-1060, 2.2250738585072014e-308, 1e-300, 1e-8, 0.2197265625],
+            [1.0, 4.0, 16.0, 704.5, 1e60, 1e150, 1e300, math.inf],
+            np.random.default_rng(5).random(2000) * 30.0,
+        ]
+    )
+    before = t.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = distributions._rational(num, den, t)
+        reference = rational_reference(num, den, t)
+    np.testing.assert_array_equal(_bits(values), _bits(reference))
+    np.testing.assert_array_equal(_bits(t), _bits(before))
+
+
+# Standard-normal arguments by the branches of the kernel they take: |z| / sqrt 2
+# at or past 26.543 (the clamp and erfc's underflow to 0), in (4, 26.543) (the
+# tail), in (0.46875, 4] (the mid rational alone), at or below 0.46875 (erf),
+# and NaN.
+_KERNEL_BRANCHES = {
+    "clamp": [math.inf, -math.inf, 37.54, -40.0, 1e300],
+    "tail": [5.66, -6.0, 20.0, -37.5],
+    "mid": [0.67, -1.0, 5.65],
+    "small": [0.0, -0.0, 0.5, -0.66, 5e-324],
+    "nan": [math.nan],
+}
+
+
+@pytest.mark.parametrize(
+    "branches",
+    [()] + [(name,) for name in _KERNEL_BRANCHES] + list(itertools.combinations(_KERNEL_BRANCHES, 2)),
+    ids=lambda branches: "+".join(branches) or "empty",
+)
+def test_normal_cdf_kernel_is_bit_identical_on_each_branch_alone_and_in_pairs(branches):
+    # The kernel skips a branch whose elements are absent: each array here
+    # holds only the named branches (none for the empty array), so each skip
+    # is taken and each branch runs without the others, in an array and as
+    # 0-d input.
+    z = np.array([v for name in branches for v in _KERNEL_BRANCHES[name]])
+    values = distributions._normal_cdf(z)
+    assert values.shape == z.shape
+    np.testing.assert_array_equal(_bits(values), _bits(normal_cdf_reference(z)))
+    for v in z:
+        value = distributions._normal_cdf(np.array(v))
+        assert value.shape == () and _bits(value) == _bits(normal_cdf_reference(v))
+
+
+def _weibull_cdf_expression(dist, x):
+    """``Weibull.cdf`` as one expression of temporaries: its bit-identity reference."""
+    x = np.maximum(x, 0.0)
+    with np.errstate(over="ignore"):
+        return -np.expm1(-((x / dist.scale) ** dist.shape))
+
+
+@pytest.mark.parametrize(
+    "scale, shape", [(1.7, 0.05), (1.7, 0.5), (1.7, 1.0), (1.7, 2.0), (1.7, 3.6), (1.7, 1e9), (5e-324, 2.0)]
+)
+def test_weibull_cdf_is_bit_identical_to_the_expression(scale, shape):
+    # numpy's scalar power and its array loop round differently, so the
+    # scalar and the array input are each held to the expression on that
+    # input; shapes 0.5 and 2 take numpy's square-root and square paths.
+    # The least positive scale overflows the quotient to inf: cdf 1.
+    dist = Weibull(scale, shape)
+    special = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1.7, math.inf, math.nan, 1e300]
+    x = np.concatenate([special, np.random.default_rng(11).random(20000) * 6.0])
+    np.testing.assert_array_equal(_bits(dist.cdf(x)), _bits(_weibull_cdf_expression(dist, x)))
+    block = x[:60].reshape(6, 10)
+    np.testing.assert_array_equal(_bits(dist.cdf(block)), _bits(_weibull_cdf_expression(dist, block)))
+    for v in x[:400].tolist():
+        value = dist.cdf(v)
+        assert type(value) is float and _bits(value) == _bits(_weibull_cdf_expression(dist, v))
+    assert dist.cdf(np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize(
