@@ -83,8 +83,9 @@ MAX_SAMPLE_BYTES = 2**30
 
 # Largest --grid-cells.  The grid route grows about linearly (one array cdf
 # call per grid, a resample, a few dot products per query): analyze day24
-# --step 12 takes ~5 ms at 2**14 cells and ~10 ms at 2**16.  The cap refuses
-# sizes that would exhaust memory (10**11 cells) before any array is allocated.
+# --step 12 takes ~1.4 ms at 2**14 cells and ~4.1 ms at 2**16 (best of 300
+# in-process runs, 2-vCPU Xeon VM).  The cap refuses sizes that would exhaust
+# memory (10**11 cells) before any array is allocated.
 MAX_GRID_CELLS = 2**16
 
 # glibc's mallopt parameter numbers (malloc.h).  Setting either one turns off

@@ -43,18 +43,20 @@ the block with each level's window edges.  A pair whose levels all lie
 inside the window counts only the draws that can reach one of its edges.
 Every value is >= 0 and rounded subtraction is monotone, so ``fl(g - d)``
 lies in ``[-d, g]``: a deficit at ``lo < 0`` needs ``d >= -lo``, and an
-overflow at ``hi > 0`` needs ``g > hi``.  Each demand family's
-``raw_floor`` gives a raw draw below which its value is surely below
-``-lo``, so one compare of the raw demand draws with the lowest floor of a
-draw set, and one of each distinct generation's values with the lowest
-``hi``, find every draw that can count.  Their raw draws are gathered
-across blocks into a quarter-block buffer per side, and the pairs
-transform, subtract and count the buffer when it would overflow and at the
-end, with the same closed deficit and open overflow compares; counts are
-sums, so every count is the whole sample's.  A pair whose edge needs no
-tail to reach (a level at ``s_min`` or ``s_max``) and a pair on the sort
-path count each block whole, first, and reuse the generation values the
-candidate compare left.
+overflow at ``hi > 0`` needs ``g > hi``.  Each family's ``raw_floor(v)``
+gives a raw draw below which its value is surely below ``v``, so a draw
+whose raw demand is below the demand's floor at ``-lo`` and whose raw
+generation is below the generation's floor at ``hi`` can count for
+neither edge.  Per block, one compare of each side's raw draws with that
+side's lowest floor in a draw set finds every draw that can count.  Their
+raw draws are gathered across blocks into a quarter-block buffer per side,
+and the pairs transform, subtract and count the buffer when it would
+overflow and at the end, with the same closed deficit and open overflow
+compares; counts are sums, so every count is the whole sample's.  A pair
+whose edge needs no tail to reach (a level at ``s_min`` or ``s_max``), a
+pair on the sort path and any block with more candidates than a buffer
+holds are counted whole, each run of equal generations transformed once
+per block.
 """
 
 from __future__ import annotations
@@ -418,60 +420,69 @@ def _count_sorted(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, deficit, overfl
     overflow += at_most[-1] - at_most[:-1]
 
 
-def _demand_floor(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray):
-    """The raw demand floor of a two-sided pair whose draws can be pruned, else ``None``.
+def _raw_floor(dist: Distribution, v: float, probed: list):
+    """``dist``'s raw floor at ``v > 0`` if its one ``transform`` probe holds, else ``None``.
 
-    Values are >= 0, so ``fl(g - d)`` lies in ``[-d, g]``: a deficit at
-    ``lo[j] < 0`` needs ``d >= -lo[j]``, and an overflow at ``hi[j] > 0``
-    needs ``g > hi[j]``.  A raw demand draw below the floor gives a demand
-    below every ``-lo[j]``.  A pair whose edges need no tail to reach (a
-    level at ``s_min`` or ``s_max``), or that the sort path counts, is
-    counted whole; so is one whose family has no floor or whose floor fails
-    its one ``transform`` check.
+    The raw draw just below the floor must give a value below ``v``; a
+    family with no floor there (``-inf``) has nothing to prune.  ``probed``
+    holds the ``(dist, v, floor)`` found so far, so each distinct floor is
+    probed once (a quantity need not be hashable).
+    """
+    for d, w, floor in probed:
+        if w == v and d == dist:
+            return floor
+    floor = dist.raw_floor(v)
+    below = np.full(1, np.nextafter(floor, -np.inf))
+    with np.errstate(all="ignore"):  # a probe past the float range fails the check
+        if not (floor > -np.inf and dist.transform(below, below)[0] < v):
+            floor = None
+    probed.append((dist, v, floor))
+    return floor
+
+
+def _raw_floors(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray, probed: list):
+    """The raw ``(demand, generation)`` floors of a two-sided pair whose draws can be pruned.
+
+    The floors are the demand's ``_raw_floor`` at ``-max(lo)`` and the
+    generation's at ``min(hi)``, looked up in and added to ``probed``.
+    ``None`` for a pair counted whole: one whose edges need no tail to
+    reach (a level at ``s_min`` or ``s_max``), that the sort path counts,
+    or that has a side with no floor or whose floor fails its check.
     """
     if not 0 < len(lo) <= SORT_ABOVE_LEVELS:
         return None
-    v = -lo.max()
-    if not (v > 0.0 and hi.min() > 0.0):
+    v_d, v_g = -lo.max(), hi.min()
+    if not (v_d > 0.0 and v_g > 0.0):
         return None
-    floor = dem.raw_floor(v)
-    if floor == -np.inf:
-        return None
-    below = np.full(1, np.nextafter(floor, -np.inf))
-    with np.errstate(all="ignore"):  # a probe past the float range fails the check
-        return floor if dem.transform(below, below)[0] < v else None
+    d_floor = _raw_floor(dem, v_d, probed)
+    g_floor = None if d_floor is None else _raw_floor(gen, v_g, probed)
+    return None if g_floor is None else (d_floor, g_floor)
 
 
-def _candidates(rule, raw_g, raw_d, g_out, mask, room: int):
+def _candidates(floors, raw_g, raw_d, mask, room: int):
     """Indices of the block's draws that can reach a pruned pair's edge.
 
-    ``rule`` is ``(floor, hi, gens)``: the lowest demand floor and ``hi``
-    among the draw set's pruned pairs, and their distinct generations.  A
-    candidate's raw demand is at or above the floor, or a generation's value
-    is above ``hi``; ``g_out`` is left holding the last of ``gens``' values.
-    ``None`` once there are more than ``room``, the candidate buffers' size,
-    and the pruned pairs count the whole block: so the indices always fit an
-    emptied buffer.
+    ``floors`` are the lowest raw demand and generation floors among the
+    draw set's pruned pairs; a candidate's raw demand or raw generation is
+    at or above its side's floor.  ``None`` once there are more than
+    ``room``, the candidate buffers' size, and the pruned pairs count the
+    whole block: so the indices always fit an emptied buffer.
     """
-    floor, hi, gens = rule
-    np.greater_equal(raw_d, floor, out=mask)
-    for gen in gens:
-        mask |= gen.transform(raw_g, g_out) > hi
+    d_floor, g_floor = floors
+    np.greater_equal(raw_d, d_floor, out=mask)
+    mask |= raw_g >= g_floor
     if np.count_nonzero(mask) > room:
         return None
     return np.flatnonzero(mask)
 
 
-def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask, held=None) -> None:
-    """Count the balances of the raw draws ``raw_g``, ``raw_d`` for each member.
-
-    ``g_out`` already holds the values of the generation ``held``, if any.
-    """
-    g, previous = g_out, held
+def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask) -> None:
+    """Count the balances of the raw draws ``raw_g``, ``raw_d`` for each member."""
+    previous = None
     for gen, dem, lo, hi, deficit, overflow, _ in members:
-        # An equal generation maps the group's raw draws to the same values
-        # (0.0 for a -0.0 changes no count).
-        if previous is None or gen != previous:
+        # An equal generation maps the raw draws to the same values (0.0
+        # for a -0.0 changes no count), so a run of them is transformed once.
+        if gen != previous:
             g = gen.transform(raw_g, g_out)
         previous = gen
         b = np.subtract(g, dem.transform(raw_d, b_out), out=b_out)
@@ -484,28 +495,20 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
     ``primitives`` names the generation's and the demand's ``Generator``
     method.  Each block takes its generation draws and then its demand
     draws from the one stream, and they are freed before the next block is
-    drawn.  The members with no ``_demand_floor`` count the whole block
-    first, while the generation block still holds the values of the
-    candidate rule's last generation, which an equal generation reads rather
-    than transforms.  The pruned members (those with a floor) count the
-    whole block too when ``_candidates`` finds more candidates than the
-    buffers hold.  Otherwise the candidates' raw draws are copied into the
-    draw set's buffers, a quarter of the first block per side, which the
-    pruned members count when the next block's candidates would not fit,
-    and once more at the end.  A draw that is not a candidate is neither
-    event for any pruned member, and counts are sums, so their counts are
-    the whole sample's.  Every array and view is freed on return, before the
-    next draw set is drawn.
+    drawn.  The members with no ``_raw_floors`` count the whole block; so
+    do the pruned members when ``_candidates`` finds more candidates than
+    the buffers hold.  Otherwise the candidates' raw draws are copied into
+    the draw set's buffers, a quarter of the first block per side, which
+    the pruned members count when the next block's candidates would not
+    fit, and once more at the end.  Every array and view is freed on
+    return, before the next draw set is drawn.
     """
-    members = [(*member, _demand_floor(*member[:4])) for member in members]
+    probed = []
+    members = [(*member, _raw_floors(*member[:4], probed)) for member in members]
     pruned = [member for member in members if member[-1] is not None]
     whole = [member for member in members if member[-1] is None]
-    gens = []
-    for gen, *_ in pruned:
-        if gen not in gens:
-            gens.append(gen)
-    rule = (min(m[-1] for m in pruned), min(m[3].min() for m in pruned), gens) if pruned else None
-    held = gens[-1] if gens else None
+    # The lowest demand floor and the lowest generation floor.
+    floors = tuple(map(min, zip(*(m[-1] for m in pruned)))) if pruned else None
     rng = np.random.default_rng(seed)
     draw_g, draw_d = (getattr(rng, p) for p in primitives)
     size = min(n, ESTIMATE_BLOCK)
@@ -523,8 +526,8 @@ def _count_draw_set(primitives, members, n: int, seed: int) -> None:
         # A tuple is evaluated left to right: the generation draws first.
         raw_g, raw_d = draw_g(size), draw_d(size)
         g, b, mask = g_block[:size], b_block[:size], mask_block[:size]
-        idx = None if rule is None else _candidates(rule, raw_g, raw_d, g, mask, room)
-        _count_pairs(members if idx is None else whole, raw_g, raw_d, g, b, mask, held)
+        idx = None if floors is None else _candidates(floors, raw_g, raw_d, mask, room)
+        _count_pairs(members if idx is None else whole, raw_g, raw_d, g, b, mask)
         if idx is not None:
             if fill + len(idx) > room:
                 count_buffers()
@@ -681,22 +684,15 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     the generation values already in the block.  A pair with more than
     ``SORT_ABOVE_LEVELS`` distinct levels sorts its balance block and reads
     every level's counts by binary search; any other compares the block
-    against each level's window edges.
-    A two-sided pair whose levels all lie inside the window (no level at
-    ``s_min`` or ``s_max``), with at most ``SORT_ABOVE_LEVELS`` distinct
-    levels, counts only the block's candidates: the draws whose raw demand
-    is at or above its family's ``raw_floor`` of ``-lo``, or whose generation
-    is above ``hi``.  Values are >= 0 and ``fl(g - d)`` lies in ``[-d, g]``,
-    so no other draw is a deficit (``b <= lo``) or an overflow (``b > hi``).
-    The candidates of a draw set's pairs are found once per block, and
-    their raw draws gathered across blocks into a buffer of a quarter of
-    the first block per side, which the pairs count when the next block's
-    candidates would not fit, and at the end; a block with more candidates
-    than a buffer holds is counted whole.  A block of raw draws per side,
-    one of generation, one of balance, one bool mask, the candidates'
-    indices and the buffers (at most one block's bytes together) are all
-    the arrays held, whatever ``n``.  Either way every count, and so every
-    byte of output, equals the whole sample's.
+    against each level's window edges.  A two-sided pair whose levels all
+    lie inside the window, with at most ``SORT_ABOVE_LEVELS`` distinct
+    levels, counts only the draws that the module's candidate rule keeps,
+    gathered across blocks into a buffer of a quarter of the first block
+    per side.  A block of raw draws per side, one of generation, one of
+    balance, one bool mask, the candidates' indices and the buffers (at
+    most one block's bytes together) are all the arrays held, whatever
+    ``n``.  Either way every count, and so every byte of output, equals the
+    whole sample's.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]

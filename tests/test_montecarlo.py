@@ -573,9 +573,10 @@ def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch)
     ]
     one_sided, two_sided = [0, 1, 5], [2, 3, 4]
     lo, hi = np.array([-5.0]), np.array([5.0, np.inf])
-    # The two-sided pairs are pruned by their demand floors, and the
-    # one-sided ones (a deterministic generation) bracketed in raw draws.
-    assert all(montecarlo._demand_floor(*pairs[k], lo, hi) is not None for k in two_sided)
+    # The two-sided pairs are pruned by their raw demand and generation
+    # floors, and the one-sided ones (a deterministic generation) bracketed
+    # in raw draws.
+    assert all(montecarlo._raw_floors(*pairs[k], lo, hi, []) is not None for k in two_sided)
     assert all(montecarlo._raw_bounds(*pairs[k], lo, hi) is not None for k in one_sided)
     values = {}
     transform = Empirical.transform
@@ -613,9 +614,8 @@ def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch)
 _FLUSH_PAIRS = [
     (LogNormal(0.0, 0.5), Weibull(4.24, 2.0)),
     (LogNormal(0.1, 0.5), Weibull(3.0, 2.0)),
-    # Level 0 is s_min, so this pair counts every block whole.  The candidate
-    # rule leaves the last pruned generation's values, not its own, in the
-    # generation block.
+    # Level 0 is s_min, so this pair counts every block whole, transforming
+    # its own generation, which no pruned pair shares.
     (LogNormal(0.0, 0.5), Weibull(2.0, 1.5)),
 ]
 _FLUSH_LEVELS = [(5.0,), (5.0,), (5.0, 0.0)]
@@ -630,8 +630,8 @@ def test_estimates_match_the_reference_across_candidate_buffer_flushes(n, monkey
     shares = []
     candidates = montecarlo._candidates
 
-    def spy(rule, raw_g, raw_d, g_out, mask, room):
-        idx = candidates(rule, raw_g, raw_d, g_out, mask, room)
+    def spy(floors, raw_g, raw_d, mask, room):
+        idx = candidates(floors, raw_g, raw_d, mask, room)
         shares.append(None if idx is None else len(idx) / len(mask))
         return idx
 
@@ -661,8 +661,8 @@ def test_a_short_last_block_gathers_its_candidates_into_the_buffer(monkeypatch):
     found, sizes = [], {}
     candidates, transform = montecarlo._candidates, Weibull.transform
 
-    def candidates_spy(rule, raw_g, raw_d, g_out, mask, room):
-        idx = candidates(rule, raw_g, raw_d, g_out, mask, room)
+    def candidates_spy(floors, raw_g, raw_d, mask, room):
+        idx = candidates(floors, raw_g, raw_d, mask, room)
         found.append(None if idx is None else len(idx))
         return idx
 
@@ -704,14 +704,103 @@ def test_validate_day24_transforms_each_block_once_and_the_candidates_in_few_pas
     monkeypatch.setattr(LogNormal, "transform", spy)
     estimate_steps(pairs, storage, level_lists, n, 0)
     monkeypatch.undo()
-    # 23 floor checks, then per block the generation once (for the candidate
-    # rule and step 1 both) and step 1's demand; and a few passes over the
+    # 24 floor checks (the 23 demands' and the generation's one), then per
+    # block step 1's generation and demand; and a few passes over the
     # buffered candidates, each of the generation and the 23 demands.
     assert len(seen) <= 130
     gen = pairs[0][0]
     whole_block_sizes = (block, n - (blocks - 1) * block)
     assert sum(q == gen and size in whole_block_sizes for q, size in seen) == blocks
     assert sum(q is pairs[0][1] for q, _ in seen) == blocks
+
+
+def _generation_transforms(monkeypatch, families, pairs, storage, levels, n, seed):
+    """Estimate ``pairs`` at ``levels``; return each generation's transform
+    sizes, keyed by equality, and ``_candidates``' per-block counts."""
+    sizes, found = {}, []
+    gens = {gen for gen, _ in pairs}
+    candidates = montecarlo._candidates
+
+    def candidates_spy(*args):
+        idx = candidates(*args)
+        found.append(None if idx is None else len(idx))
+        return idx
+
+    def spy(transform):
+        def spied(self, draws, out):
+            if self in gens:
+                sizes.setdefault(self, []).append(draws.size)
+            return transform(self, draws, out)
+
+        return spied
+
+    monkeypatch.setattr(montecarlo, "_candidates", candidates_spy)
+    for family in families:
+        monkeypatch.setattr(family, "transform", spy(family.transform))
+    shared = estimate_steps(pairs, storage, [levels] * len(pairs), n, seed)
+    monkeypatch.undo()
+    for (gen, dem), estimates in zip(pairs, shared):
+        for level, est in zip(levels, estimates):
+            assert est == estimate_reference(gen, dem, storage, level, n, seed)
+    return sizes, found
+
+
+def _assert_generations_transform_probes_and_candidates(sizes, found, n):
+    # Each distinct generation's floor is probed once, before any block.
+    # Past that it is transformed only over the buffered candidates (at
+    # most a buffer's room) and over the blocks counted whole, once each.
+    room = min(n, montecarlo.ESTIMATE_BLOCK) // 4
+    for probe, *rest in sizes.values():
+        assert probe == 1
+        assert sum(size for size in rest if size <= room) == sum(filter(None, found))
+        assert sum(size > room for size in rest) == found.count(None)
+
+
+# Three distinct generations of one primitive (uniforms) against log-normal
+# demands at level 5.  In [0, 10] the empirical's floor puts half the
+# generation draws among the candidates, so each full block is counted
+# whole; in [0, 15] an overflow needs a generation above 10, about 10% of
+# Weibull(3, 0.7), and the candidates of about two blocks fill a buffer.
+_MULTI_GEN_PAIRS = [
+    (Weibull(1.5, 2.0), LogNormal(0.5, 0.6)),
+    (Empirical((1.0, 5.5, 2.0, 7.5)), LogNormal(0.3, 0.8)),
+    (Weibull(3.0, 0.7), LogNormal(0.0, 0.5)),
+]
+
+
+@pytest.mark.parametrize("s_max", [10.0, 15.0])
+@pytest.mark.parametrize(
+    "n",
+    [montecarlo.ESTIMATE_BLOCK - 1, montecarlo.ESTIMATE_BLOCK + 1, 5 * montecarlo.ESTIMATE_BLOCK + 7],
+)
+def test_pruned_generations_are_transformed_only_over_their_candidates(s_max, n, monkeypatch):
+    storage = StorageSpec(s_min=0.0, s_max=s_max, s_init=5.0)
+    sizes, found = _generation_transforms(
+        monkeypatch, (Weibull, Empirical), _MULTI_GEN_PAIRS, storage, (5.0,), n, 12
+    )
+    assert len(sizes) == 3
+    _assert_generations_transform_probes_and_candidates(sizes, found, n)
+    if s_max == 15.0:
+        assert None not in found
+        if n > 2 * montecarlo.ESTIMATE_BLOCK:  # the buffer is counted before the end too
+            assert all(len(rest) > 1 for _, *rest in sizes.values())
+    elif n > montecarlo.ESTIMATE_BLOCK:
+        assert found[:-1] == [None] * (len(found) - 1)
+
+
+def test_day24_at_s_init_transforms_its_generation_only_over_the_candidates(
+    day24_scenario, monkeypatch
+):
+    # Every step is pruned at s_init; the 24 equal generations share one
+    # probe and one transform per pass over the buffered candidates.
+    storage = day24_scenario.storage
+    pairs = [(spec.generation, spec.demand) for spec in day24_scenario.steps]
+    n = 5 * montecarlo.ESTIMATE_BLOCK + 7
+    sizes, found = _generation_transforms(
+        monkeypatch, (LogNormal,), pairs, storage, (storage.s_init,), n, 3
+    )
+    assert len(sizes) == 1 and None not in found
+    _assert_generations_transform_probes_and_candidates(sizes, found, n)
 
 
 @pytest.mark.parametrize(
