@@ -16,47 +16,47 @@ for a fixed (scenario, n, seed) under any execution order.  The generator
 states are computed here, a chunk of trajectories at a time, from numpy's
 documented ``SeedSequence`` and ``PCG64`` seeding algorithms rather than by
 building one ``Generator`` per trajectory; a test pins them to
-``default_rng``.  A frequency estimate draws from ``default_rng(seed)``
-``ESTIMATE_BLOCK`` values at a time, each block's generation then its
-demand.  Every estimate is made by ``estimate_steps``, which counts one
-draw set at all the levels and for all the pairs that share it:
-a quantity's draws are named by its ``primitive`` (``None``, a
-Deterministic quantity, draws nothing), so every pair with the same two
-primitives reads the same draws.  A sweep draws its demand once for every
-level, and a generation that recurs from step to step is transformed once
-per block of draws.  An estimate draws and frees a block at a time, so it
-holds no n-length array.
+``default_rng``.  ``estimate_steps`` gives the frequency estimates' stream.
 
-A draw set with a Deterministic side (fig2's, in ``validate`` and in a
-sweep) is counted from its raw draws.  With one side fixed, the balance is
-monotone in the drawn side's value, and each window edge is one split of
-it, which the drawn family's ``raw_floor`` and ``raw_ceil`` bracket in raw
-draws, with a margin for the rounding of the subtraction.  Each block of
-raw draws is sorted once, each pair reads every edge's counts with one
-binary search of its bounds, and only the draws inside a bracket are
-transformed and compared.
+How an estimate counts.  Each rule below keeps every count, and so every
+output byte, equal to that of the whole sample compared with each window.
 
-When both sides draw, the transforms read the raw draws and write a block
-of values; a pair counted at many levels sorts each balance block once and
-reads every level's counts by binary search, and any other pair compares
-the block with each level's window edges.  A pair whose levels all lie
-inside the window counts only the draws that can reach one of its edges.
-Every value is >= 0 and rounded subtraction is monotone, so ``fl(g - d)``
-lies in ``[-d, g]``: a deficit at ``lo < 0`` needs ``d >= -lo``, and an
-overflow at ``hi > 0`` needs ``g > hi``.  Each family's ``raw_floor(v)``
-gives a raw draw below which its value is surely below ``v``, so a draw
-whose raw demand is below the demand's floor at ``-lo`` and whose raw
-generation is below the generation's floor at ``hi`` can count for
-neither edge.  Per block, one compare of each side's raw draws with that
-side's lowest floor in a draw set finds every draw that can count.  Their
-raw draws are gathered across blocks into a quarter-block buffer per side,
-and the pairs transform, subtract and count the buffer when it would
-overflow and at the end, with the same closed deficit and open overflow
-compares; counts are sums, so every count is the whole sample's.  A pair
-whose edge needs no tail to reach (a level at ``s_min`` or ``s_max``), a
-pair on the sort path and any block with more candidates than a buffer
-holds are counted whole, each run of equal generations transformed once
-per block.
+- Windows: a pair's distinct level ``s`` is counted once, in the window
+  ``(lo, hi] = (s_min - s, s_max - s]``, and its repeats copy its counts.
+  A balance ``b <= lo`` is a deficit, ``b > hi`` an overflow, a NaN
+  neither.  A pair with no levels is left out of its draw set.
+- Draw sets: pairs whose sides have the same two ``primitive`` names read
+  the same draws, drawn and freed a block at a time (``None``, a
+  Deterministic side, draws nothing).
+- The block counter, ``_count``: up to ``SORT_ABOVE_LEVELS`` levels it
+  compares the balances with each edge; past that it sorts them and reads
+  every count by binary search, the non-NaN ones lying below
+  ``searchsorted(b, inf)``.
+- One drawn side (``_count_one_sided``): with the other fixed at ``c``,
+  the balance is monotone in the drawn value, and an edge ``e`` splits it
+  at ``c + e`` (a drawn generation) or ``c - e`` (a drawn demand), give or
+  take ``RAW_MARGIN * (|c| + |e|)`` of rounding.  The drawn family's
+  ``raw_floor`` and ``raw_ceil`` of the two ends bracket the raw draws that
+  may land on either side.  Each block of raw draws is sorted once, a pair
+  reads each edge's counts with one binary search of its bounds, and only
+  the draws inside a bracket are transformed and compared.  A pair whose
+  bounds fail their ``transform`` check, or whose family has none, counts
+  each block whole; two Deterministic sides count one balance ``n`` times.
+- Two drawn sides (``_count_draw_set``): every value is >= 0 and rounded
+  subtraction is monotone, so ``fl(g - d)`` lies in ``[-d, g]``, a deficit
+  at ``lo < 0`` needs ``d >= -lo`` and an overflow at ``hi > 0`` needs
+  ``g > hi``.  A pair with at most ``SORT_ABOVE_LEVELS`` levels, none at
+  ``s_min`` or ``s_max``, has a demand floor, ``raw_floor(-max(lo))``, and
+  a generation floor, ``raw_floor(min(hi))``, each checked by one
+  ``transform`` probe; a draw below both is neither event.  One compare of
+  each block's raw draws with the draw set's lowest floor per side finds
+  the candidates, whose raw draws gather across blocks in a quarter-block
+  buffer per side; the pruned pairs count the buffer when the next block's
+  candidates would not fit, and at the end.  Any other pair, and every pair on a block with more
+  candidates than a buffer holds, counts the block whole.
+- Reuse: a run of pairs with equal generations (``==``, which takes 0.0 for
+  -0.0 and changes no value) transforms them once per block or buffer, and
+  a run of equal quantities on one side at one floor is probed once.
 """
 
 from __future__ import annotations
@@ -391,71 +391,53 @@ def estimate_self_sufficiency(
 # Balance values formed and counted at a time by ``estimate_steps``.
 ESTIMATE_BLOCK = 16384
 
-# A two-sided pair with more levels than this sorts each balance block once
-# and reads all its counts by binary search.  At ESTIMATE_BLOCK values the
-# sort and the searches cost about as much as 8 levels' two compare-and-count
-# passes.
+# ``_count`` sorts a balance block counted at more levels than this and reads
+# all its counts by binary search.  At ESTIMATE_BLOCK values the sort and the
+# searches cost about as much as 8 levels' two compare-and-count passes.
 SORT_ABOVE_LEVELS = 8
 
 
 def _count(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, mask, deficit, overflow) -> None:
-    """Add the counts of ``b <= lo[j]`` to ``deficit`` and of ``b > hi[j]`` to ``overflow``.
-
-    ``hi`` ends with ``inf``, one past the levels; a NaN balance is in
-    neither count.  Many levels sort ``b`` and read it by binary search.
-    """
+    """Add the counts of ``b <= lo[j]`` to ``deficit`` and of ``b > hi[j]`` to ``overflow``."""
     if len(lo) > SORT_ABOVE_LEVELS:
-        b.sort()
-        _count_sorted(b, lo, hi, deficit, overflow)
+        b.sort()  # NaNs sort last, past searchsorted(b, inf)
+        deficit += np.searchsorted(b, lo, "right")
+        overflow += np.searchsorted(b, np.inf, "right") - np.searchsorted(b, hi, "right")
         return
     for j in range(len(lo)):
         deficit[j] += np.count_nonzero(np.less_equal(b, lo[j], out=mask))
         overflow[j] += np.count_nonzero(np.greater(b, hi[j], out=mask))
 
 
-def _count_sorted(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, deficit, overflow) -> None:
-    """``_count`` of a sorted ``b``, whose ``searchsorted(b, inf)`` values are not NaN."""
-    deficit += np.searchsorted(b, lo, "right")
-    at_most = np.searchsorted(b, hi, "right")
-    overflow += at_most[-1] - at_most[:-1]
-
-
-def _raw_floor(dist: Distribution, v: float, probed: list):
+def _raw_floor(dist: Distribution, v: float, last: list):
     """``dist``'s raw floor at ``v > 0`` if its one ``transform`` probe holds, else ``None``.
 
     The raw draw just below the floor must give a value below ``v``; a
-    family with no floor there (``-inf``) has nothing to prune.  ``probed``
-    holds the ``(dist, v, floor)`` found so far, so each distinct floor is
-    probed once (a quantity need not be hashable).
+    family with no floor there (``-inf``) has nothing to prune.  ``last``
+    holds the side's last ``[dist, v, floor]``, so a run of equal
+    quantities at one ``v`` is probed once.
     """
-    for d, w, floor in probed:
-        if w == v and d == dist:
-            return floor
+    if last[1] == v and last[0] == dist:
+        return last[2]
     floor = dist.raw_floor(v)
     below = np.full(1, np.nextafter(floor, -np.inf))
     with np.errstate(all="ignore"):  # a probe past the float range fails the check
         if not (floor > -np.inf and dist.transform(below, below)[0] < v):
             floor = None
-    probed.append((dist, v, floor))
+    last[:] = dist, v, floor
     return floor
 
 
-def _raw_floors(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray, probed: list):
-    """The raw ``(demand, generation)`` floors of a two-sided pair whose draws can be pruned.
+def _raw_floors(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray, last):
+    """The raw ``(demand, generation)`` floors of a two-sided pair, or ``None`` to count it whole.
 
-    The floors are the demand's ``_raw_floor`` at ``-max(lo)`` and the
-    generation's at ``min(hi)``, looked up in and added to ``probed``.
-    ``None`` for a pair counted whole: one whose edges need no tail to
-    reach (a level at ``s_min`` or ``s_max``), that the sort path counts,
-    or that has a side with no floor or whose floor fails its check.
+    ``last`` holds each side's last ``_raw_floor`` lookup, generation then demand.
     """
-    if not 0 < len(lo) <= SORT_ABOVE_LEVELS:
-        return None
     v_d, v_g = -lo.max(), hi.min()
-    if not (v_d > 0.0 and v_g > 0.0):
+    if len(lo) > SORT_ABOVE_LEVELS or not (v_d > 0.0 and v_g > 0.0):
         return None
-    d_floor = _raw_floor(dem, v_d, probed)
-    g_floor = None if d_floor is None else _raw_floor(gen, v_g, probed)
+    d_floor = _raw_floor(dem, v_d, last[1])
+    g_floor = None if d_floor is None else _raw_floor(gen, v_g, last[0])
     return None if g_floor is None else (d_floor, g_floor)
 
 
@@ -490,21 +472,14 @@ def _count_pairs(members, raw_g, raw_d, g_out, b_out, mask) -> None:
 
 
 def _count_draw_set(primitives, members, n: int, seed: int) -> None:
-    """Count a two-sided draw set's balances for each ``(gen, dem, lo, hi, deficit, overflow)``.
+    """Count a two-sided draw set for each ``(gen, dem, lo, hi, deficit, overflow)``.
 
     ``primitives`` names the generation's and the demand's ``Generator``
-    method.  Each block takes its generation draws and then its demand
-    draws from the one stream, and they are freed before the next block is
-    drawn.  The members with no ``_raw_floors`` count the whole block; so
-    do the pruned members when ``_candidates`` finds more candidates than
-    the buffers hold.  Otherwise the candidates' raw draws are copied into
-    the draw set's buffers, a quarter of the first block per side, which
-    the pruned members count when the next block's candidates would not
-    fit, and once more at the end.  Every array and view is freed on
-    return, before the next draw set is drawn.
+    method.  Every array and view is freed on return, before the next draw
+    set is drawn.
     """
-    probed = []
-    members = [(*member, _raw_floors(*member[:4], probed)) for member in members]
+    last = [None] * 3, [None] * 3
+    members = [(*member, _raw_floors(*member[:4], last)) for member in members]
     pruned = [member for member in members if member[-1] is not None]
     whole = [member for member in members if member[-1] is None]
     # The lowest demand floor and the lowest generation floor.
@@ -551,26 +526,22 @@ def _one_sided_balance(gen: Distribution, dem: Distribution, raw: np.ndarray, ou
 def _raw_bounds(gen: Distribution, dem: Distribution, lo: np.ndarray, hi: np.ndarray):
     """Each window edge's raw bracket for a one-sided pair, or ``None`` to count it whole.
 
-    Returns ``(edges, bounds)``: the edges ``lo`` then ``hi`` (less its
-    ``inf``), and their raw floors then their raw ceilings.  With one side
-    fixed at ``c``, the balance ``fl(g - d)`` is monotone in the drawn
-    side's value, so an edge ``e`` splits it at ``v = c + e`` (a drawn
-    generation: ``b <= e`` below) or ``c - e`` (a drawn demand: ``b <= e``
-    above).  Rounding moves that split by a few ulps of ``|c| + |e|``, so
-    a value more than ``RAW_MARGIN * (|c| + |e|)`` from ``v`` is surely on
-    its side, and the family's ``raw_floor`` and ``raw_ceil`` of those two
-    values bracket every raw draw that may not be: a draw below the floor
-    or at or above the ceiling needs no transform.  Values are >= 0, so a
-    floor at ``v <= 0`` is ``-inf`` (no draw is below it), and so is a
-    ceiling at ``v < 0`` (every draw is above it).
-    Each finite bound is checked once through ``transform``: the raw draw
-    just below the floor, and the ceiling, must give balances on their
-    sides of the edge.  A failed check, or an edge whose bracket holds every
-    raw draw (a family with no bounds), counts the pair whole.
+    Returns ``(edges, bounds)``: the edges ``lo`` then ``hi``, and their
+    raw floors then their raw ceilings.  An edge ``e`` splits the drawn
+    values at ``v = c + e`` (a drawn generation: ``b <= e`` below) or
+    ``c - e`` (a drawn demand: ``b <= e`` above), and a value more than
+    ``RAW_MARGIN * (|c| + |e|)`` from ``v`` is surely on its side: a draw
+    below the floor or at or above the ceiling needs no transform.  Values
+    are >= 0, so a floor at ``v <= 0`` is ``-inf`` (no draw is below it),
+    and so is a ceiling at ``v < 0`` (every draw is above it).  Each finite
+    bound is checked once through ``transform``: the raw draw just below
+    the floor, and the ceiling, must give balances on their sides of the
+    edge.  A failed check, or an edge whose bracket holds every raw draw (a
+    family with no bounds), counts the pair whole.
     """
     drawn_gen = dem.primitive is None
     drawn, c = (gen, dem.value) if drawn_gen else (dem, gen.value)
-    edges = np.concatenate([lo, hi[:-1]])
+    edges = np.concatenate([lo, hi])
     with np.errstate(over="ignore", invalid="ignore"):  # a split past the float range has no bounds
         v = c + edges if drawn_gen else c - edges
         margin = RAW_MARGIN * (abs(c) + np.abs(edges))
@@ -600,22 +571,13 @@ def _count_one_sided(primitive, members, n: int, seed: int) -> None:
 
     Each member is ``(gen, dem, lo, hi, deficit, overflow)``.  ``primitive``
     names the drawn side's ``Generator`` method, ``None`` when both sides
-    are Deterministic, whose one balance counts ``n`` times.
-    Each block of raw draws is sorted in place once, and a member with
-    ``_raw_bounds`` reads every edge's counts with one ``searchsorted`` of
-    its bounds: the draws below an edge's floor are on one side of it and
-    those at or above its ceiling on the other.  Only the draws inside a
-    bracket are transformed, subtracted and compared, with the closed
-    deficit and open overflow compares, so every count is the whole
-    sample's.  Neither side's value is NaN, so neither is a balance.  A
-    member with no bounds transforms the whole block, and sorts and
-    searches its balances.
+    are Deterministic.
     """
     if primitive is None:
         for gen, dem, lo, hi, deficit, overflow in members:
             b = np.subtract(gen.value, dem.value)
             deficit += n * (b <= lo)
-            overflow += n * (b > hi[:-1])
+            overflow += n * (b > hi)
         return
     bracketed, whole = [], []
     for member in members:
@@ -641,8 +603,7 @@ def _count_one_sided(primitive, members, n: int, seed: int) -> None:
                 inside[j] += np.count_nonzero(b <= edges[j])
         for gen, dem, lo, hi, deficit, overflow in whole:
             b = _one_sided_balance(gen, dem, raw, np.empty(len(raw)))
-            b.sort()
-            _count_sorted(b, lo, hi, deficit, overflow)
+            _count(b, lo, hi, np.empty(len(raw), dtype=bool), deficit, overflow)
         raw = None  # freed before the next block is drawn
     for (gen, dem, lo, _, deficit, overflow), edges, raw_bounds, below, inside in bracketed:
         e = len(edges)
@@ -656,43 +617,17 @@ def _count_one_sided(primitive, members, n: int, seed: int) -> None:
 def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     """Estimate the triple of each ``(gen, dem)`` pair at each of its levels.
 
-    ``levels[k]`` lists the levels of ``pairs[k]``; the result holds one
-    tuple per pair of one ``SelfSufficiencyEstimate`` per level, whose
-    frequencies are counts divided by ``n``.  Each estimate counts ``n``
-    draws of the balance from ``default_rng(seed)``: each block of
-    ``ESTIMATE_BLOCK`` values draws its generation, then its demand.  A
-    side that draws alone (the other is Deterministic) reads the stream as
-    one whole draw would, and so does a draw set of ``n <= ESTIMATE_BLOCK``.
-    The raw draws depend only on ``(seed, n)`` and on each side's
-    ``primitive``: pairs with the same two primitives share one sampling
-    pass, and each pair's balance is counted once at each distinct level,
-    whose counts its repeats copy.
-    The draw set is walked ``ESTIMATE_BLOCK`` values at a time, pair by
-    pair.
-    A draw set with a Deterministic side (``_count_one_sided``) sorts each
-    block of raw draws in place once.  Each pair reads every edge's counts
-    with one ``searchsorted`` of its raw bounds (``_raw_bounds``): the
-    drawn family's ``raw_floor`` and ``raw_ceil`` of each edge's split,
-    widened by the rounding of ``fl(g - d)``, below and above which every
-    draw is surely on one side of the edge.  Only the draws between them
-    are transformed, subtracted and compared.  A pair whose bounds fail
-    their one ``transform`` check, or whose family has none, transforms
-    the whole block, and sorts and searches its balances.  One block of raw
-    draws is all that is held, and two Deterministic sides draw nothing.
-    When both sides draw, a transform reads the raw draws and writes the
-    block; a pair whose generation equals the last one transformed reuses
-    the generation values already in the block.  A pair with more than
-    ``SORT_ABOVE_LEVELS`` distinct levels sorts its balance block and reads
-    every level's counts by binary search; any other compares the block
-    against each level's window edges.  A two-sided pair whose levels all
-    lie inside the window, with at most ``SORT_ABOVE_LEVELS`` distinct
-    levels, counts only the draws that the module's candidate rule keeps,
-    gathered across blocks into a buffer of a quarter of the first block
-    per side.  A block of raw draws per side, one of generation, one of
-    balance, one bool mask, the candidates' indices and the buffers (at
-    most one block's bytes together) are all the arrays held, whatever
-    ``n``.  Either way every count, and so every byte of output, equals the
-    whole sample's.
+    ``levels[k]`` lists the levels of ``pairs[k]``, each in ``storage``'s
+    window.  The result holds one tuple per pair of one
+    ``SelfSufficiencyEstimate`` per level, whose frequencies are counts of
+    ``n`` balance draws divided by ``n``, counted as the module docstring
+    states.  The draws come from ``default_rng(seed)``, each block of
+    ``ESTIMATE_BLOCK`` values drawing its generation, then its demand; a
+    side that draws alone reads the stream as one whole draw would, and so
+    does a draw set of ``n <= ESTIMATE_BLOCK``.  They depend only on
+    ``(seed, n)`` and each side's ``primitive``.  Whatever ``n``, at most a
+    block of raw draws per side, a generation and a balance block, a bool
+    mask and the candidate buffers (a quarter block per side) are held.
     """
     pairs = [tuple(pair) for pair in pairs]
     levels = [[storage.check_level(s) for s in lv] for lv in levels]
@@ -704,13 +639,12 @@ def estimate_steps(pairs, storage: StorageSpec, levels, n: int, seed: int):
     counts = []
     groups: dict = {}
     for (gen, dem), lv in zip(pairs, levels):
-        # Each distinct level s is counted once, in the window (s_min - s,
-        # s_max - s] seen from it, and its counts are copied to its repeats.
         distinct, repeats = np.unique(lv, return_inverse=True)
-        lo, hi = storage.s_min - distinct, np.append(storage.s_max - distinct, np.inf)
+        lo, hi = storage.s_min - distinct, storage.s_max - distinct
         deficit, overflow = np.zeros(len(lo), dtype=np.int64), np.zeros(len(lo), dtype=np.int64)
-        member = (gen, dem, lo, hi, deficit, overflow)
-        groups.setdefault((gen.primitive, dem.primitive), []).append(member)
+        if len(lo):  # a pair with no levels draws and counts nothing
+            member = (gen, dem, lo, hi, deficit, overflow)
+            groups.setdefault((gen.primitive, dem.primitive), []).append(member)
         counts.append((deficit, overflow, repeats))
     for (primitive_g, primitive_d), members in groups.items():
         if primitive_g is None or primitive_d is None:

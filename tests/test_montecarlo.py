@@ -416,6 +416,19 @@ def test_shared_estimates_validate_inputs():
     assert estimate_steps([], SPEC_MIXED, [], 100, 0) == ()
 
 
+def test_a_pair_with_no_levels_draws_and_counts_nothing(monkeypatch):
+    pair, n = (LogNormal(0.0, 1.0), LogNormal(0.0, 1.0)), 10**5
+    storage = StorageSpec(0.0, 10.0, 5.0)
+    calls = _count_calls(monkeypatch, LogNormal, "transform")
+    assert estimate_steps([pair], storage, [()], n, 0) == ((),)
+    assert calls[0] == 0
+    # Next to a pair that is counted, it costs no transform either.
+    (alone,) = estimate_steps([pair], storage, [(5.0,)], n, 0)
+    transforms = calls[0]
+    assert estimate_steps([pair, pair], storage, [(), (5.0,)], n, 0) == ((), alone)
+    assert calls[0] == 2 * transforms
+
+
 # --- the sort path: a pair counted at many levels ---------------------------------
 
 # Every family on each side, and each kind of draw set: a generation and a
@@ -572,11 +585,12 @@ def test_balances_on_a_pruned_pairs_edges_count_as_in_the_reference(monkeypatch)
         (Deterministic(5.5), tenth(0.0, 1.0)),
     ]
     one_sided, two_sided = [0, 1, 5], [2, 3, 4]
-    lo, hi = np.array([-5.0]), np.array([5.0, np.inf])
+    lo, hi = np.array([-5.0]), np.array([5.0])
     # The two-sided pairs are pruned by their raw demand and generation
     # floors, and the one-sided ones (a deterministic generation) bracketed
     # in raw draws.
-    assert all(montecarlo._raw_floors(*pairs[k], lo, hi, []) is not None for k in two_sided)
+    last = [None] * 3, [None] * 3
+    assert all(montecarlo._raw_floors(*pairs[k], lo, hi, last) is not None for k in two_sided)
     assert all(montecarlo._raw_bounds(*pairs[k], lo, hi) is not None for k in one_sided)
     values = {}
     transform = Empirical.transform
@@ -746,9 +760,10 @@ def _generation_transforms(monkeypatch, families, pairs, storage, levels, n, see
 
 
 def _assert_generations_transform_probes_and_candidates(sizes, found, n):
-    # Each distinct generation's floor is probed once, before any block.
-    # Past that it is transformed only over the buffered candidates (at
-    # most a buffer's room) and over the blocks counted whole, once each.
+    # Each generation's floor (day24's run of equal ones too) is probed
+    # once, before any block.  Past that it is transformed only over the
+    # buffered candidates (at most a buffer's room) and over the blocks
+    # counted whole, once each.
     room = min(n, montecarlo.ESTIMATE_BLOCK) // 4
     for probe, *rest in sizes.values():
         assert probe == 1
@@ -803,6 +818,38 @@ def test_day24_at_s_init_transforms_its_generation_only_over_the_candidates(
     _assert_generations_transform_probes_and_candidates(sizes, found, n)
 
 
+def test_floor_lookups_compare_each_quantity_with_its_sides_last_one(monkeypatch):
+    # As in day24: equal generations (distinct objects) and distinct demands,
+    # all pruned at level 5 in [0, 10].  Each lookup compares a quantity with
+    # the last one looked up on its side, so a pair costs at most 2 ==.
+    pairs = [(LogNormal(0.0, 0.5), LogNormal(0.001 * k, 0.5)) for k in range(200)]
+    calls, looking_up = [0], [False]
+    eq, raw_floors = LogNormal.__eq__, montecarlo._raw_floors
+
+    def eq_spy(self, other):
+        calls[0] += looking_up[0]
+        return eq(self, other)
+
+    def raw_floors_spy(*args):
+        looking_up[0] = True
+        try:
+            return raw_floors(*args)
+        finally:
+            looking_up[0] = False
+
+    monkeypatch.setattr(LogNormal, "__eq__", eq_spy)
+    monkeypatch.setattr(montecarlo, "_raw_floors", raw_floors_spy)
+    probes = _count_calls(monkeypatch, LogNormal, "transform")
+    shared = estimate_steps(pairs, SPEC_0_10, [(5.0,)] * len(pairs), 1000, 5)
+    monkeypatch.undo()
+    assert calls[0] <= 2 * len(pairs)
+    # Each demand and the run of generations are probed once, then
+    # transformed once in the one counting pass.
+    assert probes[0] == 2 * (len(pairs) + 1)
+    for (gen, dem), (est,) in zip(pairs[::50], shared[::50]):
+        assert est == estimate_reference(gen, dem, SPEC_0_10, 5.0, 1000, 5)
+
+
 @pytest.mark.parametrize(
     "levels", [(0.0, 0.0, 1.0, 0.0), (0.0, -0.0, 2.5, 5.0, 2.5)], ids=["repeats", "signed-zero"]
 )
@@ -849,7 +896,7 @@ ONE_SIDED_LEVELS = (0.0, 1.0, 2.5, 3.0, 3.7, 5.0)
 
 def _edges_of(storage, levels):
     distinct = np.unique(levels)
-    return storage.s_min - distinct, np.append(storage.s_max - distinct, np.inf)
+    return storage.s_min - distinct, storage.s_max - distinct
 
 
 @pytest.mark.parametrize("n_from_block", [(0, 1), (0, 1000), (1, -1), (1, 0), (1, 1), (2, 3)])
@@ -885,6 +932,8 @@ _HUGE = StorageSpec(0.0, 1e308, 0.0)
     "pair, storage, levels",
     [
         ((Deterministic(2.0), _CeilingTooLow(2.0, 5.0)), SPEC_0_5, (0.0, 2.5, 4.0)),
+        # Past SORT_ABOVE_LEVELS levels the whole blocks are sorted and searched.
+        ((Deterministic(2.0), _CeilingTooLow(2.0, 5.0)), SPEC_0_5, tuple(np.linspace(0.0, 5.0, 12))),
         # Every value is exp(5): each edge's ceiling quotient is past the
         # float range (-inf, every draw above), which its probe refutes.
         ((LogNormal(5.0, 1e-310), Deterministic(1.0)), SPEC_0_5, (0.0, 2.5, 4.0)),
@@ -894,7 +943,13 @@ _HUGE = StorageSpec(0.0, 1e308, 0.0)
         # 1e308 - (-1e308) is past the float range: no bound, and no warning.
         ((Deterministic(1e308), FIG2_DEM), _HUGE, (0.0, 1e308)),
     ],
-    ids=["bound-fails-check", "ceiling-past-float-range", "no-bounds", "split-past-float-range"],
+    ids=[
+        "bound-fails-check",
+        "bound-fails-check-12-levels",
+        "ceiling-past-float-range",
+        "no-bounds",
+        "split-past-float-range",
+    ],
 )
 def test_a_raw_bound_that_fails_its_check_counts_the_pair_whole(pair, storage, levels, monkeypatch):
     assert montecarlo._raw_bounds(*pair, *_edges_of(storage, levels)) is None
