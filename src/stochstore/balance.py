@@ -18,9 +18,10 @@ Cell ``i`` of a grid covers ``[origin + i*step, origin + (i+1)*step)`` and
 carries a probability mass, uniform within its cell, so the grid cdf is
 piecewise linear between cell edges.  A grid is its cumulative masses at
 its edges, and ``DensityGrid(origin, step, cum)`` is its one constructor:
-``discretize`` passes ``cdf(edges) - cdf(edges[0])``, ``resample`` the
-interpolated cdf at its new edges.  The cell masses are their differences,
-formed only where a dot product needs them.
+``discretize`` passes ``cdf(edges) - cdf(edges[0])``.  A balance refines the
+coarser of its two grids to the finer step as the interpolated cdf at the new
+edges, an array it reads without a grid around it.  The cell masses are the
+differences of the cumulative masses, formed only where a dot product needs them.
 
 Probability conventions
 -----------------------
@@ -99,6 +100,16 @@ def _edges(origin: float, step: float, n_cells: int) -> np.ndarray:
     edges *= step
     edges += origin
     return edges
+
+
+def _masses(cum: np.ndarray) -> np.ndarray:
+    """Cell masses (read-only) of cumulative masses ``cum``: their differences,
+    rounding dust clipped to 0."""
+    masses = np.diff(cum)
+    if masses.min() < 0.0:
+        np.maximum(masses, 0.0, out=masses)
+    masses.flags.writeable = False
+    return masses
 
 
 class _GridMeasure:
@@ -201,11 +212,7 @@ class DensityGrid(_GridMeasure):
     @property
     def masses(self) -> np.ndarray:
         """Cell masses (read-only): the differences of ``cum``, rounding dust clipped to 0."""
-        masses = np.diff(self.cum)
-        if masses.min() < 0.0:
-            np.maximum(masses, 0.0, out=masses)
-        masses.flags.writeable = False
-        return masses
+        return _masses(self.cum)
 
     @property
     def n_cells(self) -> int:
@@ -274,34 +281,12 @@ def discretize(spec: Distribution, cells: int = DEFAULT_CELLS) -> DensityGrid:
     return grid
 
 
-def resample(grid: DensityGrid, step: float) -> DensityGrid:
-    """Rebin a grid onto spacing ``step``, conserving total mass.
-
-    Mass moves by piecewise-uniform splitting (linear interpolation of the
-    cumulative masses at the new edges).
-    """
-    step = float(step)
-    if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and > 0, got {step!r}")
-    if step == grid.step:
-        return grid
+def _refined_cum(grid: DensityGrid, step: float, cells: int) -> np.ndarray:
+    """The cumulative masses of ``grid`` at ``cells + 1`` edges ``step`` apart
+    from its origin: its cdf, linear between its edges, so each cell's mass is
+    split uniformly and mass and location are kept."""
     # The new edges are freed once their cumulative masses are read.
-    cum = np.interp(_edges(grid.origin, step, _resampled_cells(grid, step)), grid.edges, grid.cum)
-    return DensityGrid(grid.origin, step, cum)
-
-
-def _resampled_cells(grid: DensityGrid, step: float) -> int:
-    """Cell count of ``resample(grid, step)``; over ``MAX_BALANCE_CELLS`` is refused."""
-    if step == grid.step:
-        return grid.n_cells
-    # Compared as a float: a huge grid's ratio may be inf, which has no int.
-    cells = grid.width / step - 1e-12
-    if not cells <= MAX_BALANCE_CELLS:
-        raise CellBudgetError(
-            f"a grid {grid.width:.3g} wide needs {cells:.3g} cells at step {step:.3g}, "
-            f"over the budget of {MAX_BALANCE_CELLS}"
-        )
-    return int(math.ceil(cells))
+    return np.interp(_edges(grid.origin, step, cells), grid.edges, grid.cum)
 
 
 def difference_density(gen: DensityGrid, dem: DensityGrid) -> _CellBalance:
@@ -323,19 +308,27 @@ def difference_density(gen: DensityGrid, dem: DensityGrid) -> _CellBalance:
     in the inputs, and no balance-sized array is built.
     """
     h = min(gen.step, dem.step)
-    n_cells = _resampled_cells(gen, h) + _resampled_cells(dem, h)
-    if n_cells > MAX_BALANCE_CELLS:
+    # Each input's cell count at step h.  np.ceil keeps a count too large
+    # for an int (a huge input's width / h may be inf) a float.
+    cells = [g.n_cells if g.step == h else np.ceil(g.width / h - 1e-12) for g in (gen, dem)]
+    n_cells = sum(cells)
+    if not n_cells <= MAX_BALANCE_CELLS:
         raise CellBudgetError(
-            f"the balance grid needs {n_cells} cells at the finer input step {h:.3g}, "
-            f"over the budget of {MAX_BALANCE_CELLS}; one input is much narrower "
-            f"than the other"
+            f"the balance grid needs {n_cells:.10g} cells at the finer input step {h:.3g}, "
+            f"over the budget of {MAX_BALANCE_CELLS}; one input is much narrower than the other"
         )
-    return _CellBalance(resample(gen, h), resample(dem, h))
+    gen_cum, dem_cum = [
+        g.cum if g.step == h else _refined_cum(g, h, int(n)) for g, n in zip((gen, dem), cells)
+    ]
+    origin = gen.origin - (dem.origin + (dem_cum.size - 1) * h)
+    return _CellBalance(origin, h, gen_cum, _masses(gen_cum), dem_cum[-1] - dem_cum[:-1])
 
 
 @dataclass(frozen=True, eq=False)
 class _CellBalance(_GridMeasure):
-    """The balance ``G - D`` of two cell grids on one step, kept as its inputs.
+    """The balance ``G - D`` of two cell grids on one step, kept as what its
+    queries read of them: the generation's cumulative masses ``gen_cum`` and
+    masses ``gen_mass``, and ``tail[m]``, the demand mass of cells m and up.
 
     With ``g`` the generation masses and ``d`` the demand masses, the
     balance masses are ``0.5 * (corr[k] + corr[k - 1])`` for the correlation
@@ -345,45 +338,32 @@ class _CellBalance(_GridMeasure):
     ``corr``, and each ``C[j]`` is one dot product of the inputs.
     """
 
-    gen: DensityGrid
-    dem: DensityGrid
-    # The generation cell masses, formed once for the queries' dot products.
-    _gen_mass: np.ndarray = field(init=False, repr=False)
-    # _tail[m] is the demand mass of cells m and up.
-    _tail: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_gen_mass", self.gen.masses)
-        object.__setattr__(self, "_tail", self.dem.cum[-1] - self.dem.cum[:-1])
-
-    @property
-    def origin(self) -> float:
-        return self.gen.origin - (self.dem.origin + self.dem.width)
-
-    @property
-    def step(self) -> float:
-        return self.gen.step
+    origin: float
+    step: float
+    gen_cum: np.ndarray = field(repr=False)
+    gen_mass: np.ndarray = field(repr=False)
+    tail: np.ndarray = field(repr=False)
 
     @property
     def n_cells(self) -> int:
-        return self.gen.n_cells + self.dem.n_cells
+        return self.gen_mass.size + self.tail.size
 
     @property
     def total_mass(self) -> float:
-        return float(self._tail[0] * self.gen.total_mass)
+        return float(self.tail[0] * self.gen_cum[-1])
 
     def _corr_cum(self, j: int) -> float:
         """``C[j] = corr[0] + ... + corr[j]``: 0 for ``j < 0``, the total from ``n_corr - 1``."""
         if j < 0:
             return 0.0
-        n_gen, n_dem = self.gen.n_cells, self.dem.n_cells
+        n_gen, n_dem = self.gen_mass.size, self.tail.size
         # Generation cells below lo meet all of the demand; cells lo..hi-1
         # meet the demand cells from n_dem - 1 - (j - i) up.
         lo = min(max(j - n_dem + 2, 0), n_gen)
         hi = min(j + 1, n_gen)
         shift = n_dem - 1 - j
-        partial = np.dot(self._gen_mass[lo:hi], self._tail[lo + shift : hi + shift])
-        return float(self._tail[0] * self.gen.cum[lo] + partial)
+        partial = np.dot(self.gen_mass[lo:hi], self.tail[lo + shift : hi + shift])
+        return float(self.tail[0] * self.gen_cum[lo] + partial)
 
     def _cum_pair(self, k: int) -> tuple[float, float]:
         c = [self._corr_cum(j) for j in (k - 2, k - 1, k)]

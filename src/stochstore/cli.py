@@ -82,10 +82,11 @@ VALIDATE_CAVEAT_N = 10_000
 MAX_SAMPLE_BYTES = 2**30
 
 # Largest --grid-cells.  The grid route grows about linearly (one array cdf
-# call per grid, a resample, a few dot products per query): analyze day24
-# --step 12 takes ~1.4 ms at 2**14 cells and ~4.1 ms at 2**16 (best of 300
-# in-process runs, 2-vCPU Xeon VM).  The cap refuses sizes that would exhaust
-# memory (10**11 cells) before any array is allocated.
+# call per grid, one refinement of the coarser grid per balance, a few dot
+# products per query): analyze day24 --step 12 takes ~1.4 ms at 2**14 cells
+# and ~4.1 ms at 2**16 (best of 300 in-process runs, 2-vCPU Xeon VM).  The
+# cap refuses sizes that would exhaust memory (10**11 cells) before any array
+# is allocated.
 MAX_GRID_CELLS = 2**16
 
 # glibc's mallopt parameter numbers (malloc.h).  Setting either one turns off
@@ -507,8 +508,9 @@ def run_command(args: argparse.Namespace) -> int:
                         raise ConfigError(f"--out: {target} is a directory")
             scenario = _load_scenario(args)
         return _HANDLERS[args.command](args, scenario)
-    # CellBudgetError: the inputs' grids refine to more cells than
-    # balance.MAX_BALANCE_CELLS, or an input's cells hold too little mass.
+    # CellBudgetError: a balance's two inputs, the coarser refined to the
+    # finer step, sum to more cells than balance.MAX_BALANCE_CELLS, or an
+    # input's cells hold too little mass.
     except (ConfigError, CellBudgetError) as e:
         _diag(f"config error: {e}")
         return 2

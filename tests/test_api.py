@@ -76,7 +76,7 @@ def test_routes_meet_only_in_the_cli():
         "difference_density",
         "point_mass_balance",
         "self_sufficiency",
-        "resample",
+        "_refined_cum",
         "_GridMeasure",
         "DensityGrid",
         "_CellBalance",

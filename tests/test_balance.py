@@ -28,7 +28,6 @@ from stochstore import (
     self_sufficiency,
     weibull_closed_form,
 )
-from stochstore.balance import resample
 
 from conftest import grid_from_masses, read_fixture_text
 
@@ -48,10 +47,21 @@ def _grid_mean(grid):
     return float(np.dot(grid.masses, centers) / grid.total_mass)
 
 
+def _refined_cells(grid, step):
+    """The cell count of ``grid`` refined to ``step``: its width in cells, rounded up."""
+    return grid.n_cells if step == grid.step else math.ceil(grid.width / step - 1e-12)
+
+
+def _refined(grid, step):
+    """``grid`` refined to ``step``: its cumulative masses ``np.interp``-ed at the new edges."""
+    new_edges = grid.origin + step * np.arange(_refined_cells(grid, step) + 1)
+    return DensityGrid(grid.origin, step, np.interp(new_edges, grid.edges, grid.cum))
+
+
 def _direct_masses(gen, dem):
     """Balance masses from the direct ``np.convolve`` correlation: the reference."""
     h = min(gen.step, dem.step)
-    corr = np.convolve(resample(gen, h).masses, resample(dem, h).masses[::-1])
+    corr = np.convolve(_refined(gen, h).masses, _refined(dem, h).masses[::-1])
     return 0.5 * (np.append(corr, 0.0) + np.insert(corr, 0, 0.0))
 
 
@@ -215,9 +225,9 @@ def _fig2_balance():
     return grid_from_masses(2.0 - (dem.origin + dem.width), dem.step, dem.masses[::-1])
 
 
-def _resampled_lognormal():
+def _refined_lognormal():
     grid = discretize(LogNormal(0.0, 1.0), 512)
-    return resample(grid, 0.3 * grid.step)
+    return _refined(grid, 0.3 * grid.step)
 
 
 @pytest.mark.parametrize(
@@ -225,11 +235,11 @@ def _resampled_lognormal():
     [
         lambda: grid_from_masses(0.5, 0.75, [0.3, 0.6]),
         _fig2_balance,
-        _resampled_lognormal,
+        _refined_lognormal,
         # Cells far below an ulp of the origin: runs of edges round together.
         lambda: grid_from_masses(1e6, 1e-11, np.full(64, 1 / 64)),
     ],
-    ids=["two_cells", "fig2_atom_shifted_4096", "resampled", "edges_that_round_together"],
+    ids=["two_cells", "fig2_atom_shifted_4096", "refined", "edges_that_round_together"],
 )
 def test_grid_cdf_is_np_interp_bit_for_bit(make_grid):
     grid = make_grid()
@@ -245,21 +255,26 @@ def test_discretize_validation():
         discretize(FIG2_DEM, cells=1)
 
 
-# --- resample ----------------------------------------------------------------
+# --- refinement to the finer input step --------------------------------------
 
 
-def test_resample_conserves_mass_and_location():
+def test_refinement_conserves_mass_and_location():
     grid = discretize(FIG2_DEM, cells=512)
-    finer = resample(grid, grid.step / 3.0)
+    step = grid.step / 3.0
+    cum = balance._refined_cum(grid, step, _refined_cells(grid, step))
+    finer = DensityGrid(grid.origin, step, cum)
     assert finer.total_mass == pytest.approx(grid.total_mass, abs=1e-12)
     assert _grid_mean(finer) == pytest.approx(_grid_mean(grid), abs=grid.step)
     for x in (0.5, 1.0, 2.0, 3.0):
         assert finer.cdf(x) == pytest.approx(grid.cdf(x), abs=1e-12)
 
 
-def test_resample_at_the_same_step_is_identity():
+def test_equal_steps_refine_nothing():
+    # The finer input's cumulative masses are read as they are, not copied.
     grid = discretize(FIG2_DEM, cells=128)
-    assert resample(grid, grid.step) is grid
+    coarser = discretize(Weibull(4.0, 5.0), cells=128)
+    assert difference_density(grid, grid).gen_cum is grid.cum
+    assert difference_density(grid, coarser).gen_cum is grid.cum
 
 
 def _bits(values) -> np.ndarray:
@@ -278,13 +293,14 @@ def test_discretize_keeps_the_cdf_above_the_first_edge(spec, cells):
     np.testing.assert_array_equal(grid.masses, np.maximum(np.diff(grid.cum), 0.0))
 
 
-def test_resample_keeps_the_interpolated_cumulative_masses():
+def test_refinement_keeps_the_interpolated_cumulative_masses():
     grid = discretize(LogNormal(0.0, 1.0), 512)
     for step in (0.3 * grid.step, grid.step / 7.0, 2.5 * grid.step):
-        finer = resample(grid, step)
-        new_edges = grid.origin + step * np.arange(finer.n_cells + 1)
+        cells = _refined_cells(grid, step)
+        new_edges = grid.origin + step * np.arange(cells + 1)
         expected = np.interp(new_edges, grid.edges, grid.cum)
-        np.testing.assert_array_equal(_bits(finer.cum), _bits(expected))
+        got = balance._refined_cum(grid, step, cells)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
 
 
 def test_a_refined_balance_query_holds_two_refined_arrays():
@@ -295,7 +311,7 @@ def test_a_refined_balance_query_holds_two_refined_arrays():
     # of the refined size (2.05 measured).  Refined masses summed into a
     # second cumulative array, or copied, made four.
     gen, dem = discretize(Weibull(2.0, 5.0)), discretize(lognormal_from_moments(1.0, 3e-5))
-    refined_bytes = 8 * balance._resampled_cells(gen, dem.step)
+    refined_bytes = 8 * _refined_cells(gen, dem.step)
     assert refined_bytes > 1_000_000
     tracemalloc.start()
     try:

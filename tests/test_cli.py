@@ -877,6 +877,40 @@ def test_exit_2_when_the_ensemble_balance_total_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "validate"])
+@pytest.mark.parametrize(
+    "generation",
+    [
+        # Alone over the budget: refined to the demand's step, the generation
+        # grid needs about 4.1e303 cells.
+        {"kind": "weibull", "scale": 1e300, "shape": 1.0},
+        # Each input alone within it: the demand grid refines to 4192085
+        # cells, and the generation's own 4096 put the sum over.
+        {"kind": "lognormal", "mean": 1.0, "variance": 2.655e-6},
+    ],
+    ids=["one_input_over", "sum_over"],
+)
+def test_the_cell_budget_is_refused_with_one_message(tmp_path, capsys, command, generation):
+    doc = {
+        "name": "over_budget",
+        "energy_unit": "kWh",
+        "horizon": 1,
+        "storage": {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0},
+        "steps": [{"generation": generation, "demand": {"kind": "weibull", "scale": 1.0, "shape": 1.0}}],
+    }
+    path = tmp_path / "over_budget.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    if command == "analyze":
+        argv += ["--s-prev", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: the balance grid needs " in err
+    assert "cells at the finer input step" in err and "over the budget of 4194304" in err
+    assert not out.exists()
+
+
 def test_validate_refuses_an_over_budget_grid_before_sampling(tmp_path, capsys, monkeypatch):
     # Step 1 is fig2's; step 2's near-atom generation is over the cell budget.
     doc = json.loads(FIG2_TEXT)
