@@ -75,10 +75,10 @@ __all__ = ["ConfigError", "main", "entrypoint"]
 VALIDATE_CAVEAT_N = 10_000
 
 # Bytes of float64 samples one run may hold in a single array: simulate's
-# (n, horizon) ensemble matrix.  validate and sweep draw n float64 values
-# per side (Empirical too) but hold them a block at a time and no n-length
-# array, so for them the budget bounds run time, not memory.  A larger --n
-# is refused before anything is sampled.
+# (horizon, n) array of ensemble states.  validate and sweep draw n float64
+# values per side (Empirical too) but hold them a block at a time and no
+# n-length array, so for them the budget bounds run time, not memory.  A
+# larger --n is refused before anything is sampled.
 MAX_SAMPLE_BYTES = 2**30
 
 # Largest --grid-cells.  The grid route grows about linearly (one array cdf

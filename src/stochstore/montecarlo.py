@@ -18,6 +18,12 @@ documented ``SeedSequence`` and ``PCG64`` seeding algorithms rather than by
 building one ``Generator`` per trajectory; a test pins them to
 ``default_rng``.  ``estimate_steps`` gives the frequency estimates' stream.
 
+How an ensemble aggregates.  The states are held step-major, one
+``(horizon, n)`` array.  Both means come from one running total, summed row
+by row as numpy sums the ``(n, horizon)`` matrix of trajectories, and each
+step's quantiles read one partition of its row by numpy's 'linear' rule: the
+same bits, without ``np.quantile``, whose ``np.unique`` imports ``numpy.ma``.
+
 How an estimate counts.  Each rule below keeps every count, and so every
 output byte, equal to that of the whole sample compared with each window.
 
@@ -120,7 +126,7 @@ class EnsembleStats:
 
 # Trajectories drawn and evolved together by ``simulate_ensemble``.  Its
 # working arrays are a few (horizon, ENSEMBLE_CHUNK) blocks next to the
-# (n, horizon) matrix of states.
+# (horizon, n) array of states.
 ENSEMBLE_CHUNK = 256
 
 # numpy's SeedSequence (random/bit_generator.pyx: a pool of 4 uint32 words)
@@ -305,10 +311,33 @@ def simulate_trajectory(scenario: Scenario, seed: int, index: int = 0) -> Trajec
     return replace(evolve(scenario.storage, g - d), generation=g, demand=d)
 
 
-def _sum_rows(rows: np.ndarray) -> np.ndarray:
+def _sum_rows(rows: np.ndarray, axis: int = 0) -> np.ndarray:
     # A total that overflows is left as inf or nan for the caller to see.
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.add.reduce(rows, axis=0)
+        return np.add.reduce(rows, axis=axis)
+
+
+def _quantiles(rows: np.ndarray) -> np.ndarray:
+    """``np.quantile(rows, QUANTILE_LEVELS, axis=1)`` bit for bit, partitioning ``rows`` in place.
+
+    numpy's 'linear' rule: level ``q`` sits at index ``(n - 1) * q`` between
+    order statistics ``a`` at ``lo = floor(index)`` and ``b`` at ``lo + 1``,
+    both the last (``lo = -1``) where the index reaches ``n - 1``, and reads
+    ``a + (b - a) * gamma``, ``gamma = index - lo``, or ``b - (b - a) * (1 -
+    gamma)`` where ``gamma >= 0.5``.  The partition takes numpy's kth list,
+    so tied signed zeros land as numpy's do.
+    """
+    n = rows.shape[1]
+    index = [(n - 1) * q for q in QUANTILE_LEVELS]
+    lo = [math.floor(v) if v < n - 1 else -1 for v in index]
+    hi = [k + 1 if k >= 0 else -1 for k in lo]
+    rows.partition(sorted({0, -1, *lo, *hi}), axis=1)
+    a, b = rows.T[lo], rows.T[hi]
+    gamma = np.array([v - k for v, k in zip(index, lo)])[:, None]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
@@ -318,23 +347,25 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
     Trajectory ``i`` draws from ``default_rng((seed, i))``, generation then
     demand per step in step order, and is evolved from ``s_init``; every
     statistic equals numpy's mean or quantile over the ``(n, horizon)``
-    matrix of all trajectories bit for bit.  Only the matrix of states is
-    held; ``b_mean`` is a running total, which is ``inf`` or ``nan`` where
-    that total overflows a float.
+    matrix of all trajectories bit for bit.  The states are held step-major,
+    one ``(horizon, n)`` array, and each step's quantiles read one partition
+    of its row (``_quantiles``, numpy's 'linear' rule).  Both means come from
+    one running total, which is ``inf`` or ``nan`` where it overflows a float.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"ensemble size must be >= 1, got {n}")
     horizon = scenario.horizon
     plan = _draw_plan(scenario)
-    states = np.empty((n, horizon))
     # numpy sums the columns of a C-ordered matrix row by row, which the
-    # running total over C-ordered [total; chunk] blocks repeats.  (An
-    # F-ordered block would be summed pairwise.)  A one-column matrix it
-    # sums pairwise over all n rows, so a one-step scenario keeps its n
-    # balances and sums them once.
-    balances = np.empty((n, 1)) if horizon == 1 else None
-    b_total = np.zeros(horizon)
+    # running total of the balances and states over C-ordered [total; chunk]
+    # blocks repeats.  (An F-ordered block would be summed pairwise.)  A
+    # one-column matrix it sums pairwise over all n rows, so a one-step
+    # scenario keeps its balances in a row above its states and sums both
+    # rows once at the end.
+    held = np.empty((2 if horizon == 1 else horizon, n))
+    states = held[-horizon:]
+    total = np.zeros(2 * horizon)
     spill_counts = np.zeros(horizon)
     deficit_counts = np.zeros(horizon)
     realization = None
@@ -352,24 +383,23 @@ def simulate_ensemble(scenario: Scenario, n: int, seed: int) -> EnsembleStats:
                 generation=g[:, 0],
                 demand=d[:, 0],
             )
-        states[start:stop] = traj.storage.T
-        if balances is not None:
-            balances[start:stop] = traj.balance.T
+        states[:, start:stop] = traj.storage
+        if horizon == 1:
+            held[0, start:stop] = traj.balance[0]
         else:
-            rows = np.empty((stop - start + 1, horizon))
-            rows[0] = b_total
-            rows[1:] = traj.balance.T
-            b_total = _sum_rows(rows)
+            block = np.empty((stop - start + 1, 2 * horizon))
+            block[0] = total
+            block[1:, :horizon] = traj.balance.T
+            block[1:, horizon:] = traj.storage.T
+            total = _sum_rows(block)
         spill_counts += np.count_nonzero(traj.spill > 0.0, axis=1)
         deficit_counts += np.count_nonzero(traj.deficit > 0.0, axis=1)
-    if balances is not None:
-        b_total = _sum_rows(balances)
-    s_mean = states.mean(axis=0)
+    if horizon == 1:
+        total = _sum_rows(held, axis=1)
     return EnsembleStats(
-        s_mean=s_mean,
-        # Partitions the states in place rather than a copy of them.
-        s_quantiles=np.quantile(states, QUANTILE_LEVELS, axis=0, overwrite_input=True),
-        b_mean=b_total / n,
+        s_mean=total[horizon:] / n,
+        s_quantiles=_quantiles(states),
+        b_mean=total[:horizon] / n,
         spill_freq=spill_counts / n,
         deficit_freq=deficit_counts / n,
         realization=realization,

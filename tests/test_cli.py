@@ -37,6 +37,15 @@ P_B_AT_4 = 0.03076676552365592
 P_B_AT_5 = 0.6321205588285577
 
 
+def _child_env(**extra):
+    """The environment of a child Python that imports this checkout's stochstore."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -234,6 +243,30 @@ def test_simulate_writes_both_tables_and_is_byte_stable(tmp_path):
         "deficit_freq",
     ]
     assert len(e_rows) == 24
+
+
+# np.quantile and a plain np.unique import numpy.ma, about 1.4 MB resident.
+NUMPY_MA_CHILD = """
+import sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+from stochstore import cli
+code = cli.main(["simulate", "--scenario", "day24_lognormal", "--n", "100", "--out", sys.argv[1]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_simulate_never_imports_numpy_ma(tmp_path):
+    env = _child_env()
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_CHILD, str(tmp_path / "run.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    if done.returncode == 3:
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_an_existing_longer_output_holds_exactly_the_new_bytes(tmp_path):
@@ -687,10 +720,7 @@ def test_the_tie_reads_its_exact_deficit(tmp_path, capsys):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_a_closed_stdout_keeps_the_commands_exit_code(tmp_path, unbuffered):
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)
     python = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "stochstore"]
     runs = [
         (["analyze", "--scenario", "fig2_battery", "--s-prev", "0"], 0),
@@ -1080,10 +1110,7 @@ def test_repeated_commands_reuse_freed_memory(tmp_path):
     # With glibc's adaptive thresholds the last analyze took about 2000 minor
     # faults and the last sweep about 48000: each freed temporary went back to
     # the OS and came back as fresh zeroed pages.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(stochstore.__file__).parents[1]), env.get("PYTHONPATH")])
-    )
+    env = _child_env()
     done = subprocess.run(
         [sys.executable, "-c", REPEATED_CALLS_CHILD, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=300,

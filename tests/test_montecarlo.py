@@ -1176,6 +1176,34 @@ def test_ensemble_quantiles_are_ordered(day24_scenario):
     assert np.all(stats.s_quantiles <= day24_scenario.storage.s_max + 1e-12)
 
 
+def _assert_numpys_quantiles(rows):
+    rows = np.array(rows, dtype=float)
+    expected = np.quantile(rows, montecarlo.QUANTILE_LEVELS, axis=1)
+    got = montecarlo._quantiles(rows.copy())
+    assert got.shape == expected.shape
+    # Bytes, so that a signed zero must match too.
+    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, 5.0, 0.0, 2.5, 5.0, 0.0, 5.0, 1.0], [5.0] * 6 + [0.0] * 2, [0.0] * 7 + [5.0]],
+        [[3.25] * 8, [0.0] * 8, [-0.0] * 8],
+        [[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 0.0], [-0.0, 0.0] * 4, [5.0, -0.0, 5.0, 0.0] * 2],
+    ],
+    ids=["ties_at_s_min_and_s_max", "constant", "signed_zeros"],
+)
+def test_step_quantiles_are_numpys_bit_for_bit(rows):
+    _assert_numpys_quantiles(rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_quantiles_of_one_to_three_states_are_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    _assert_numpys_quantiles(rng.choice([-0.0, 0.0, 0.5, 5.0], size=(64, n)))
+
+
 def test_ensemble_frequencies_match_closed_form(fig2_scenario):
     # One-step scenario from a full battery: spill frequency estimates p_overflow.
     stats = simulate_ensemble(fig2_scenario, n=40_000, seed=0)
