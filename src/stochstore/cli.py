@@ -122,14 +122,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": "simulate one seeded realization plus ensemble statistics",
-        "analyze": "analytic (grid) step probabilities at a battery level",
-        "sweep": "closed-form vs Monte Carlo triple across battery levels",
-        "validate": "gate: analytic values must sit inside MC confidence intervals",
-    }
-    # Each command takes only the flags it reads, so an unused flag is an error.
-    for name, help_text in commands.items():
+    # Each command takes only the flags it reads or records (analyze records
+    # --seed and --n in its metadata), so any other flag is an error.
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True,
                        help="bundled fixture name or scenario file path")
@@ -471,11 +466,12 @@ def _run_validate(args: argparse.Namespace, scenario: Scenario) -> int:
     return 1 if failures else 0
 
 
-_HANDLERS = {
-    "simulate": _run_simulate,
-    "analyze": _run_analyze,
-    "sweep": _run_sweep,
-    "validate": _run_validate,
+# Each command's handler and its help line, in the order --help lists them.
+_COMMANDS = {
+    "simulate": (_run_simulate, "simulate one seeded realization plus ensemble statistics"),
+    "analyze": (_run_analyze, "analytic (grid) step probabilities at a battery level"),
+    "sweep": (_run_sweep, "closed-form vs Monte Carlo triple across battery levels"),
+    "validate": (_run_validate, "gate: analytic values must sit inside MC confidence intervals"),
 }
 
 
@@ -507,7 +503,8 @@ def run_command(args: argparse.Namespace) -> int:
                     if target.is_dir():
                         raise ConfigError(f"--out: {target} is a directory")
             scenario = _load_scenario(args)
-        return _HANDLERS[args.command](args, scenario)
+        handler, _ = _COMMANDS[args.command]
+        return handler(args, scenario)
     # CellBudgetError: a balance's two inputs, the coarser refined to the
     # finer step, sum to more cells than balance.MAX_BALANCE_CELLS, or an
     # input's cells hold too little mass.

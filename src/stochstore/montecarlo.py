@@ -58,8 +58,9 @@ output byte, equal to that of the whole sample compared with each window.
   each block's raw draws with the draw set's lowest floor per side finds
   the candidates, whose raw draws gather across blocks in a quarter-block
   buffer per side; the pruned pairs count the buffer when the next block's
-  candidates would not fit, and at the end.  Any other pair, and every pair on a block with more
-  candidates than a buffer holds, counts the block whole.
+  candidates would not fit, and at the end.  Any other pair, and every pair
+  on a block with more candidates than a buffer holds, counts the block
+  whole.
 - Reuse: a run of pairs with equal generations (``==``, which takes 0.0 for
   -0.0 and changes no value) transforms them once per block or buffer, and
   a run of equal quantities on one side at one floor is probed once.
@@ -78,7 +79,6 @@ from .scenario import Scenario
 from .storage import StorageSpec, Trajectory, evolve
 
 __all__ = [
-    "QUANTILE_LEVELS",
     "SelfSufficiencyEstimate",
     "EnsembleStats",
     "simulate_ensemble",

@@ -9,8 +9,9 @@ versions, and the exit code already tells a refusal apart.
 The runs cover every command on both bundled fixtures at seeds 0 and 7 in
 CSV and JSON; ``simulate`` at n = 1, 257 and 2000 (a one-trajectory
 ensemble, one past a chunk edge, and several chunks); day24 at extra
-levels and ``analyze`` at several steps and cell counts; and the CI
-workflow's inline scenarios, its refusals (exit 2) included.
+levels, ``validate`` at n = 100000 and ``analyze`` at several steps and cell
+counts; and every scenario the CI workflow writes inline, its refusals
+(exit 2) included.
 
 After a declared byte change, rewrite the table with
 
@@ -43,6 +44,22 @@ INLINE = {
         "storage": {"s_min": 0.0, "s_max": 5.0, "s_init": 0.0},
         "steps": [{"generation": {"kind": "deterministic", "value": 3.0},
                    "demand": {"kind": "empirical", "samples": [1.0, 3.0]}}],
+    },
+    "mid_weibull": {
+        "name": "mid_weibull", "energy_unit": "kWh", "horizon": 2,
+        "storage": {"s_min": 0.0, "s_max": 10.0, "s_init": 5.0},
+        "steps": [{"generation": {"kind": "lognormal", "mean": 1.25, "variance": 1.0},
+                   "demand": {"kind": "weibull", "scale": 2.0, "shape": 5.0}},
+                  {"generation": {"kind": "weibull", "scale": 1.5, "shape": 2.0},
+                   "demand": {"kind": "weibull", "scale": 1.0, "shape": 0.5}}],
+    },
+    "mid_empirical": {
+        "name": "mid_empirical", "energy_unit": "kWh", "horizon": 2,
+        "storage": {"s_min": 0.0, "s_max": 10.0, "s_init": 5.0},
+        "steps": [{"generation": {"kind": "deterministic", "value": 2.0},
+                   "demand": {"kind": "empirical", "samples": [0.5, 1.0, 7.0, 2.0]}},
+                  {"generation": {"kind": "empirical", "samples": [1.0, 5.5, 2.0]},
+                   "demand": {"kind": "empirical", "samples": [0.0, 0.5, 1.0]}}],
     },
     "mid_multi_gen": {
         "name": "mid_multi_gen", "energy_unit": "kWh", "horizon": 3,
@@ -95,6 +112,8 @@ def _runs() -> list[tuple[str, list[str]]]:
         levels = ("--n", "20000", "--levels", "2,4,6,8")
         runs.append(("validate", day24 + ("--seed", str(seed)) + levels))
     runs.append(("validate", day24 + ("--n", "20000", "--levels", "1,2,3,4,5,6,7,8,9")))
+    # At n = 100000 the run spans 7 blocks, so its candidate buffers fill and flush.
+    runs.append(("validate", day24 + ("--n", "100000")))
     for step, cells in (("1", "2"), ("1", "64"), ("24", "16384"), ("7", "1024")):
         runs.append(("analyze", day24 + ("--step", step, "--grid-cells", cells, "--s-prev", "2.5")))
     for s_prev in ("4", "5"):
@@ -102,6 +121,8 @@ def _runs() -> list[tuple[str, list[str]]]:
     runs += [
         ("validate", ("--scenario", "tie.json", "--n", "20000")),
         ("simulate", ("--scenario", "tie.json", "--n", "1000")),
+        ("validate", ("--scenario", "mid_weibull.json", "--n", "20000", "--levels", "2,5,8")),
+        ("validate", ("--scenario", "mid_empirical.json", "--n", "20000", "--levels", "2,5,8")),
         ("validate", ("--scenario", "mid_multi_gen.json", "--n", "20000", "--levels", "2,5,8")),
         ("validate", ("--scenario", "one_sided.json", "--n", "20000", "--levels", "0,1,2.5,5")),
         # Refusals: argparse's and the commands' own (exit 2).

@@ -1,7 +1,7 @@
 """The public surface: every exported name exists, the package re-exports
-only names that a library submodule exports itself, README's examples run
-against it, the three routes meet only in the CLI, and every name the
-benchmark's spans wrap is still there to wrap."""
+exactly the names its library submodules export, no name comes from two of
+them, README's examples run against it, the three routes meet only in the
+CLI, and every name the benchmark's spans wrap is still there to wrap."""
 
 import ast
 import importlib
@@ -30,14 +30,27 @@ def test_every_exported_name_resolves(module_name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def _library_exports():
+    """Library module name -> its ``__all__``."""
+    return {name: importlib.import_module(f"stochstore.{name}").__all__ for name in LIBRARY_MODULES}
+
+
+def test_no_name_is_exported_by_two_library_modules():
+    # The package star-imports every library module, so a name in two
+    # modules' __all__ would silently take the later module's object.
+    owners = {}
+    for module, names in _library_exports().items():
+        for name in names:
+            owners.setdefault(name, []).append(module)
+    shared = {name: modules for name, modules in owners.items() if len(modules) > 1}
+    assert not shared, f"names exported by more than one library module: {shared}"
+
+
 def test_package_exports_come_from_library_modules():
-    # Containment, not equality: a submodule may export more than the package
-    # re-exports (montecarlo.QUANTILE_LEVELS, for one).
-    exported = set()
-    for name in LIBRARY_MODULES:
-        exported.update(importlib.import_module(f"stochstore.{name}").__all__)
-    stray = set(stochstore.__all__) - {"__version__"} - exported
-    assert not stray, f"stochstore.__all__ names no library module exports: {sorted(stray)}"
+    # Equality: each library module's __all__ is the one declaration of its
+    # public names, and the package re-exports all of them and nothing else.
+    exported = [name for names in _library_exports().values() for name in names]
+    assert sorted(stochstore.__all__) == sorted(["__version__", *exported])
 
 
 def _readme_block(language):
